@@ -9,17 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .calibration import (
-    DEFAULT_ECE_BINS,
-    TEMPERATURE_MAX,
-    TEMPERATURE_MIN,
-    TEMPERATURE_TOL,
     apply_isotonic,
     calibration_map_to_json,
     fit_isotonic,
@@ -33,15 +26,13 @@ from .grounding import FactStoreError, check_claims, fact_store_to_json, load_fa
 from .mitigation import DEFAULT_CHUNK_OVERLAP, chunk_document
 from .mockgen import generate_corpus, generate_fact_store, mock_spec_from_json
 from .pipeline import (
-    PipelineConfig,
-    default_rules,
     detect,
     ledger_to_json,
     ledger_to_markdown,
+    load_config,
     load_rules,
-    race_to_json,
     run_cycle,
-    signals_to_json,
+    to_json,
 )
 from .records import (
     GenerationRecord,
@@ -50,7 +41,6 @@ from .records import (
     parse_records,
     write_records,
 )
-from .semantic import DEFAULT_CLUSTER_THRESHOLD
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,63 +53,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class RunConfig:
-    """Tuning knobs accepted via --config; every field has a safe default."""
-
-    cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD
-    ece_bins: int = DEFAULT_ECE_BINS
-    temperature_min: float = TEMPERATURE_MIN
-    temperature_max: float = TEMPERATURE_MAX
-    temperature_tol: float = TEMPERATURE_TOL
-    rules_path: str | None = None
-    fact_rel_tol: float = 0.0
-    fact_abs_tol: float = 0.0
-    min_delta: float = 0.05
-    format: str = "json"
-
-
-def load_run_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    known = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    cfg = RunConfig(**raw)
-    if not 0.0 <= cfg.cluster_threshold <= 2.0:
-        raise ConfigError("cluster_threshold must lie in [0, 2]")
-    if cfg.ece_bins < 1:
-        raise ConfigError("ece_bins must be >= 1")
-    if not 0.0 < cfg.temperature_min < cfg.temperature_max:
-        raise ConfigError("need 0 < temperature_min < temperature_max")
-    if cfg.temperature_tol <= 0.0:
-        raise ConfigError("temperature_tol must be positive")
-    if cfg.fact_rel_tol < 0.0 or cfg.fact_abs_tol < 0.0:
-        raise ConfigError("fact tolerances must be nonnegative")
-    if cfg.format not in ("json", "md"):
-        raise ConfigError("format must be json or md")
-    if cfg.rules_path is not None and not Path(cfg.rules_path).exists():
-        raise ConfigError(f"rules file not found: {cfg.rules_path}")
-    return cfg
-
-
-def _pipeline_config(cfg: RunConfig) -> PipelineConfig:
-    rules = default_rules()
-    if cfg.rules_path is not None:
-        rules = load_rules(json.loads(Path(cfg.rules_path).read_text(encoding="utf-8")))
-    return PipelineConfig(
-        cluster_threshold=cfg.cluster_threshold,
-        fact_rel_tol=cfg.fact_rel_tol,
-        fact_abs_tol=cfg.fact_abs_tol,
-        min_delta=cfg.min_delta,
-        rules=rules,
-    )
 
 
 def _read_corpus(path: str) -> list[GenerationRecord]:
@@ -142,20 +75,13 @@ def _json_dumps(payload) -> str:
 
 
 def cmd_analyze(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = load_config(args.config)
     records = _read_corpus(args.input)
     if not records:
         print("no records", file=sys.stderr)
         return EXIT_DATA
     store = load_fact_store(Path(args.store).read_bytes()) if args.store else None
-    pconfig = _pipeline_config(cfg)
-    # per-record metrics are pure; a bounded pool maps them in input order and
-    # all report writing stays on this thread
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        rows = [
-            signals_to_json(s)
-            for s in pool.map(lambda rec: detect(rec, pconfig, store), records)
-        ]
+    rows = [to_json(detect(rec, cfg, store)) for rec in records]
 
     def _present(key):
         return [r[key] for r in rows if r[key] is not None]
@@ -220,7 +146,7 @@ def _fmt(value) -> str:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = load_config(args.config)
     records = _read_corpus(args.input)
     if args.kind == "temperature":
         logit_sets, labels = logit_label_pairs(records)
@@ -245,7 +171,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_race(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = load_config(args.config)
     records = _read_corpus(args.input)
     if not records:
         print("no records", file=sys.stderr)
@@ -254,7 +180,7 @@ def cmd_race(args) -> int:
     for rec in records:
         try:
             report = race_metrics(rec, cluster_threshold=cfg.cluster_threshold)
-            rows.append({"record_id": rec.id, "race": race_to_json(report)})
+            rows.append({"record_id": rec.id, "race": to_json(report)})
         except CapabilityError as exc:
             rows.append({"record_id": rec.id, "race": None, "skipped": str(exc)})
     _emit(_json_dumps({"records": rows}), args.output)
@@ -262,7 +188,7 @@ def cmd_race(args) -> int:
 
 
 def cmd_factcheck(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = load_config(args.config)
     records = _read_corpus(args.input)
     if not records:
         print("no records", file=sys.stderr)
@@ -273,24 +199,15 @@ def cmd_factcheck(args) -> int:
     for rec in records:
         verdicts = check_claims(rec.reference_claims or [], store, cfg.fact_rel_tol, cfg.fact_abs_tol)
         mismatches += sum(1 for v in verdicts if v.status == "mismatch")
-        rows.append(
-            {
-                "record_id": rec.id,
-                "verdicts": [
-                    {"key": v.key, "claimed": v.claimed, "reference": v.reference, "status": v.status}
-                    for v in verdicts
-                ],
-            }
-        )
+        rows.append({"record_id": rec.id, "verdicts": to_json(verdicts)})
     _emit(_json_dumps({"records": rows, "mismatches": mismatches}), args.output)
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
-    cfg = load_run_config(args.config)
-    pconfig = _pipeline_config(cfg)
+    cfg = load_config(args.config)
     if args.rules:
-        pconfig.rules = load_rules(json.loads(Path(args.rules).read_text(encoding="utf-8")))
+        cfg.rules = load_rules(json.loads(Path(args.rules).read_text(encoding="utf-8")))
     records = _read_corpus(args.input)
     if not records:
         print("no records", file=sys.stderr)
@@ -298,9 +215,9 @@ def cmd_pipeline(args) -> int:
     store = None
     if args.store:
         store = load_fact_store(Path(args.store).read_bytes())
-    elif any(r.signal == "fact_mismatches" for r in pconfig.rules):
+    elif any(r.signal == "fact_mismatches" for r in cfg.rules):
         print("warning: no fact store supplied; data-tier fact rules will not fire", file=sys.stderr)
-    ledger = run_cycle(records, pconfig, store)
+    ledger = run_cycle(records, cfg, store)
     payload = _json_dumps(ledger_to_json(ledger))
     if args.output is None:
         if (args.format or cfg.format) == "md":

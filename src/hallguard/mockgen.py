@@ -28,8 +28,10 @@ from typing import Mapping
 
 import numpy as np
 
+from .calibration import apply_temperature
 from .grounding import FactEntry, FactStore
 from .records import Claim, GenerationRecord, GroundTruthLabel, Sample, TokenDistribution
+from .uncertainty import entropy_nats
 
 CLEAN_ENTROPY_LO = 0.25
 CLEAN_ENTROPY_HI = 0.70
@@ -76,16 +78,6 @@ def _validate_spec(spec: MockSpec) -> None:
         raise ValueError("inject rates must sum to at most 1")
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def _entropy(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
 def _scale_into_entropy_band(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Rescale a logit vector so its softmax entropy lands in [lo, hi].
 
@@ -95,15 +87,15 @@ def _scale_into_entropy_band(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if np.ptp(z) < 1e-9:  # constant vector cannot be sharpened
         z = z.copy()
         z[0] += 1.0
-    h = _entropy(_softmax(z))
+    h = entropy_nats(apply_temperature(z, 1.0))
     if lo <= h <= hi:
         return z
     c_lo, c_hi = 1e-6, 1.0
-    while c_hi < 1e6 and _entropy(_softmax(c_hi * z)) > hi:
+    while c_hi < 1e6 and entropy_nats(apply_temperature(c_hi * z, 1.0)) > hi:
         c_hi *= 2.0
     for _ in range(200):
         c = (c_lo + c_hi) / 2.0
-        h = _entropy(_softmax(c * z))
+        h = entropy_nats(apply_temperature(c * z, 1.0))
         if lo <= h <= hi:
             return c * z
         if h > hi:
@@ -142,10 +134,10 @@ def _build(spec: MockSpec) -> tuple[list[GenerationRecord], FactStore]:
             z = _scale_into_entropy_band(
                 rng.normal(0.0, 1.5, spec.vocab_size), CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI
             )
-        probs = _softmax(z)
+        probs = apply_temperature(z, 1.0)
         probs = np.maximum(probs, 1e-12)  # keep every entry loggable for refits
         probs = probs / probs.sum()
-        correct = int(rng.choice(spec.vocab_size, p=_softmax(z / spec.true_temperature)))
+        correct = int(rng.choice(spec.vocab_size, p=apply_temperature(z, spec.true_temperature)))
         dist = TokenDistribution(token_labels=list(token_labels), probs=[float(p) for p in probs])
 
         if cls == "model":

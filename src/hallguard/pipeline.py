@@ -11,19 +11,16 @@ per-tier counts and residual errors are the refinement artifact.
 
 from __future__ import annotations
 
+import json
+import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from .consistency import (
-    FLAG_ANSWER_SUPPORT,
-    FLAG_MI_MAX,
-    FLAG_REASONING_ENTROPY,
-    RaceReport,
-    race_metrics,
-    self_consistency_consensus,
-)
+from .calibration import TEMPERATURE_MAX, TEMPERATURE_MIN, TEMPERATURE_TOL
+from .consistency import RaceReport, race_metrics, self_consistency_consensus
 from .errors import CapabilityError, ConfigError
 from .grounding import STATUS_MISMATCH, ClaimVerdict, FactStore, check_claims
 from .records import GenerationRecord
@@ -46,31 +43,6 @@ KNOWN_SIGNALS = (
     "race_mutual_information",
     "fact_mismatches",
 )
-
-# Which detection families need ground truth, and what they are for.  Labels
-# only; detect() relies on input availability, not on this table.
-GROUND_TRUTH_DEPENDENCIES = {
-    "uncertainty_estimation": {
-        "ground_truth_required": "no (except calibration)",
-        "primary_use": "real-time screening; periodic calibration against labels",
-    },
-    "internal_state_monitoring": {
-        "ground_truth_required": "no",
-        "primary_use": "real-time detection when model internals are accessible",
-    },
-    "contextual_fact_checking": {
-        "ground_truth_required": "partial (reference store or retrieved documents)",
-        "primary_use": "retrieval-grounded and document-grounded tasks",
-    },
-    "intrinsic_consistency": {
-        "ground_truth_required": "no",
-        "primary_use": "real-time reasoning stability checks",
-    },
-    "reasoning_answer_consistency": {
-        "ground_truth_required": "yes (reference reasoning traces for evaluation)",
-        "primary_use": "high-stakes reasoning and compliance review",
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -100,16 +72,13 @@ class RouterRule:
 
 
 @dataclass(frozen=True)
-class ValidationRecord:
+class Validation:
+    """A flagged record's signals before and after mitigation; improved when
+    every signal that fired before now passes or moved by min_delta."""
+
     before: DetectionSignals
     after: DetectionSignals
     improved: bool
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    improved: bool
-    deltas: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -120,7 +89,7 @@ class TierVerdict:
     fired_rules: list[str]
     tier: str | None
     recommendations: list[str]
-    validation: ValidationRecord | None = None
+    validation: Validation | None = None
 
 
 @dataclass(frozen=True)
@@ -151,8 +120,6 @@ def default_rules() -> list[RouterRule]:
                    ["ensemble_agreement", "sampling_filter"]),
         RouterRule("reasoning_divergence", "race_flag", ">=", 0.5, "context",
                    ["prompt_optimization", "instruction_reweighting"]),
-        RouterRule("low_prompt_similarity", "external.prompt_similarity", "<", 0.5, "context",
-                   ["context_summarization", "prompt_optimization"]),
         RouterRule("fact_mismatch", "fact_mismatches", ">=", 1.0, "data",
                    ["grounding_refresh", "verified_fine_tuning"]),
     ]
@@ -160,15 +127,19 @@ def default_rules() -> list[RouterRule]:
 
 @dataclass
 class PipelineConfig:
-    """Knobs for detection, flag thresholds, fact tolerances, and validation."""
+    """Every run knob: detection, fact tolerances, validation, temperature
+    fitting, report format and router rules.  A ``--config`` file sets any of
+    them, with ``rules_path`` naming a rules file; every field has a safe
+    default."""
 
     cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD
-    flag_answer_support: float = FLAG_ANSWER_SUPPORT
-    flag_reasoning_entropy: float = FLAG_REASONING_ENTROPY
-    flag_mi_max: float = FLAG_MI_MAX
     fact_rel_tol: float = 0.0
     fact_abs_tol: float = 0.0
     min_delta: float = 0.05
+    temperature_min: float = TEMPERATURE_MIN
+    temperature_max: float = TEMPERATURE_MAX
+    temperature_tol: float = TEMPERATURE_TOL
+    format: str = "json"
     rules: list[RouterRule] = field(default_factory=default_rules)
 
 
@@ -208,13 +179,7 @@ def detect(record: GenerationRecord, config: PipelineConfig | None = None,
 
     race = None
     try:
-        race = race_metrics(
-            record,
-            cluster_threshold=config.cluster_threshold,
-            flag_answer_support=config.flag_answer_support,
-            flag_reasoning_entropy=config.flag_reasoning_entropy,
-            flag_mi_max=config.flag_mi_max,
-        )
+        race = race_metrics(record, cluster_threshold=config.cluster_threshold)
     except CapabilityError:
         pass
 
@@ -302,7 +267,7 @@ def route(signals: DetectionSignals, rules: list[RouterRule]) -> TierVerdict:
 
 
 def validate(before: DetectionSignals, after: DetectionSignals,
-             config: PipelineConfig) -> ValidationResult:
+             config: PipelineConfig) -> Validation:
     """Re-evaluate the signals that fired before mitigation.
 
     Improved means every previously firing signal now sits on the passing
@@ -313,7 +278,6 @@ def validate(before: DetectionSignals, after: DetectionSignals,
         raise ValueError(
             f"record id mismatch: {before.record_id!r} vs {after.record_id!r}"
         )
-    deltas: dict[str, float] = {}
     verdicts: list[bool] = []
     for rule in config.rules:
         if not _fires(rule, before):
@@ -323,7 +287,6 @@ def validate(before: DetectionSignals, after: DetectionSignals,
         if a is None:
             verdicts.append(False)
             continue
-        deltas[rule.signal] = a - b
         if rule.comparator in (">", ">="):
             crossed = a < rule.threshold
             gain = b - a
@@ -331,12 +294,11 @@ def validate(before: DetectionSignals, after: DetectionSignals,
             crossed = a > rule.threshold
             gain = a - b
         verdicts.append(crossed or (gain > 0.0 and gain >= config.min_delta))
-    return ValidationResult(improved=all(verdicts), deltas=deltas)
+    return Validation(before=before, after=after, improved=all(verdicts))
 
 
 def run_cycle(records: list[GenerationRecord], config: PipelineConfig | None = None,
-              store: FactStore | None = None, rules: list[RouterRule] | None = None,
-              clock=time.time) -> CycleLedger:
+              store: FactStore | None = None, clock=time.time) -> CycleLedger:
     """Run detect -> route -> validate over a corpus and assemble the ledger.
 
     A record whose id is ``<base>.retry`` (with ``<base>`` present) is treated
@@ -344,9 +306,6 @@ def run_cycle(records: list[GenerationRecord], config: PipelineConfig | None = N
     validated against it instead of being flagged for external mitigation.
     """
     config = config or PipelineConfig()
-    if rules is not None:
-        config = replace(config, rules=rules)
-    rule_set = config.rules
 
     ids = [r.id for r in records]
     if len(set(ids)) != len(ids):
@@ -367,7 +326,7 @@ def run_cycle(records: list[GenerationRecord], config: PipelineConfig | None = N
     residuals = 0
     for rec in primaries:
         signals = detect(rec, config, store)
-        verdict = route(signals, rule_set)
+        verdict = route(signals, config.rules)
         if verdict.tier is None:
             action, outcome = "none", "pass"
         else:
@@ -376,14 +335,11 @@ def run_cycle(records: list[GenerationRecord], config: PipelineConfig | None = N
                 action, outcome = "flagged_for_external_mitigation", "pending"
             else:
                 after = replace(detect(retry, config, store), record_id=rec.id)
-                result = validate(signals, after, config)
-                verdict = replace(
-                    verdict,
-                    validation=ValidationRecord(before=signals, after=after, improved=result.improved),
-                )
+                validation = validate(signals, after, config)
+                verdict = replace(verdict, validation=validation)
                 action = "validated_retry"
-                outcome = "improved" if result.improved else "not_improved"
-                if not result.improved:
+                outcome = "improved" if validation.improved else "not_improved"
+                if not validation.improved:
                     residuals += 1
         counts[verdict.tier or "pass"] += 1
         entries.append(LedgerEntry(rec.id, signals, verdict, action, outcome, clock()))
@@ -402,9 +358,60 @@ def run_cycle(records: list[GenerationRecord], config: PipelineConfig | None = N
 
 
 # ---------------------------------------------------------------------------
-# Rules file I/O
+# Config and rules file I/O
 
-_RULE_KEYS = ("name", "signal", "comparator", "threshold", "tier", "recommended_mitigations")
+_CONFIG_KEYS = (*(k for k in PipelineConfig.__dataclass_fields__ if k != "rules"), "rules_path")
+_NUMERIC_CONFIG_KEYS = tuple(k for k in _CONFIG_KEYS if k not in ("format", "rules_path"))
+
+
+def _finite_number(value) -> bool:
+    """A JSON number, not a bool, that a float holds; NaN and infinities fail."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _read_json(path: str):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def load_config(path: str | None) -> PipelineConfig:
+    """Load a ``--config`` JSON file; defaults when no path is given.
+
+    Every value is type- and range-checked here, so a bad file fails with a
+    ConfigError naming the field before any record is read.
+    """
+    if path is None:
+        return PipelineConfig()
+    raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = set(raw) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    for key in _NUMERIC_CONFIG_KEYS:
+        if key in raw and not _finite_number(raw[key]):
+            raise ConfigError(f"{key} must be a finite number")
+    rules_path = raw.pop("rules_path", None)
+    cfg = PipelineConfig(**raw)
+    if not 0.0 <= cfg.cluster_threshold <= 2.0:
+        raise ConfigError("cluster_threshold must lie in [0, 2]")
+    if not 0.0 < cfg.temperature_min < cfg.temperature_max:
+        raise ConfigError("need 0 < temperature_min < temperature_max")
+    if cfg.temperature_tol <= 0.0:
+        raise ConfigError("temperature_tol must be positive")
+    if cfg.fact_rel_tol < 0.0 or cfg.fact_abs_tol < 0.0:
+        raise ConfigError("fact tolerances must be nonnegative")
+    if cfg.min_delta < 0.0:
+        raise ConfigError("min_delta must be nonnegative")
+    if cfg.format not in ("json", "md"):
+        raise ConfigError("format must be json or md")
+    if rules_path is not None:
+        if not isinstance(rules_path, str):
+            raise ConfigError("rules_path must be a string")
+        if not Path(rules_path).exists():
+            raise ConfigError(f"rules file not found: {rules_path}")
+        cfg.rules = load_rules(_read_json(rules_path))
+    return cfg
 
 
 def _known_signal(signal: str) -> bool:
@@ -427,7 +434,7 @@ def load_rules(obj) -> list[RouterRule]:
         if comparator not in COMPARATORS:
             raise ConfigError(f"rule {name!r}: comparator must be one of {COMPARATORS}")
         threshold = raw.get("threshold")
-        if not isinstance(threshold, (int, float)) or isinstance(threshold, bool) or not np.isfinite(threshold):
+        if not _finite_number(threshold):
             raise ConfigError(f"rule {name!r}: threshold must be a finite number")
         tier = raw.get("tier")
         if tier not in TIERS:
@@ -440,86 +447,33 @@ def load_rules(obj) -> list[RouterRule]:
     return rules
 
 
-def rules_to_json(rules: list[RouterRule]) -> list[dict]:
-    return [
-        {
-            "name": r.name,
-            "signal": r.signal,
-            "comparator": r.comparator,
-            "threshold": r.threshold,
-            "tier": r.tier,
-            "recommended_mitigations": r.recommended_mitigations,
-        }
-        for r in rules
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Report serialization
 
-
-def race_to_json(race: RaceReport) -> dict:
-    return {
-        "h_reasoning": race.h_reasoning,
-        "h_answer": race.h_answer,
-        "h_joint": race.h_joint,
-        "mutual_information": race.mutual_information,
-        "mutual_information_raw": race.mutual_information_raw,
-        "flag_right_answer_wrong_reasoning": race.flag_right_answer_wrong_reasoning,
-    }
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def signals_to_json(signals: DetectionSignals) -> dict:
-    return {
-        "record_id": signals.record_id,
-        "h_p_mean": signals.h_p_mean,
-        "h_s": signals.h_s,
-        "consensus_support": signals.consensus_support,
-        "self_confidence": signals.self_confidence,
-        "race": race_to_json(signals.race) if signals.race is not None else None,
-        "fact_verdicts": (
-            [
-                {"key": v.key, "claimed": v.claimed, "reference": v.reference, "status": v.status}
-                for v in signals.fact_verdicts
-            ]
-            if signals.fact_verdicts is not None
-            else None
-        ),
-        "external_signals": signals.external_signals,
-    }
+def to_json(obj):
+    """Encode a report value for json.dumps.
 
-
-def verdict_to_json(verdict: TierVerdict) -> dict:
-    out: dict = {
-        "record_id": verdict.record_id,
-        "fired_rules": verdict.fired_rules,
-        "tier": verdict.tier,
-        "recommendations": verdict.recommendations,
-    }
-    if verdict.validation is not None:
-        out["validation"] = {
-            "before": signals_to_json(verdict.validation.before),
-            "after": signals_to_json(verdict.validation.after),
-            "improved": verdict.validation.improved,
-        }
-    return out
+    Dataclasses become objects keyed in field order (an absent verdict
+    validation is left out), lists and dicts are walked, and every other
+    value passes through.
+    """
+    kind = type(obj)
+    if kind in _JSON_SCALARS:
+        return obj
+    if kind is list:
+        return [to_json(v) for v in obj]
+    if kind is dict:
+        return {k: to_json(v) for k, v in obj.items()}
+    if is_dataclass(obj):
+        return {k: to_json(v) for k, v in vars(obj).items() if v is not None or k != "validation"}
+    return obj
 
 
 def ledger_to_json(ledger: CycleLedger) -> dict:
-    return {
-        "entries": [
-            {
-                "record_id": e.record_id,
-                "signals": signals_to_json(e.signals),
-                "verdict": verdict_to_json(e.verdict),
-                "action_taken": e.action_taken,
-                "outcome": e.outcome,
-                "timestamp": e.timestamp,
-            }
-            for e in ledger.entries
-        ],
-        "summary": ledger.summary,
-    }
+    return to_json(ledger)
 
 
 def ledger_to_markdown(ledger: CycleLedger) -> str:

@@ -6,7 +6,7 @@ import pytest
 from hallguard.cli import main
 from hallguard.mockgen import MockSpec, generate_corpus, generate_fact_store
 from hallguard.grounding import fact_store_to_json
-from hallguard.pipeline import default_rules, rules_to_json
+from hallguard.pipeline import default_rules, to_json
 from hallguard.records import write_records
 
 
@@ -168,7 +168,7 @@ def test_pipeline_bad_rules_file_names_offender(mock_paths, tmp_path, capsys):
 def test_pipeline_accepts_custom_rules(mock_paths, tmp_path):
     corpus, store, _ = mock_paths
     rules = tmp_path / "rules.json"
-    rules.write_text(json.dumps(rules_to_json(default_rules())))
+    rules.write_text(json.dumps(to_json(default_rules())))
     out = tmp_path / "ledger.json"
     assert main([
         "pipeline", "--input", str(corpus), "--store", str(store),
@@ -212,6 +212,29 @@ def test_config_file_controls_knobs(mock_paths, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"cluster_threshold": 5.0}))
     assert main(["race", "--input", str(corpus), "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"cluster_threshold": "0.3"}',
+        '{"min_delta": -1}',
+        '{"fact_rel_tol": NaN}',
+        '{"ece_bins": 10}',
+        # race never routes, but the config's rules file is still validated
+        '{"rules_path": RULES}',
+    ],
+)
+def test_bad_config_value_is_one_line_usage_error(mock_paths, tmp_path, capsys, text):
+    corpus, _, _ = mock_paths
+    rules = tmp_path / "rules.json"
+    rules.write_text('[{"name": "r", "signal": "h_s", "comparator": ">", "threshold": "high", "tier": "model"}]')
+    config = tmp_path / "config.json"
+    config.write_text(text.replace("RULES", json.dumps(str(rules))))
+    assert main(["race", "--input", str(corpus), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_no_command_prints_help(capsys):

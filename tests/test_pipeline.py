@@ -3,7 +3,6 @@ import pytest
 from hallguard.errors import ConfigError
 from hallguard.grounding import FactEntry, FactStore
 from hallguard.pipeline import (
-    GROUND_TRUTH_DEPENDENCIES,
     DetectionSignals,
     PipelineConfig,
     RouterRule,
@@ -13,10 +12,9 @@ from hallguard.pipeline import (
     ledger_to_markdown,
     load_rules,
     route,
-    rules_to_json,
     run_cycle,
     signal_value,
-    signals_to_json,
+    to_json,
     validate,
 )
 from hallguard.records import GenerationRecord, Sample
@@ -140,7 +138,7 @@ def test_route_threshold_monotonicity():
 
 def test_rules_round_trip():
     rules = default_rules()
-    assert load_rules(rules_to_json(rules)) == rules
+    assert load_rules(to_json(rules)) == rules
 
 
 @pytest.mark.parametrize(
@@ -167,7 +165,7 @@ def test_validate_crossing_threshold_improves():
     after = _signals(h_p_mean=0.4)
     result = validate(before, after, config)
     assert result.improved
-    assert result.deltas["h_p_mean"] == pytest.approx(-0.8)
+    assert (result.before, result.after) == (before, after)
 
 
 def test_validate_identical_signals_never_improve():
@@ -261,9 +259,9 @@ def test_cycle_conservation_and_determinism():
     assert s["model"] + s["context"] + s["data"] == s["tiered"]
 
 
-def test_cycle_rules_argument_overrides_config():
+def test_cycle_routes_with_config_rules():
     silent = [RouterRule("never", "h_p_mean", ">", 99.0, "model", [])]
-    ledger = run_cycle([_noisy_record()], rules=silent)
+    ledger = run_cycle([_noisy_record()], PipelineConfig(rules=silent))
     assert ledger.summary["tiered"] == 0
 
 
@@ -283,7 +281,7 @@ def test_ledger_json_shape():
 
 
 def test_signals_json_keeps_every_field():
-    payload = signals_to_json(_signals(h_p_mean=0.5))
+    payload = to_json(_signals(h_p_mean=0.5))
     assert set(payload) == {
         "record_id",
         "h_p_mean",
@@ -295,14 +293,3 @@ def test_signals_json_keeps_every_field():
         "external_signals",
     }
 
-
-def test_ground_truth_dependency_table():
-    assert set(GROUND_TRUTH_DEPENDENCIES) == {
-        "uncertainty_estimation",
-        "internal_state_monitoring",
-        "contextual_fact_checking",
-        "intrinsic_consistency",
-        "reasoning_answer_consistency",
-    }
-    for row in GROUND_TRUTH_DEPENDENCIES.values():
-        assert {"ground_truth_required", "primary_use"} <= set(row)

@@ -158,9 +158,11 @@ def test_disagreement_zero_iff_identical(probs, n):
     assert ensemble_disagreement([probs] * n).variance <= 1e-12
     perturbed = list(probs)
     perturbed[0], perturbed[1] = perturbed[1], perturbed[0]
-    if abs(perturbed[0] - probs[0]) > 1e-9:
+    d = perturbed[0] - probs[0]
+    if abs(d) > 1e-9:
+        # swapping two entries that differ by d gives variance d^2 / (2V) exactly
         report = ensemble_disagreement([probs, perturbed])
-        assert report.variance > 1e-12
+        assert report.variance == pytest.approx(d**2 / (2 * len(probs)), rel=1e-9, abs=0)
 
 
 # --- parse_self_declared_confidence ---
