@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import CapabilityError
 from .records import GenerationRecord
-from .semantic import DEFAULT_CLUSTER_THRESHOLD, cluster_embeddings, default_embed
+from .semantic import DEFAULT_CLUSTER_THRESHOLD, cluster_texts, default_embed
 from .uncertainty import entropy_nats
 
 FLAG_ANSWER_SUPPORT = 0.8
@@ -80,7 +80,7 @@ def self_consistency_consensus(
     if len(record.samples) < 2:
         raise CapabilityError("consensus requires multiple generations")
     answers = _sample_answers(record)
-    assignment = cluster_embeddings([embed_fn(a) for a in answers], threshold)
+    assignment = cluster_texts(answers, embed_fn, threshold)
     best_mass = max(assignment.cluster_masses)
     tied = [k for k, m in enumerate(assignment.cluster_masses) if m == best_mass]
     winner = min(tied, key=lambda k: answers[assignment.representatives[k]])
@@ -112,7 +112,7 @@ def intrinsic_consistency(
         else:
             sample = rec.samples[0]
             answers.append(sample.answer if sample.answer is not None else sample.text)
-    assignment = cluster_embeddings([embed_fn(a) for a in answers], threshold)
+    assignment = cluster_texts(answers, embed_fn, threshold)
     contradictions = [
         (records[i].id, records[j].id)
         for i in range(len(records))
@@ -144,8 +144,8 @@ def race_metrics(
 
     reasonings = [s.reasoning for s in record.samples]
     answers = [s.answer for s in record.samples]
-    r_assign = cluster_embeddings([embed_fn(r) for r in reasonings], cluster_threshold)
-    a_assign = cluster_embeddings([embed_fn(a) for a in answers], cluster_threshold)
+    r_assign = cluster_texts(reasonings, embed_fn, cluster_threshold)
+    a_assign = cluster_texts(answers, embed_fn, cluster_threshold)
 
     h_r = entropy_nats(r_assign.cluster_masses)
     h_a = entropy_nats(a_assign.cluster_masses)

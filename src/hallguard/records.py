@@ -21,6 +21,7 @@ log-probabilities in nats.  All types are immutable after construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 FAILURE_CLASSES = ("model", "context", "data")
@@ -137,8 +138,19 @@ def _validate_sample(sample: Sample, path: str, diags: list[Diagnostic]) -> None
             _validate_dist(dist, f"{path}.token_dists[{j}]", diags)
     if sample.token_logprobs is not None:
         for j, lp in enumerate(sample.token_logprobs):
-            if not _is_number(lp) or lp > 0.0:
+            if not _is_number(lp) or not lp <= 0.0:  # NaN fails <= too
                 diags.append(Diagnostic(f"{path}.token_logprobs[{j}]", "log-probability must be <= 0"))
+    emb = sample.embedding
+    # plain JSON floats and ints pass in two C-level passes; anything else
+    # gets the exact check, which names the first bad entry
+    if emb is not None and not (set(map(type, emb)) <= {float, int} and all(map(math.isfinite, emb))):
+        for j, x in enumerate(emb):
+            if not (_is_number(x) and math.isfinite(x)):
+                diags.append(Diagnostic(f"{path}.embedding[{j}]", "must be a finite number"))
+                break
+    for name in ("reasoning", "answer"):
+        if not isinstance(getattr(sample, name), (str, type(None))):
+            diags.append(Diagnostic(f"{path}.{name}", "must be a string"))
     if sample.self_confidence is not None:
         sc = sample.self_confidence
         if not _is_number(sc) or not (0.0 <= sc <= 1.0):
@@ -156,8 +168,19 @@ def validate_record(record: GenerationRecord) -> list[Diagnostic]:
         diags.append(Diagnostic("id", "must be nonempty"))
     if not record.samples:
         diags.append(Diagnostic("samples", "must contain at least one sample"))
+    first = None  # index of the first sample with an embedding
     for i, sample in enumerate(record.samples):
         _validate_sample(sample, f"samples[{i}]", diags)
+        if sample.embedding is None:
+            continue
+        if first is None:
+            first = i
+        elif len(sample.embedding) != len(record.samples[first].embedding):
+            diags.append(Diagnostic(
+                f"samples[{i}].embedding",
+                f"length {len(sample.embedding)} differs from samples[{first}].embedding"
+                f" ({len(record.samples[first].embedding)})",
+            ))
     for i, claim in enumerate(record.reference_claims or []):
         if not claim.key:
             diags.append(Diagnostic(f"reference_claims[{i}].key", "must be nonempty"))
@@ -234,6 +257,9 @@ def _sample_from_json(obj, path: str, rid: str) -> Sample:
     text = obj.get("text")
     if not isinstance(text, str):
         raise _shape_error(rid, f"{path}.text", "must be a string")
+    for key in ("token_logprobs", "embedding"):
+        if obj.get(key) is not None and not isinstance(obj[key], list):
+            raise _shape_error(rid, f"{path}.{key}", "must be a list")
     dists = None
     if obj.get("token_dists") is not None:
         raw = obj["token_dists"]

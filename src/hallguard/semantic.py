@@ -6,21 +6,43 @@ cluster's mass as its share of the samples, then score the mass distribution
 with Shannon entropy.  Zero entropy means all samples landed in one semantic
 cluster; ln K is the maximum over K clusters.
 
-Stored per-sample embeddings take precedence, so real deployments can inject
-sentence-transformer vectors through the record schema.  The built-in default
-is a deterministic hashing bag-of-words embedder: dependency-free, order
+Clustering.  All pairwise cosine distances 1 - cos(u, v), clamped at 0, come
+from one Gram matrix of the unit-normalised vectors.  The merge loop keeps the
+summed pairwise distance between every two clusters and each cluster's size,
+so the average linkage of clusters a and b is sum(a, b) / (|a| |b|), and a
+merge adds b's row and column into a's (the Lance-Williams update for average
+linkage; Muellner, arXiv:1109.2378).  Each merge is one numpy pass over the
+n x n matrix, so a clustering of n vectors costs O(n^2) numpy work per merge
+and at most n - 1 merges.  Merging stops once the smallest linkage exceeds
+the threshold.
+
+Tie rule.  Among equal computed linkages the lowest (a, b) pair merges, where
+a cluster is indexed by its lowest member.  Exact duplicates (equal rows,
+found by their bytes) are at distance 0, so threshold 0 groups them despite
+float rounding.  All-zero vectors have no direction: their distance to
+anything, themselves included, is infinite, so they stay singletons.  A tie
+that holds only mathematically, such as two merges at 1 - 1/sqrt(2), can be
+split by rounding, and then may break otherwise than in a plain pair loop
+that sums in another order (tests/test_semantic.py keeps one as the
+reference).
+
+Embedding sources.  A sample's stored ``embedding`` embeds its ``text`` and
+feeds semantic entropy only; a sample without one has its text embedded with
+``embed_fn``.  Consensus and the reasoning/answer decomposition always embed
+the answer and reasoning strings with ``embed_fn``.  The built-in default is a
+deterministic hashing bag-of-words embedder: dependency-free, order
 invariant, and good enough at desk scale where test texts are constructed to
 be lexically disjoint.
 
-Determinism notes: merge ties break toward the lowest pair of cluster
-indices, identical vectors are distance 0 by construction (so threshold 0
-groups exact duplicates despite float rounding), and all-zero vectors always
-form singleton clusters because cosine distance to them is undefined and
-treated as unmergeable.
+String inputs go through ``cluster_texts``, which embeds each distinct string
+once and remembers its last few results, so the clusterings that one record
+asks for with the same strings (on mock corpora the texts are the answers)
+run once.  ``embed_fn`` must therefore be a pure function of its argument.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,62 +100,85 @@ def default_embed(text: str, dim: int = EMBED_DIM) -> np.ndarray:
     return vec
 
 
-def _cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return math.inf  # undefined; keeps zero vectors unmergeable
-    if np.array_equal(u, v):
-        return 0.0
-    sim = float(np.dot(u, v) / (nu * nv))
-    return max(0.0, 1.0 - sim)
+def _distances(x: np.ndarray) -> np.ndarray:
+    """Pairwise cosine distances of the rows of x, computed once per distinct
+    row: 0 between equal rows, inf on every row and column of a zero row."""
+    keys = [row.tobytes() for row in x + 0.0]  # + 0.0 maps -0.0 to 0.0
+    slot: dict[bytes, int] = {}
+    of_row = np.array([slot.setdefault(key, len(slot)) for key in keys])
+    distinct = np.empty((len(slot), x.shape[1]))
+    distinct[of_row] = x
+    norms = np.linalg.norm(distinct, axis=1)
+    zero = norms == 0.0
+    unit = distinct / np.where(zero, 1.0, norms)[:, None]
+    d = np.triu(np.maximum(0.0, 1.0 - unit @ unit.T), 1)
+    d += d.T  # exactly symmetric, with 0 on the diagonal
+    d[zero] = math.inf
+    d[:, zero] = math.inf
+    return d[np.ix_(of_row, of_row)]
 
 
 def cluster_embeddings(vectors, threshold: float) -> ClusterAssignment:
     """Average-linkage agglomerative clustering under cosine distance.
 
     Merging stops once the minimum inter-cluster distance exceeds the
-    threshold.  Cluster masses are sample counts divided by N.
+    threshold.  Cluster masses are sample counts divided by N.  See the
+    module docstring for the algorithm and its tie rule.
     """
     vs = [np.asarray(v, dtype=float) for v in vectors]
     if not vs:
         raise ValueError("at least one vector required")
-    dims = {v.shape for v in vs}
-    if len(dims) != 1 or len(vs[0].shape) != 1:
+    if len({v.shape for v in vs}) != 1 or vs[0].ndim != 1:
         raise ValueError("vectors must share one dimension")
+    x = np.stack(vs)
+    if not np.isfinite(x).all():
+        raise ValueError("vectors must be finite")
     n = len(vs)
 
-    dist = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = _cosine_distance(vs[i], vs[j])
-
-    clusters: list[list[int]] = [[i] for i in range(n)]
-    while len(clusters) > 1:
-        best = math.inf
-        pair: tuple[int, int] | None = None
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                d = float(dist[np.ix_(clusters[a], clusters[b])].mean())
-                if d < best:  # strict: ties keep the lowest (a, b) pair
-                    best = d
-                    pair = (a, b)
-        if pair is None or best > threshold:
+    sums = _distances(x)  # summed pairwise distance between clusters
+    size = np.ones(n, dtype=int)
+    # a pair (a, b) is a candidate while a < b and both clusters are alive
+    barred = np.tri(n, dtype=bool)
+    owner = np.arange(n)  # cluster of each sample, named by its lowest member
+    while True:
+        linkage = sums / np.outer(size, size)
+        linkage[barred] = math.inf
+        a, b = divmod(int(np.argmin(linkage)), n)  # first minimum: lowest (a, b)
+        best = linkage[a, b]
+        if best == math.inf or best > threshold:
             break
-        a, b = pair
-        clusters[a] = clusters[a] + clusters[b]
-        del clusters[b]
+        sums[a] += sums[b]
+        sums[:, a] += sums[:, b]
+        size[a] += size[b]
+        barred[b] = True
+        barred[:, b] = True
+        owner[owner == b] = a
 
-    clusters.sort(key=min)
-    assignment = [0] * n
-    for k, members in enumerate(clusters):
-        for i in members:
-            assignment[i] = k
+    owners = owner.tolist()
+    representatives = sorted(set(owners))
+    index = {rep: k for k, rep in enumerate(representatives)}
     return ClusterAssignment(
-        cluster_of_sample=assignment,
-        cluster_masses=[len(members) / n for members in clusters],
-        representatives=[min(members) for members in clusters],
+        cluster_of_sample=[index[c] for c in owners],
+        cluster_masses=[int(size[rep]) / n for rep in representatives],
+        representatives=representatives,
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _cluster_texts(texts: tuple[str, ...], embed_fn, threshold: float) -> ClusterAssignment:
+    vectors = {text: embed_fn(text) for text in dict.fromkeys(texts)}
+    return cluster_embeddings([vectors[text] for text in texts], threshold)
+
+
+def cluster_texts(texts, embed_fn=default_embed,
+                  threshold: float = DEFAULT_CLUSTER_THRESHOLD) -> ClusterAssignment:
+    """cluster_embeddings over embed_fn of each string.  Each distinct string
+    is embedded once, and a repeat of one of the last few calls is not
+    clustered again."""
+    a = _cluster_texts(tuple(texts), embed_fn, threshold)
+    # a copy, so that no caller can change what the next one receives
+    return ClusterAssignment(list(a.cluster_of_sample), list(a.cluster_masses),
+                             list(a.representatives))
 
 
 def semantic_entropy(assignment: ClusterAssignment) -> float:
@@ -152,9 +197,12 @@ def semantic_entropy_of_record(
     """
     if len(record.samples) < 2:
         raise CapabilityError("semantic entropy requires multiple generations")
-    vectors = [
-        np.asarray(s.embedding, dtype=float) if s.embedding is not None else embed_fn(s.text)
-        for s in record.samples
-    ]
-    assignment = cluster_embeddings(vectors, threshold)
+    if all(s.embedding is None for s in record.samples):
+        assignment = cluster_texts([s.text for s in record.samples], embed_fn, threshold)
+    else:
+        vectors = [
+            np.asarray(s.embedding, dtype=float) if s.embedding is not None else embed_fn(s.text)
+            for s in record.samples
+        ]
+        assignment = cluster_embeddings(vectors, threshold)
     return SemanticEntropyResult(entropy=semantic_entropy(assignment), assignment=assignment)

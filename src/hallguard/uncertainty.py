@@ -40,7 +40,7 @@ def entropy_nats(probs) -> float:
     if p.size == 0:
         raise ValueError("entropy of an empty distribution is undefined")
     nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(0.0 - (nz * np.log(nz)).sum())  # 0.0 - 0.0 is +0.0, not -0.0
 
 
 def token_entropy(dist: TokenDistribution) -> float:

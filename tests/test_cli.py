@@ -260,3 +260,27 @@ def test_repeated_runs_are_byte_identical(mock_paths, tmp_path):
             assert main(command + ["--output", str(out)]) == 0
             outputs.append(_strip_timestamps(out.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "samples, path",
+    [
+        ('{"text": "a", "embedding": [NaN, 1.0]}, {"text": "b", "embedding": [1.0, 0.0]}',
+         "samples[0].embedding"),
+        ('{"text": "a", "embedding": [1.0, 0.0]}, {"text": "b", "embedding": [1.0]}',
+         "samples[1].embedding"),
+        ('{"text": "a", "embedding": 3}, {"text": "b"}', "samples[0].embedding"),
+        ('{"text": "a", "token_logprobs": [-0.5, NaN]}, {"text": "b"}', "samples[0].token_logprobs"),
+        ('{"text": "a", "answer": 4}, {"text": "b", "answer": "b"}', "samples[0].answer"),
+        ('{"text": "a", "answer": "a", "reasoning": ["r"]}, {"text": "b", "answer": "b"}',
+         "samples[0].reasoning"),
+    ],
+    ids=["nan-embedding", "embedding-lengths", "embedding-not-list", "nan-logprob",
+         "int-answer", "list-reasoning"],
+)
+def test_bad_sample_field_is_one_line_data_error(tmp_path, capsys, samples, path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "r1", "prompt": "q", "samples": [' + samples + "]}\n")
+    assert main(["analyze", "--input", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid data: record 'r1': " + path) and err.count("\n") == 1

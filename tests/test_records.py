@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +168,18 @@ def test_validate_accepts_valid_record():
             ),
             "failure_class",
         ),
+        (lambda r: _with_sample(r, embedding=[0.1, math.nan]), "embedding[1]"),
+        (lambda r: _with_sample(r, embedding=[math.inf, 0.2]), "embedding[0]"),
+        (lambda r: _with_sample(r, embedding=[True, "0.2"]), "samples[0].embedding[0]"),
+        (
+            lambda r: r.__class__(
+                **{**vars(r), "samples": [r.samples[0], Sample(text="x", embedding=[0.3])]}
+            ),
+            "samples[1].embedding",
+        ),
+        (lambda r: _with_sample(r, token_logprobs=[math.nan]), "token_logprobs[0]"),
+        (lambda r: _with_sample(r, answer=4), "answer"),
+        (lambda r: _with_sample(r, reasoning=b"r"), "reasoning"),
     ],
 )
 def test_each_invariant_violation_is_detected(mutate, path_fragment):
@@ -193,7 +206,7 @@ _text = st.text(max_size=20)
 
 
 @st.composite
-def _samples(draw):
+def _samples(draw, embed_dim):
     n_probs = draw(st.integers(1, 4))
     weights = draw(
         st.lists(st.floats(0.05, 1.0, allow_nan=False), min_size=n_probs, max_size=n_probs)
@@ -211,7 +224,8 @@ def _samples(draw):
             st.none() | st.lists(st.floats(-20.0, 0.0, allow_nan=False), min_size=1, max_size=3)
         ),
         embedding=draw(
-            st.none() | st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=4)
+            st.none()
+            | st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=embed_dim, max_size=embed_dim)
         ),
         reasoning=draw(st.none() | _text),
         answer=draw(st.none() | _text),
@@ -245,7 +259,8 @@ def _records(draw, record_id):
     return GenerationRecord(
         id=record_id,
         prompt=draw(_text),
-        samples=draw(st.lists(_samples(), min_size=1, max_size=3)),
+        # a record's embeddings share one length
+        samples=draw(st.lists(_samples(draw(st.integers(1, 4))), min_size=1, max_size=3)),
         reference_claims=claims,
         ground_truth=gt,
     )

@@ -5,16 +5,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hallguard import semantic
 from hallguard.errors import CapabilityError
+from hallguard.mockgen import MockSpec, generate_corpus
+from hallguard.pipeline import detect
 from hallguard.semantic import (
     ClusterAssignment,
     cluster_embeddings,
+    cluster_texts,
     default_embed,
     semantic_entropy,
     semantic_entropy_of_record,
 )
 
 from conftest import make_record
+
+
+def reference_cluster(vectors, threshold):
+    """The plain pair loop that cluster_embeddings vectorizes: per-pair cosine
+    distances, then at each merge the mean distance block of every cluster
+    pair, strict < so that ties keep the lowest (a, b) pair."""
+    vs = [np.asarray(v, dtype=float) for v in vectors]
+    n = len(vs)
+
+    def cosine_distance(u, v):
+        nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+        if nu == 0.0 or nv == 0.0:
+            return math.inf
+        if np.array_equal(u, v):
+            return 0.0
+        return max(0.0, 1.0 - float(np.dot(u, v) / (nu * nv)))
+
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = cosine_distance(vs[i], vs[j])
+    clusters = [[i] for i in range(n)]
+    while len(clusters) > 1:
+        best, pair = math.inf, None
+        for a in range(len(clusters)):
+            for b in range(a + 1, len(clusters)):
+                d = float(dist[np.ix_(clusters[a], clusters[b])].mean())
+                if d < best:
+                    best, pair = d, (a, b)
+        if pair is None or best > threshold:
+            break
+        a, b = pair
+        clusters[a] = clusters[a] + clusters[b]
+        del clusters[b]
+    clusters.sort(key=min)
+    assignment = [0] * n
+    for k, members in enumerate(clusters):
+        for i in members:
+            assignment[i] = k
+    return ClusterAssignment(
+        cluster_of_sample=assignment,
+        cluster_masses=[len(members) / n for members in clusters],
+        representatives=[min(members) for members in clusters],
+    )
 
 
 # --- default_embed ---
@@ -92,6 +140,35 @@ def test_mixed_dimensions_rejected():
         cluster_embeddings([np.zeros(2), np.zeros(3)], threshold=0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_vectors_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        cluster_embeddings([np.array([1.0, 0.0]), np.array([bad, 1.0])], threshold=0.5)
+
+
+def test_negative_zero_duplicates_merge_at_threshold_zero():
+    assignment = cluster_embeddings([np.array([1.0, 0.0]), np.array([1.0, -0.0])], threshold=0.0)
+    assert assignment.cluster_masses == [1.0]
+
+
+def test_matches_reference_loop_on_random_inputs():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n, dim = int(rng.integers(1, 13)), int(rng.integers(1, 6))
+        pool = [rng.normal(size=dim) for _ in range(int(rng.integers(1, 4)))]
+        vectors = []
+        for _ in range(n):
+            draw = rng.random()
+            if draw < 0.15:
+                vectors.append(np.zeros(dim))
+            elif draw < 0.6:  # an exact duplicate of a pool vector
+                vectors.append(pool[int(rng.integers(len(pool)))].copy())
+            else:
+                vectors.append(rng.normal(size=dim))
+        for threshold in (0.0, 0.35, 2.0):
+            assert cluster_embeddings(vectors, threshold) == reference_cluster(vectors, threshold)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
@@ -117,6 +194,42 @@ def test_masses_sum_to_one_and_representatives_align():
     assert sum(assignment.cluster_masses) == pytest.approx(1.0)
     for k, rep in enumerate(assignment.representatives):
         assert assignment.cluster_of_sample[rep] == k
+
+
+# --- cluster_texts ---
+
+
+def test_cluster_texts_embeds_each_distinct_string_once():
+    seen = []
+
+    def embed(text):
+        seen.append(text)
+        return default_embed(text)
+
+    texts = ["rates up", "rates up", "rates down", "rates up"]
+    assert cluster_texts(texts, embed) == cluster_embeddings(
+        [default_embed(t) for t in texts], semantic.DEFAULT_CLUSTER_THRESHOLD
+    )
+    assert seen == ["rates up", "rates down"]
+
+
+def test_detect_clusters_each_distinct_input_once(monkeypatch):
+    spec = MockSpec(n_records=1, samples_per_record=5, seed=3)
+    record = generate_corpus(spec)[0]
+    assert all(s.text == s.answer and s.reasoning != s.answer for s in record.samples)
+    calls = []
+
+    def counting(vectors, threshold):
+        calls.append(len(vectors))
+        return cluster_embeddings(vectors, threshold)
+
+    monkeypatch.setattr(semantic, "cluster_embeddings", counting)
+    semantic._cluster_texts.cache_clear()
+    signals = detect(record)
+    # semantic entropy, consensus and RACE answers share one input list; the
+    # reasoning traces are the other
+    assert calls == [5, 5]
+    assert signals.h_s is not None and signals.race is not None
 
 
 # --- semantic_entropy ---

@@ -11,6 +11,7 @@ from hallguard.records import Sample
 from hallguard.uncertainty import (
     empirical_label_entropy,
     ensemble_disagreement,
+    entropy_nats,
     parse_self_declared_confidence,
     sequence_entropy_profile,
     token_entropy,
@@ -119,6 +120,13 @@ def test_empirical_entropy_empty_is_domain_error():
 @given(k=st.integers(1, 50))
 def test_empirical_entropy_repeated_label_is_zero(k):
     assert empirical_label_entropy(["same"] * k) == 0.0
+
+
+def test_one_point_entropy_is_positive_zero():
+    # reports print -0.0 for a negative zero, so unanimous records must get +0.0
+    for probs in ([1.0], [0.0, 1.0, 0.0]):
+        assert math.copysign(1.0, entropy_nats(probs)) == 1.0
+    assert math.copysign(1.0, empirical_label_entropy(["A", "A"])) == 1.0
 
 
 # --- ensemble_disagreement ---
