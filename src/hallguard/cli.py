@@ -22,7 +22,7 @@ from .calibration import (
 )
 from .consistency import race_metrics
 from .errors import CapabilityError, ConfigError
-from .grounding import FactStoreError, check_claims, fact_store_to_json, load_fact_store
+from .grounding import STATUS_MISMATCH, FactStoreError, check_claims, fact_store_to_json, load_fact_store
 from .mitigation import DEFAULT_CHUNK_OVERLAP, chunk_document
 from .mockgen import generate_corpus, generate_fact_store, mock_spec_from_json
 from .pipeline import (
@@ -32,6 +32,7 @@ from .pipeline import (
     load_config,
     load_rules,
     run_cycle,
+    signal_value,
     to_json,
 )
 from .records import (
@@ -81,38 +82,28 @@ def cmd_analyze(args) -> int:
         print("no records", file=sys.stderr)
         return EXIT_DATA
     store = load_fact_store(Path(args.store).read_bytes()) if args.store else None
-    rows = [to_json(detect(rec, cfg, store)) for rec in records]
+    signals = [detect(rec, cfg, store) for rec in records]
 
-    def _present(key):
-        return [r[key] for r in rows if r[key] is not None]
+    def _present(signal_id):
+        return [v for v in (signal_value(s, signal_id) for s in signals) if v is not None]
 
     h_p = _present("h_p_mean")
     h_s = _present("h_s")
     aggregates = {
-        "n_records": len(rows),
+        "n_records": len(signals),
         "h_p_mean_avg": sum(h_p) / len(h_p) if h_p else None,
         "h_s_avg": sum(h_s) / len(h_s) if h_s else None,
-        "race_flagged": sum(
-            1 for r in rows if r["race"] is not None and r["race"]["flag_right_answer_wrong_reasoning"]
-        ),
-        "fact_mismatch_records": sum(
-            1
-            for r in rows
-            if r["fact_verdicts"] is not None
-            and any(v["status"] == "mismatch" for v in r["fact_verdicts"])
-        ),
+        "race_flagged": _present("race_flag").count(1.0),
+        "fact_mismatch_records": sum(1 for n in _present("fact_mismatches") if n > 0),
     }
-    report = {"records": rows, "aggregates": aggregates}
-    fmt = args.format or cfg.format
-    if fmt == "md":
-        _emit(_analyze_markdown(report), args.output)
+    if (args.format or cfg.format) == "md":
+        _emit(_analyze_markdown(signals, aggregates), args.output)
     else:
-        _emit(_json_dumps(report), args.output)
+        _emit(_json_dumps({"records": to_json(signals), "aggregates": aggregates}), args.output)
     return EXIT_OK
 
 
-def _analyze_markdown(report: dict) -> str:
-    agg = report["aggregates"]
+def _analyze_markdown(signals: list, agg: dict) -> str:
     lines = [
         "# Detection report",
         "",
@@ -125,18 +116,13 @@ def _analyze_markdown(report: dict) -> str:
         "| record | h_p_mean | h_s | consensus | self_conf | race flag | fact mismatches |",
         "| --- | --- | --- | --- | --- | --- | --- |",
     ]
-    for row in report["records"]:
-        race_flag = "-" if row["race"] is None else str(row["race"]["flag_right_answer_wrong_reasoning"])
-        mismatches = (
-            "-"
-            if row["fact_verdicts"] is None
-            else str(sum(1 for v in row["fact_verdicts"] if v["status"] == "mismatch"))
-        )
-        lines.append(
-            f"| {row['record_id']} | {_fmt(row['h_p_mean'])} | {_fmt(row['h_s'])} "
-            f"| {_fmt(row['consensus_support'])} | {_fmt(row['self_confidence'])} "
-            f"| {race_flag} | {mismatches} |"
-        )
+    for s in signals:
+        cells = [_fmt(signal_value(s, k)) for k in ("h_p_mean", "h_s", "consensus_support", "self_confidence")]
+        flag = signal_value(s, "race_flag")
+        mismatches = signal_value(s, "fact_mismatches")
+        cells.append("-" if flag is None else str(flag == 1.0))
+        cells.append("-" if mismatches is None else str(int(mismatches)))
+        lines.append(f"| {s.record_id} | {' | '.join(cells)} |")
     lines.append("")
     return "\n".join(lines)
 
@@ -198,7 +184,7 @@ def cmd_factcheck(args) -> int:
     mismatches = 0
     for rec in records:
         verdicts = check_claims(rec.reference_claims or [], store, cfg.fact_rel_tol, cfg.fact_abs_tol)
-        mismatches += sum(1 for v in verdicts if v.status == "mismatch")
+        mismatches += sum(1 for v in verdicts if v.status == STATUS_MISMATCH)
         rows.append({"record_id": rec.id, "verdicts": to_json(verdicts)})
     _emit(_json_dumps({"records": rows, "mismatches": mismatches}), args.output)
     return EXIT_OK

@@ -12,8 +12,10 @@ per-tier counts and residual errors are the refinement artifact.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 
@@ -28,21 +30,10 @@ from .semantic import DEFAULT_CLUSTER_THRESHOLD, default_embed, semantic_entropy
 from .uncertainty import parse_self_declared_confidence, sequence_entropy_profile
 
 TIERS = ("model", "context", "data")
-COMPARATORS = ("<", "<=", ">", ">=")
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+COMPARATORS = tuple(_COMPARE)
 
 RETRY_SUFFIX = ".retry"
-
-EXTERNAL_SIGNAL_PREFIX = "external."
-KNOWN_SIGNALS = (
-    "h_p_mean",
-    "h_s",
-    "consensus_support",
-    "self_confidence",
-    "race_flag",
-    "race_h_reasoning",
-    "race_mutual_information",
-    "fact_mismatches",
-)
 
 
 @dataclass(frozen=True)
@@ -56,7 +47,21 @@ class DetectionSignals:
     self_confidence: float | None = None
     race: RaceReport | None = None
     fact_verdicts: list[ClaimVerdict] | None = None
-    external_signals: dict[str, float] | None = None
+
+
+# The routable signals: each id reads one float from a bundle, None when absent.
+SIGNALS: dict[str, Callable[[DetectionSignals], float | None]] = {
+    "h_p_mean": lambda s: s.h_p_mean,
+    "h_s": lambda s: s.h_s,
+    "consensus_support": lambda s: s.consensus_support,
+    "self_confidence": lambda s: s.self_confidence,
+    "race_flag": lambda s: None if s.race is None else float(s.race.flag_right_answer_wrong_reasoning),
+    "race_h_reasoning": lambda s: None if s.race is None else s.race.h_reasoning,
+    "race_mutual_information": lambda s: None if s.race is None else s.race.mutual_information,
+    "fact_mismatches": lambda s: None if s.fact_verdicts is None else float(
+        sum(v.status == STATUS_MISMATCH for v in s.fact_verdicts)
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -201,49 +206,14 @@ def detect(record: GenerationRecord, config: PipelineConfig | None = None,
 
 
 def signal_value(signals: DetectionSignals, signal_id: str) -> float | None:
-    """Resolve one routable signal to a float; None when absent."""
-    if signal_id.startswith(EXTERNAL_SIGNAL_PREFIX):
-        if signals.external_signals is None:
-            return None
-        return signals.external_signals.get(signal_id[len(EXTERNAL_SIGNAL_PREFIX):])
-    if signal_id == "h_p_mean":
-        return signals.h_p_mean
-    if signal_id == "h_s":
-        return signals.h_s
-    if signal_id == "consensus_support":
-        return signals.consensus_support
-    if signal_id == "self_confidence":
-        return signals.self_confidence
-    if signal_id == "race_flag":
-        if signals.race is None:
-            return None
-        return 1.0 if signals.race.flag_right_answer_wrong_reasoning else 0.0
-    if signal_id == "race_h_reasoning":
-        return signals.race.h_reasoning if signals.race is not None else None
-    if signal_id == "race_mutual_information":
-        return signals.race.mutual_information if signals.race is not None else None
-    if signal_id == "fact_mismatches":
-        if signals.fact_verdicts is None:
-            return None
-        return float(sum(1 for v in signals.fact_verdicts if v.status == STATUS_MISMATCH))
-    return None
-
-
-def _compare(value: float, comparator: str, threshold: float) -> bool:
-    if comparator == "<":
-        return value < threshold
-    if comparator == "<=":
-        return value <= threshold
-    if comparator == ">":
-        return value > threshold
-    if comparator == ">=":
-        return value >= threshold
-    raise ConfigError(f"unknown comparator {comparator!r}")
+    """Resolve one routable signal to a float; None when absent.  An id
+    missing from SIGNALS raises KeyError."""
+    return SIGNALS[signal_id](signals)
 
 
 def _fires(rule: RouterRule, signals: DetectionSignals) -> bool:
     value = signal_value(signals, rule.signal)
-    return value is not None and _compare(value, rule.comparator, rule.threshold)
+    return value is not None and _COMPARE[rule.comparator](value, rule.threshold)
 
 
 def route(signals: DetectionSignals, rules: list[RouterRule]) -> TierVerdict:
@@ -270,9 +240,10 @@ def validate(before: DetectionSignals, after: DetectionSignals,
              config: PipelineConfig) -> Validation:
     """Re-evaluate the signals that fired before mitigation.
 
-    Improved means every previously firing signal now sits on the passing
-    side of its threshold, or moved in the passing direction by at least
-    min_delta.  An unchanged bundle is never an improvement.
+    Improved means every rule that fired before no longer fires on the after
+    bundle (the test route uses), or its signal moved in the passing
+    direction by at least min_delta.  An absent after-signal is not an
+    improvement, and neither is an unchanged bundle.
     """
     if before.record_id != after.record_id:
         raise ValueError(
@@ -287,13 +258,8 @@ def validate(before: DetectionSignals, after: DetectionSignals,
         if a is None:
             verdicts.append(False)
             continue
-        if rule.comparator in (">", ">="):
-            crossed = a < rule.threshold
-            gain = b - a
-        else:
-            crossed = a > rule.threshold
-            gain = a - b
-        verdicts.append(crossed or (gain > 0.0 and gain >= config.min_delta))
+        gain = b - a if rule.comparator in (">", ">=") else a - b
+        verdicts.append(not _fires(rule, after) or (gain > 0.0 and gain >= config.min_delta))
     return Validation(before=before, after=after, improved=all(verdicts))
 
 
@@ -414,10 +380,6 @@ def load_config(path: str | None) -> PipelineConfig:
     return cfg
 
 
-def _known_signal(signal: str) -> bool:
-    return signal in KNOWN_SIGNALS or signal.startswith(EXTERNAL_SIGNAL_PREFIX)
-
-
 def load_rules(obj) -> list[RouterRule]:
     """Validate and load a rules list from decoded JSON; errors name the rule."""
     if not isinstance(obj, list):
@@ -428,7 +390,7 @@ def load_rules(obj) -> list[RouterRule]:
             raise ConfigError(f"rule #{i} must be an object")
         name = raw.get("name") or f"rule #{i}"
         signal = raw.get("signal")
-        if not isinstance(signal, str) or not _known_signal(signal):
+        if not isinstance(signal, str) or signal not in SIGNALS:
             raise ConfigError(f"rule {name!r}: unknown signal {signal!r}")
         comparator = raw.get("comparator")
         if comparator not in COMPARATORS:

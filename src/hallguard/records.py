@@ -119,14 +119,17 @@ def _is_number(v) -> bool:
 def _validate_dist(dist: TokenDistribution, path: str, diags: list[Diagnostic]) -> None:
     if len(dist.token_labels) != len(dist.probs):
         diags.append(Diagnostic(f"{path}.probs", "length differs from token_labels"))
+    n_diags = len(diags)
     for j, p in enumerate(dist.probs):
         if not _is_number(p) or not (0.0 <= p <= 1.0):
             diags.append(Diagnostic(f"{path}.probs[{j}]", "probability must lie in [0, 1]"))
-    if dist.probs:
+    if dist.probs and len(diags) == n_diags:  # a bad entry has no sum
         total = sum(dist.probs)
         if not (1.0 - PROB_SUM_TOL <= total <= 1.0 + PROB_SUM_TOL):
             diags.append(Diagnostic(f"{path}.probs", f"probs sum to {total:.6g}, expected 1"))
-    if len(set(dist.token_labels)) != len(dist.token_labels):
+    if not all(isinstance(label, str) for label in dist.token_labels):
+        diags.append(Diagnostic(f"{path}.token_labels", "token labels must be strings"))
+    elif len(set(dist.token_labels)) != len(dist.token_labels):
         diags.append(Diagnostic(f"{path}.token_labels", "token labels must be unique"))
 
 
@@ -168,22 +171,19 @@ def validate_record(record: GenerationRecord) -> list[Diagnostic]:
         diags.append(Diagnostic("id", "must be nonempty"))
     if not record.samples:
         diags.append(Diagnostic("samples", "must contain at least one sample"))
-    first = None  # index of the first sample with an embedding
     for i, sample in enumerate(record.samples):
         _validate_sample(sample, f"samples[{i}]", diags)
-        if sample.embedding is None:
-            continue
-        if first is None:
-            first = i
-        elif len(sample.embedding) != len(record.samples[first].embedding):
+        first, emb = record.samples[0].embedding, sample.embedding
+        if (first is None) != (emb is None):
+            diags.append(Diagnostic(f"samples[{i}].embedding", "must be set on every sample or on none"))
+        elif emb is not None and len(emb) != len(first):
             diags.append(Diagnostic(
                 f"samples[{i}].embedding",
-                f"length {len(sample.embedding)} differs from samples[{first}].embedding"
-                f" ({len(record.samples[first].embedding)})",
+                f"length {len(emb)} differs from samples[0].embedding ({len(first)})",
             ))
     for i, claim in enumerate(record.reference_claims or []):
-        if not claim.key:
-            diags.append(Diagnostic(f"reference_claims[{i}].key", "must be nonempty"))
+        if not isinstance(claim.key, str) or not claim.key:
+            diags.append(Diagnostic(f"reference_claims[{i}].key", "must be a nonempty string"))
     gt = record.ground_truth
     if gt is not None:
         if gt.failure_class is not None and not gt.is_hallucinated:

@@ -27,8 +27,10 @@ that sums in another order (tests/test_semantic.py keeps one as the
 reference).
 
 Embedding sources.  A sample's stored ``embedding`` embeds its ``text`` and
-feeds semantic entropy only; a sample without one has its text embedded with
-``embed_fn``.  Consensus and the reasoning/answer decomposition always embed
+feeds semantic entropy only.  A valid record carries an embedding on every
+sample or on none (``records.validate_record``), so semantic entropy clusters
+either the stored vectors or ``embed_fn`` of every text, never a mix of the
+two spaces.  Consensus and the reasoning/answer decomposition always embed
 the answer and reasoning strings with ``embed_fn``.  The built-in default is a
 deterministic hashing bag-of-words embedder: dependency-free, order
 invariant, and good enough at desk scale where test texts are constructed to
@@ -193,16 +195,14 @@ def semantic_entropy_of_record(
 ) -> SemanticEntropyResult:
     """Sample -> embed -> cluster -> estimate, over one record's responses.
 
-    Uses a sample's stored embedding when present, otherwise embed_fn(text).
+    Uses the stored embeddings when every sample carries one, otherwise
+    embed_fn over the texts.
     """
     if len(record.samples) < 2:
         raise CapabilityError("semantic entropy requires multiple generations")
-    if all(s.embedding is None for s in record.samples):
-        assignment = cluster_texts([s.text for s in record.samples], embed_fn, threshold)
-    else:
-        vectors = [
-            np.asarray(s.embedding, dtype=float) if s.embedding is not None else embed_fn(s.text)
-            for s in record.samples
-        ]
+    if all(s.embedding is not None for s in record.samples):
+        vectors = [np.asarray(s.embedding, dtype=float) for s in record.samples]
         assignment = cluster_embeddings(vectors, threshold)
+    else:
+        assignment = cluster_texts([s.text for s in record.samples], embed_fn, threshold)
     return SemanticEntropyResult(entropy=semantic_entropy(assignment), assignment=assignment)

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 
@@ -35,7 +36,7 @@ def test_analyze_reports_every_record(mock_paths, tmp_path, capsys):
     for row in report["records"]:
         assert set(row) == {
             "record_id", "h_p_mean", "h_s", "consensus_support",
-            "self_confidence", "race", "fact_verdicts", "external_signals",
+            "self_confidence", "race", "fact_verdicts",
         }
 
 
@@ -274,9 +275,18 @@ def test_repeated_runs_are_byte_identical(mock_paths, tmp_path):
         ('{"text": "a", "answer": 4}, {"text": "b", "answer": "b"}', "samples[0].answer"),
         ('{"text": "a", "answer": "a", "reasoning": ["r"]}, {"text": "b", "answer": "b"}',
          "samples[0].reasoning"),
+        ('{"text": "a", "token_dists": [{"labels": [["x"], "y"], "probs": [0.5, 0.5]}]}, {"text": "b"}',
+         "samples[0].token_dists[0].token_labels"),
+        ('{"text": "a", "token_dists": [{"labels": ["x", "y"], "probs": ["s", 1.0]}]}, {"text": "b"}',
+         "samples[0].token_dists[0].probs[0]"),
+        # closes the samples list to add a claim after it
+        ('{"text": "a"}, {"text": "b"}], "reference_claims": [{"key": ["k"], "value": 1.0}',
+         "reference_claims[0].key"),
+        ('{"text": "a", "embedding": [1.0, 0.0]}, {"text": "b"}', "samples[1].embedding"),
     ],
     ids=["nan-embedding", "embedding-lengths", "embedding-not-list", "nan-logprob",
-         "int-answer", "list-reasoning"],
+         "int-answer", "list-reasoning", "list-token-label", "string-prob", "list-claim-key",
+         "partial-embedding"],
 )
 def test_bad_sample_field_is_one_line_data_error(tmp_path, capsys, samples, path):
     corpus = tmp_path / "corpus.jsonl"
@@ -284,3 +294,68 @@ def test_bad_sample_field_is_one_line_data_error(tmp_path, capsys, samples, path
     assert main(["analyze", "--input", str(corpus)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid data: record 'r1': " + path) and err.count("\n") == 1
+
+
+_SWEEP_RECORD = {
+    "id": "r1",
+    "prompt": "what will the bank do?",
+    "samples": [
+        {"text": "it will raise (Confidence: 0.7)",
+         "token_dists": [{"labels": ["raise", "cut"], "probs": [0.7, 0.3]}],
+         "token_logprobs": [-0.36, -1.2], "embedding": [1.0, 0.0],
+         "reasoning": "inflation is up", "answer": "raise", "self_confidence": 0.7},
+        {"text": "it will cut",
+         "token_dists": [{"labels": ["raise", "cut"], "probs": [0.4, 0.6]}],
+         "token_logprobs": [-0.51, -0.9], "embedding": [0.0, 1.0],
+         "reasoning": "growth is down", "answer": "cut", "self_confidence": 0.6},
+    ],
+    "reference_claims": [{"key": "rate", "value": 5.0, "unit": "%"}],
+    "ground_truth": {"is_hallucinated": True, "failure_class": "data", "correct_answer": "hold"},
+}
+_SWEEP_VALUES = ("s", 3, 2.5, True, None, [1], [[1]], ["s"], {"a": 1})
+
+
+def _field_paths(obj, path=()):
+    """Every key and index path below obj, each parent before its children."""
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        return
+    for key, value in children:
+        yield path + (key,)
+        yield from _field_paths(value, path + (key,))
+
+
+def _replaced(obj, path, value):
+    obj = copy.deepcopy(obj)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+def test_field_type_sweep_is_value_or_one_line_error(tmp_path, capsys):
+    """Every field of a full record, swapped for a value of each JSON type,
+    either analyzes or exits 2 with at most one stderr line."""
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps({"rate": {"value": 5.0, "unit": "%"}}))
+    corpus = tmp_path / "corpus.jsonl"
+    command = ["analyze", "--input", str(corpus), "--store", str(store),
+               "--output", str(tmp_path / "report.json")]
+    corpus.write_text(json.dumps(_SWEEP_RECORD) + "\n")
+    assert main(command) == 0
+    failures = []
+    for path in _field_paths(_SWEEP_RECORD):
+        for value in _SWEEP_VALUES:
+            corpus.write_text(json.dumps(_replaced(_SWEEP_RECORD, path, value)) + "\n")
+            try:
+                code = main(command)
+            except Exception as exc:  # what the console script would print as a traceback
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if code not in (0, 2) or err.count("\n") > 1:
+                failures.append((path, value, code, err))
+    assert failures == []

@@ -3,6 +3,7 @@ import pytest
 from hallguard.errors import ConfigError
 from hallguard.grounding import FactEntry, FactStore
 from hallguard.pipeline import (
+    SIGNALS,
     DetectionSignals,
     PipelineConfig,
     RouterRule,
@@ -82,11 +83,27 @@ def test_detect_bare_single_sample_yields_all_absent():
 # --- signal_value / route ---
 
 
-def test_signal_value_external_namespace():
-    signals = _signals(external_signals={"prompt_similarity": 0.4})
-    assert signal_value(signals, "external.prompt_similarity") == 0.4
-    assert signal_value(signals, "external.unknown") is None
-    assert signal_value(_signals(), "external.prompt_similarity") is None
+def test_signal_value_reads_every_routable_signal():
+    from hallguard.consistency import RaceReport
+    from hallguard.grounding import ClaimVerdict
+
+    race = RaceReport(h_reasoning=0.9, h_answer=0.1, h_joint=1.0, mutual_information=0.2,
+                      mutual_information_raw=0.2, flag_right_answer_wrong_reasoning=True)
+    verdicts = [ClaimVerdict("a", 1, 2, "mismatch"), ClaimVerdict("b", 1, 1, "match")] * 2
+    signals = _signals(h_p_mean=0.5, h_s=0.4, consensus_support=0.8, self_confidence=0.7,
+                       race=race, fact_verdicts=verdicts)
+    assert {k: signal_value(signals, k) for k in SIGNALS} == {
+        "h_p_mean": 0.5, "h_s": 0.4, "consensus_support": 0.8, "self_confidence": 0.7,
+        "race_flag": 1.0, "race_h_reasoning": 0.9, "race_mutual_information": 0.2,
+        "fact_mismatches": 2.0,
+    }
+    assert all(signal_value(_signals(), k) is None for k in SIGNALS)
+
+
+def test_route_unknown_signal_raises():
+    # load_rules rejects such a rule; one built in Python fails loudly, not silently
+    with pytest.raises(KeyError):
+        route(_signals(h_s=1.0), [RouterRule("x", "external.h_s", ">", 0.5, "model")])
 
 
 def test_route_high_entropy_to_model_tier():
@@ -149,6 +166,8 @@ def test_rules_round_trip():
         ([{"name": "x", "signal": "h_s", "comparator": ">", "threshold": "high", "tier": "model"}], "threshold"),
         ([{"name": "x", "signal": "h_s", "comparator": ">", "threshold": 1, "tier": "vendor"}], "tier"),
         ({"name": "x"}, "list"),
+        ([{"name": "x", "signal": ["h_s"], "comparator": ">", "threshold": 1, "tier": "model"}],
+         "unknown signal"),
     ],
 )
 def test_rules_validation_names_offender(bad, message):
@@ -190,6 +209,14 @@ def test_validate_min_delta_counts_without_crossing():
     enough = _signals(h_p_mean=1.5)
     assert not validate(before, barely, config).improved
     assert validate(before, enough, config).improved
+
+
+def test_validate_passes_at_a_strict_threshold_like_route():
+    # 4/7 fires low_consensus (< 0.6); 3/5 sits on the threshold, which route passes
+    config = PipelineConfig()
+    after = _signals(consensus_support=3 / 5)
+    assert route(after, config.rules).tier is None
+    assert validate(_signals(consensus_support=4 / 7), after, config).improved
 
 
 def test_validate_rejects_mismatched_record_ids():
@@ -290,6 +317,5 @@ def test_signals_json_keeps_every_field():
         "self_confidence",
         "race",
         "fact_verdicts",
-        "external_signals",
     }
 

@@ -37,7 +37,7 @@ def valid_record(record_id="r1"):
                 answer="raise",
                 self_confidence=0.65,
             ),
-            Sample(text="it will cut", answer="cut"),
+            Sample(text="it will cut", embedding=[0.3, 0.1], answer="cut"),
         ],
         reference_claims=[Claim(key="rate", value=5.0, unit="%")],
         ground_truth=GroundTruthLabel(is_hallucinated=True, failure_class="data", correct_answer="hold"),
@@ -177,9 +177,27 @@ def test_validate_accepts_valid_record():
             ),
             "samples[1].embedding",
         ),
+        (
+            lambda r: r.__class__(
+                **{**vars(r), "samples": [*r.samples, Sample(text="x")]}
+            ),
+            "samples[2].embedding",
+        ),
         (lambda r: _with_sample(r, token_logprobs=[math.nan]), "token_logprobs[0]"),
         (lambda r: _with_sample(r, answer=4), "answer"),
         (lambda r: _with_sample(r, reasoning=b"r"), "reasoning"),
+        (
+            lambda r: _with_sample(r, token_dists=[TokenDistribution([["x"], "y"], [0.5, 0.5])]),
+            "token_dists[0].token_labels",
+        ),
+        (
+            lambda r: _with_sample(r, token_dists=[TokenDistribution(["x", "y"], ["s", 0.5])]),
+            "token_dists[0].probs[0]",
+        ),
+        (
+            lambda r: r.__class__(**{**vars(r), "reference_claims": [Claim(key=["k"], value=1.0)]}),
+            "reference_claims[0].key",
+        ),
     ],
 )
 def test_each_invariant_violation_is_detected(mutate, path_fragment):
@@ -207,6 +225,7 @@ _text = st.text(max_size=20)
 
 @st.composite
 def _samples(draw, embed_dim):
+    """One sample; embed_dim None means no embedding."""
     n_probs = draw(st.integers(1, 4))
     weights = draw(
         st.lists(st.floats(0.05, 1.0, allow_nan=False), min_size=n_probs, max_size=n_probs)
@@ -223,9 +242,8 @@ def _samples(draw, embed_dim):
         token_logprobs=draw(
             st.none() | st.lists(st.floats(-20.0, 0.0, allow_nan=False), min_size=1, max_size=3)
         ),
-        embedding=draw(
-            st.none()
-            | st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=embed_dim, max_size=embed_dim)
+        embedding=None if embed_dim is None else draw(
+            st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=embed_dim, max_size=embed_dim)
         ),
         reasoning=draw(st.none() | _text),
         answer=draw(st.none() | _text),
@@ -259,8 +277,10 @@ def _records(draw, record_id):
     return GenerationRecord(
         id=record_id,
         prompt=draw(_text),
-        # a record's embeddings share one length
-        samples=draw(st.lists(_samples(draw(st.integers(1, 4))), min_size=1, max_size=3)),
+        # every sample of a record carries an embedding of one length, or none does
+        samples=draw(
+            st.lists(_samples(draw(st.none() | st.integers(1, 4))), min_size=1, max_size=3)
+        ),
         reference_claims=claims,
         ground_truth=gt,
     )
