@@ -1,8 +1,14 @@
 """Command-line surface: analyze, calibrate, race, factcheck, pipeline, mockgen, chunk.
 
+Each option has one way to be set: a --config file holds only the numbers
+detection and validation read (cluster_threshold, fact_rel_tol, fact_abs_tol,
+min_delta); the report format and the router rules are set by --format and
+pipeline --rules.
+
 Exit codes are a stable contract: 0 success, 1 usage or environment error
-(bad flags, unreadable files, invalid config), 2 data or validation error
-(malformed corpus, empty input, insufficient fit data).
+(bad flags, unreadable files, invalid or malformed config and rules files),
+2 data or validation error (malformed corpus, empty input, insufficient fit
+data).
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .pipeline import (
     ledger_to_markdown,
     load_config,
     load_rules,
+    read_json_file,
     run_cycle,
     signal_value,
     to_json,
@@ -52,7 +59,6 @@ class _Parser(argparse.ArgumentParser):
     """argparse that honors the exit-code contract (usage errors -> 1)."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -96,7 +102,7 @@ def cmd_analyze(args) -> int:
         "race_flagged": _present("race_flag").count(1.0),
         "fact_mismatch_records": sum(1 for n in _present("fact_mismatches") if n > 0),
     }
-    if (args.format or cfg.format) == "md":
+    if args.format == "md":
         _emit(_analyze_markdown(signals, aggregates), args.output)
     else:
         _emit(_json_dumps({"records": to_json(signals), "aggregates": aggregates}), args.output)
@@ -132,17 +138,13 @@ def _fmt(value) -> str:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = load_config(args.config)
     records = _read_corpus(args.input)
     if args.kind == "temperature":
         logit_sets, labels = logit_label_pairs(records)
         if len(logit_sets) < 2:
             print("insufficient data: need >= 2 labeled records with full distributions", file=sys.stderr)
             return EXIT_DATA
-        model = fit_temperature(
-            logit_sets, labels,
-            t_min=cfg.temperature_min, t_max=cfg.temperature_max, tol=cfg.temperature_tol,
-        )
+        model = fit_temperature(logit_sets, labels)
         print(f"fitted temperature T={model.T:.4f} nll={model.fit_nll:.5f} n={model.n_fit}")
     else:  # isotonic
         pairs = score_outcome_pairs(records)
@@ -193,7 +195,7 @@ def cmd_factcheck(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg = load_config(args.config)
     if args.rules:
-        cfg.rules = load_rules(json.loads(Path(args.rules).read_text(encoding="utf-8")))
+        cfg.rules = load_rules(read_json_file(args.rules))
     records = _read_corpus(args.input)
     if not records:
         print("no records", file=sys.stderr)
@@ -204,16 +206,13 @@ def cmd_pipeline(args) -> int:
     elif any(r.signal == "fact_mismatches" for r in cfg.rules):
         print("warning: no fact store supplied; data-tier fact rules will not fire", file=sys.stderr)
     ledger = run_cycle(records, cfg, store)
-    payload = _json_dumps(ledger_to_json(ledger))
-    if args.output is None:
-        if (args.format or cfg.format) == "md":
-            _emit(ledger_to_markdown(ledger), None)
-        else:
-            _emit(payload, None)
+    if args.output is not None:
+        _emit(_json_dumps(ledger_to_json(ledger)), args.output)
+        _emit(ledger_to_markdown(ledger), str(Path(args.output).with_suffix(".md")))
+    elif args.format == "md":
+        _emit(ledger_to_markdown(ledger), None)
     else:
-        _emit(payload, args.output)
-        md_path = str(Path(args.output).with_suffix(".md"))
-        _emit(ledger_to_markdown(ledger), md_path)
+        _emit(_json_dumps(ledger_to_json(ledger)), None)
     return EXIT_OK
 
 
@@ -234,6 +233,10 @@ def cmd_mockgen(args) -> int:
 
 
 def cmd_chunk(args) -> int:
+    if args.target_size < 1 or not 0.0 <= args.overlap < 0.5:
+        print("hallguard chunk: error: need --target-size >= 1 and --overlap in [0, 0.5)",
+              file=sys.stderr)
+        return EXIT_USAGE
     text = Path(args.input).read_text(encoding="utf-8")
     chunks = chunk_document(text, args.target_size, args.overlap)
     payload = {
@@ -254,22 +257,22 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hallguard", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p, output=True):
-        p.add_argument("--config", help="JSON run-config file")
-        if output:
-            p.add_argument("--output", help="write the report here instead of stdout")
+    def common(p, config=True):
+        if config:
+            p.add_argument("--config", help="JSON run-config file")
+        p.add_argument("--output", help="write the report here instead of stdout")
 
     p = sub.add_parser("analyze", help="per-record detection signals and corpus aggregates")
     p.add_argument("--input", required=True, help="corpus JSONL")
     p.add_argument("--store", help="optional fact store JSON for claim checking")
-    p.add_argument("--format", choices=("json", "md"))
+    p.add_argument("--format", choices=("json", "md"), default="json")
     common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("calibrate", help="fit a calibration map on a labeled corpus")
     p.add_argument("--input", required=True, help="corpus JSONL with ground-truth labels")
     p.add_argument("--kind", required=True, choices=("temperature", "isotonic"))
-    common(p)
+    common(p, config=False)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("race", help="reasoning/answer consistency report per record")
@@ -287,7 +290,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="corpus JSONL")
     p.add_argument("--rules", help="router rules JSON (defaults ship in-package)")
     p.add_argument("--store", help="fact store JSON")
-    p.add_argument("--format", choices=("json", "md"))
+    p.add_argument("--format", choices=("json", "md"), default="json")
     common(p)
     p.set_defaults(func=cmd_pipeline)
 

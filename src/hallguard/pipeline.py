@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import TEMPERATURE_MAX, TEMPERATURE_MIN, TEMPERATURE_TOL
 from .consistency import RaceReport, race_metrics, self_consistency_consensus
 from .errors import CapabilityError, ConfigError
 from .grounding import STATUS_MISMATCH, ClaimVerdict, FactStore, check_claims
@@ -132,19 +131,14 @@ def default_rules() -> list[RouterRule]:
 
 @dataclass
 class PipelineConfig:
-    """Every run knob: detection, fact tolerances, validation, temperature
-    fitting, report format and router rules.  A ``--config`` file sets any of
-    them, with ``rules_path`` naming a rules file; every field has a safe
-    default."""
+    """What detection and validation read: the clustering threshold, the fact
+    tolerances, the validation margin and the router rules.  A ``--config``
+    file sets the four numbers; only ``pipeline --rules`` sets the rules."""
 
     cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD
     fact_rel_tol: float = 0.0
     fact_abs_tol: float = 0.0
     min_delta: float = 0.05
-    temperature_min: float = TEMPERATURE_MIN
-    temperature_max: float = TEMPERATURE_MAX
-    temperature_tol: float = TEMPERATURE_TOL
-    format: str = "json"
     rules: list[RouterRule] = field(default_factory=default_rules)
 
 
@@ -326,8 +320,7 @@ def run_cycle(records: list[GenerationRecord], config: PipelineConfig | None = N
 # ---------------------------------------------------------------------------
 # Config and rules file I/O
 
-_CONFIG_KEYS = (*(k for k in PipelineConfig.__dataclass_fields__ if k != "rules"), "rules_path")
-_NUMERIC_CONFIG_KEYS = tuple(k for k in _CONFIG_KEYS if k not in ("format", "rules_path"))
+_CONFIG_KEYS = tuple(k for k in PipelineConfig.__dataclass_fields__ if k != "rules")
 
 
 def _finite_number(value) -> bool:
@@ -336,47 +329,38 @@ def _finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _read_json(path: str):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def read_json_file(path: str):
+    """Decode a config or rules file; malformed JSON or UTF-8 is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from None
 
 
 def load_config(path: str | None) -> PipelineConfig:
     """Load a ``--config`` JSON file; defaults when no path is given.
 
-    Every value is type- and range-checked here, so a bad file fails with a
-    ConfigError naming the field before any record is read.
+    The file is an object of finite numbers, each checked here, so a bad
+    file fails with a ConfigError naming the field before any record is read.
     """
     if path is None:
         return PipelineConfig()
-    raw = _read_json(path)
+    raw = read_json_file(path)
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    for key in _NUMERIC_CONFIG_KEYS:
+    for key in _CONFIG_KEYS:
         if key in raw and not _finite_number(raw[key]):
             raise ConfigError(f"{key} must be a finite number")
-    rules_path = raw.pop("rules_path", None)
     cfg = PipelineConfig(**raw)
     if not 0.0 <= cfg.cluster_threshold <= 2.0:
         raise ConfigError("cluster_threshold must lie in [0, 2]")
-    if not 0.0 < cfg.temperature_min < cfg.temperature_max:
-        raise ConfigError("need 0 < temperature_min < temperature_max")
-    if cfg.temperature_tol <= 0.0:
-        raise ConfigError("temperature_tol must be positive")
     if cfg.fact_rel_tol < 0.0 or cfg.fact_abs_tol < 0.0:
         raise ConfigError("fact tolerances must be nonnegative")
     if cfg.min_delta < 0.0:
         raise ConfigError("min_delta must be nonnegative")
-    if cfg.format not in ("json", "md"):
-        raise ConfigError("format must be json or md")
-    if rules_path is not None:
-        if not isinstance(rules_path, str):
-            raise ConfigError("rules_path must be a string")
-        if not Path(rules_path).exists():
-            raise ConfigError(f"rules file not found: {rules_path}")
-        cfg.rules = load_rules(_read_json(rules_path))
     return cfg
 
 
@@ -388,7 +372,10 @@ def load_rules(obj) -> list[RouterRule]:
     for i, raw in enumerate(obj):
         if not isinstance(raw, dict):
             raise ConfigError(f"rule #{i} must be an object")
-        name = raw.get("name") or f"rule #{i}"
+        name = raw.get("name", "")
+        if not isinstance(name, str):
+            raise ConfigError(f"rule #{i}: name must be a string")
+        name = name or f"rule #{i}"
         signal = raw.get("signal")
         if not isinstance(signal, str) or signal not in SIGNALS:
             raise ConfigError(f"rule {name!r}: unknown signal {signal!r}")
@@ -404,8 +391,7 @@ def load_rules(obj) -> list[RouterRule]:
         mitigations = raw.get("recommended_mitigations", [])
         if not isinstance(mitigations, list) or not all(isinstance(m, str) for m in mitigations):
             raise ConfigError(f"rule {name!r}: recommended_mitigations must be a list of strings")
-        rules.append(RouterRule(str(raw.get("name", name)), signal, comparator,
-                                float(threshold), tier, list(mitigations)))
+        rules.append(RouterRule(name, signal, comparator, float(threshold), tier, list(mitigations)))
     return rules
 
 

@@ -205,6 +205,24 @@ def test_chunk_command(tmp_path):
     assert [c["start"] for c in payload["chunks"]] == [0, 340, 680]
 
 
+@pytest.mark.parametrize(
+    "target_size, overlap",
+    [("0", "0.15"), ("400", "0.7"), ("400", "nan")],
+)
+def test_chunk_bad_flag_is_usage_error(tmp_path, capsys, target_size, overlap):
+    doc = tmp_path / "doc.txt"
+    doc.write_text("x" * 1000)
+    argv = ["chunk", "--input", str(doc), "--target-size", target_size, "--overlap", overlap]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_chunk_non_utf8_input_is_data_error(tmp_path):
+    doc = tmp_path / "doc.txt"
+    doc.write_bytes(b"caf\xe9")
+    assert main(["chunk", "--input", str(doc), "--target-size", "400"]) == 2
+
+
 def test_config_file_controls_knobs(mock_paths, tmp_path):
     corpus, _, _ = mock_paths
     config = tmp_path / "config.json"
@@ -222,20 +240,51 @@ def test_config_file_controls_knobs(mock_paths, tmp_path):
         '{"min_delta": -1}',
         '{"fact_rel_tol": NaN}',
         '{"ece_bins": 10}',
-        # race never routes, but the config's rules file is still validated
+        # format and rules are set by flag only; temperatures are not tunable
+        '{"format": "md"}',
         '{"rules_path": RULES}',
+        '{"temperature_min": 0.5}',
+        '{not json',
+        '',
     ],
 )
 def test_bad_config_value_is_one_line_usage_error(mock_paths, tmp_path, capsys, text):
     corpus, _, _ = mock_paths
     rules = tmp_path / "rules.json"
-    rules.write_text('[{"name": "r", "signal": "h_s", "comparator": ">", "threshold": "high", "tier": "model"}]')
+    rules.write_text(json.dumps(to_json(default_rules())))
     config = tmp_path / "config.json"
     config.write_text(text.replace("RULES", json.dumps(str(rules))))
     assert main(["race", "--input", str(corpus), "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[{"name": "r", "signal": "h_s", "comparator": ">", "threshold": "high", "tier": "model"}]',
+        '[{"name": "r",',
+        '',
+    ],
+)
+def test_bad_rules_file_is_one_line_usage_error(mock_paths, tmp_path, capsys, text):
+    corpus, _, _ = mock_paths
+    rules = tmp_path / "rules.json"
+    rules.write_text(text)
+    assert main(["pipeline", "--input", str(corpus), "--rules", str(rules)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_calibrate_takes_no_config(mock_paths, tmp_path, capsys):
+    corpus, _, _ = mock_paths
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    argv = ["calibrate", "--input", str(corpus), "--kind", "temperature", "--config", str(config)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --config" in err and err.count("\n") == 1
 
 
 def test_no_command_prints_help(capsys):
@@ -358,4 +407,38 @@ def test_field_type_sweep_is_value_or_one_line_error(tmp_path, capsys):
             err = capsys.readouterr().err
             if code not in (0, 2) or err.count("\n") > 1:
                 failures.append((path, value, code, err))
+    assert failures == []
+
+
+_SWEEP_CONFIG = {"cluster_threshold": 0.35, "fact_rel_tol": 0.01, "fact_abs_tol": 0.0, "min_delta": 0.05}
+
+
+def test_config_and_rules_sweep_is_value_or_one_line_error(tmp_path, capsys):
+    """Every key of a full config file and of a full rules file, swapped for
+    a value of each JSON type, and each whole file replaced by such a value,
+    a malformed file or an empty one, either runs the pipeline or exits 1
+    with one stderr line."""
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps({"rate": {"value": 5.0, "unit": "%"}}))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(_SWEEP_RECORD) + "\n")
+    config, rules = tmp_path / "config.json", tmp_path / "rules.json"
+    base = ["pipeline", "--input", str(corpus), "--store", str(store),
+            "--output", str(tmp_path / "ledger.json")]
+    failures = []
+    for flag, path, full in (("--config", config, _SWEEP_CONFIG),
+                             ("--rules", rules, to_json(default_rules()))):
+        texts = [json.dumps(full), "{not json", ""]
+        texts += [json.dumps(value) for value in _SWEEP_VALUES]
+        texts += [json.dumps(_replaced(full, p, value))
+                  for p in _field_paths(full) for value in _SWEEP_VALUES]
+        for text in texts:
+            path.write_text(text)
+            try:
+                code = main(base + [flag, str(path)])
+            except Exception as exc:  # what the console script would print as a traceback
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if code not in (0, 1) or (code == 1 and err.count("\n") != 1) or "Traceback" in err:
+                failures.append((flag, text, code, err))
     assert failures == []

@@ -168,11 +168,23 @@ def test_rules_round_trip():
         ({"name": "x"}, "list"),
         ([{"name": "x", "signal": ["h_s"], "comparator": ">", "threshold": 1, "tier": "model"}],
          "unknown signal"),
+        ([{"name": None, "signal": "h_s", "comparator": ">", "threshold": 1, "tier": "model"}],
+         "rule #0: name must be a string"),
+        ([{"name": ["a"], "signal": "h_s", "comparator": ">", "threshold": 1, "tier": "model"}],
+         "rule #0: name must be a string"),
+        ([{"name": 3, "signal": "h_s", "comparator": ">", "threshold": 1, "tier": "model"}],
+         "rule #0: name must be a string"),
     ],
 )
 def test_rules_validation_names_offender(bad, message):
     with pytest.raises(ConfigError, match=message):
         load_rules(bad)
+
+
+def test_unnamed_rule_is_numbered():
+    raw = {"signal": "h_s", "comparator": ">", "threshold": 1, "tier": "model"}
+    rules = load_rules([{**raw, "name": "named"}, raw, {**raw, "name": ""}])
+    assert [r.name for r in rules] == ["named", "rule #1", "rule #2"]
 
 
 # --- validate ---
