@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Run the same CLI commands under two source trees and compare every output.
+
+Usage:
+    python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--seed N]
+
+PARENT_SRC and CHANGE_SRC are directories that hold the ``hallguard``
+package (a checkout's ``src``).  The three benchmark corpora are built from
+the seed with ``perfbench/workloads.py`` under PARENT_SRC.  On each corpus,
+both trees run analyze (json and md), pipeline (to a file, md to stdout, json
+to stdout), race, factcheck, calibrate (temperature and isotonic) and
+mockgen.  Each command's output files, stdout, stderr and exit code are
+compared, with every line that holds a ledger ``"timestamp"`` dropped.  Each
+file that differs is printed, and the exit code is 1 when any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# name -> CLI arguments; {in}, {store} and {spec} name the corpus files and
+# {out} the directory the outputs go to
+COMMANDS = {
+    "analyze-json": "analyze --input {in} --store {store} --output {out}/analyze.json",
+    "analyze-md": "analyze --input {in} --store {store} --format md --output {out}/analyze.md",
+    "pipeline-file": "pipeline --input {in} --store {store} --output {out}/ledger.json",
+    "pipeline-md": "pipeline --input {in} --store {store} --format md",
+    "pipeline-stdout": "pipeline --input {in} --store {store}",
+    "race": "race --input {in} --output {out}/race.json",
+    "factcheck": "factcheck --input {in} --store {store} --output {out}/factcheck.json",
+    "calibrate-temperature": "calibrate --input {in} --kind temperature --output {out}/temperature.json",
+    "calibrate-isotonic": "calibrate --input {in} --kind isotonic --output {out}/isotonic.json",
+    "mockgen": "mockgen --spec {spec} --out {out}/mock.jsonl --store-out {out}/mock-store.json",
+}
+
+
+def write_corpora(src: Path, seed: int, into: Path) -> None:
+    """Build every benchmark corpus under src; one directory per workload."""
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    from workloads import WORKLOADS, build_corpus
+
+    for name, workload in WORKLOADS.items():
+        corpus = build_corpus(workload, seed)
+        d = into / name
+        d.mkdir(parents=True)
+        (d / "corpus.jsonl").write_bytes(corpus.corpus_bytes)
+        (d / "store.json").write_text(json.dumps(corpus.store))
+        (d / "spec.json").write_text(json.dumps(corpus.spec))
+
+
+def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
+    """Run every command on every corpus under src, keeping all it writes."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for corpus in sorted(inputs.iterdir()):
+        out = outputs / corpus.name
+        out.mkdir(parents=True)
+        paths = {"in": corpus / "corpus.jsonl", "store": corpus / "store.json",
+                 "spec": corpus / "spec.json", "out": out}
+        for name, template in COMMANDS.items():
+            argv = [arg.format(**paths) for arg in template.split()]
+            proc = subprocess.run([sys.executable, "-m", "hallguard.cli", *argv],
+                                  capture_output=True, env=env)
+            # the two trees write to different directories; messages name them alike
+            where = str(out).encode()
+            (out / f"{name}.stdout").write_bytes(proc.stdout.replace(where, b"{out}"))
+            (out / f"{name}.stderr").write_bytes(proc.stderr.replace(where, b"{out}"))
+            (out / f"{name}.exit").write_text(f"{proc.returncode}\n")
+
+
+def _without_timestamps(path: Path) -> list[bytes]:
+    return [line for line in path.read_bytes().splitlines() if b'"timestamp"' not in line]
+
+
+def differing_files(a: Path, b: Path) -> list[str]:
+    names = sorted({p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+                   | {p.relative_to(b) for p in b.rglob("*") if p.is_file()})
+    return [str(name) for name in names
+            if not ((a / name).is_file() and (b / name).is_file())
+            or _without_timestamps(a / name) != _without_timestamps(b / name)]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent_src", type=Path, help="source tree to compare against")
+    ap.add_argument("change_src", type=Path, help="source tree under test")
+    ap.add_argument("--seed", type=int, default=7, help="corpus seed (default 7)")
+    args = ap.parse_args()
+    parent_src, change_src = args.parent_src.resolve(), args.change_src.resolve()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_corpora(parent_src, args.seed, tmp / "inputs")
+        # the two trees run side by side, one CLI process each at a time
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(run_commands, (parent_src, change_src), [tmp / "inputs"] * 2,
+                          (tmp / "parent", tmp / "change")))
+        differing = differing_files(tmp / "parent", tmp / "change")
+        n_files = sum(1 for p in (tmp / "parent").rglob("*") if p.is_file())
+
+    for name in differing:
+        print(f"differs: {name}")
+    print(f"{len(differing)} of {n_files} files differ (seed {args.seed})")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,9 +6,9 @@ min_delta); the report format and the router rules are set by --format and
 pipeline --rules.
 
 Exit codes are a stable contract: 0 success, 1 usage or environment error
-(bad flags, unreadable files, invalid or malformed config and rules files),
-2 data or validation error (malformed corpus, empty input, insufficient fit
-data).
+(bad flags, unreadable files, invalid or malformed config, rules and mock
+spec files), 2 data or validation error (malformed corpus, empty input,
+insufficient fit data).
 """
 
 from __future__ import annotations
@@ -217,8 +217,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_mockgen(args) -> int:
-    raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    if args.seed is not None:
+    raw = read_json_file(args.spec)
+    if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     spec = mock_spec_from_json(raw)
     records = generate_corpus(spec)
@@ -331,9 +331,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (RecordParseError, RecordValidationError, FactStoreError) as exc:
         print(f"invalid data: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except json.JSONDecodeError as exc:
-        print(f"invalid JSON input: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
         print(f"invalid data: {exc}", file=sys.stderr)

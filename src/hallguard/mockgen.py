@@ -29,7 +29,9 @@ from typing import Mapping
 import numpy as np
 
 from .calibration import apply_temperature
+from .errors import ConfigError
 from .grounding import FactEntry, FactStore
+from .pipeline import finite_number
 from .records import Claim, GenerationRecord, GroundTruthLabel, Sample, TokenDistribution
 from .uncertainty import entropy_nats
 
@@ -199,15 +201,30 @@ def generate_fact_store(spec: MockSpec) -> FactStore:
     return store
 
 
-def mock_spec_from_json(obj: dict) -> MockSpec:
-    """Build a MockSpec from a decoded JSON object (unknown keys rejected)."""
-    known = {"n_records", "samples_per_record", "true_temperature", "inject_rates", "vocab_size", "seed"}
-    unknown = set(obj) - known
+def mock_spec_from_json(obj) -> MockSpec:
+    """Build a MockSpec from a decoded ``--spec`` file.
+
+    Every field is type- and range-checked here, so a bad spec fails with a
+    ConfigError naming the field, the way a bad config file does.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError("mock spec must be a JSON object")
+    unknown = set(obj) - set(MockSpec.__dataclass_fields__)
     if unknown:
-        raise ValueError(f"unknown mock spec fields: {sorted(unknown)}")
+        raise ConfigError(f"unknown mock spec fields: {sorted(unknown)}")
     if "n_records" not in obj:
-        raise ValueError("mock spec requires n_records")
-    kwargs = {k: obj[k] for k in known if k in obj}
-    if "inject_rates" in kwargs:
-        kwargs["inject_rates"] = dict(kwargs["inject_rates"])
-    return MockSpec(**kwargs)
+        raise ConfigError("mock spec requires n_records")
+    for key in ("n_records", "samples_per_record", "vocab_size", "seed"):
+        if key in obj and (type(obj[key]) is not int or obj[key] < 0):
+            raise ConfigError(f"{key} must be a nonnegative integer")
+    if "true_temperature" in obj and not finite_number(obj["true_temperature"]):
+        raise ConfigError("true_temperature must be a finite number")
+    rates = obj.get("inject_rates", {})
+    if not isinstance(rates, dict) or not all(map(finite_number, rates.values())):
+        raise ConfigError("inject_rates must be an object of finite numbers")
+    spec = MockSpec(**{**obj, "inject_rates": dict(rates)})
+    try:
+        _validate_spec(spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return spec

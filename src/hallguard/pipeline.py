@@ -26,7 +26,7 @@ from .errors import CapabilityError, ConfigError
 from .grounding import STATUS_MISMATCH, ClaimVerdict, FactStore, check_claims
 from .records import GenerationRecord
 from .semantic import DEFAULT_CLUSTER_THRESHOLD, default_embed, semantic_entropy_of_record
-from .uncertainty import parse_self_declared_confidence, sequence_entropy_profile
+from .uncertainty import parse_self_declared_confidence, sample_mean_entropies
 
 TIERS = ("model", "context", "data")
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -152,12 +152,9 @@ def detect(record: GenerationRecord, config: PipelineConfig | None = None,
     config = config or PipelineConfig()
 
     h_p_mean = None
-    sample_means = []
-    for sample in record.samples:
-        if sample.token_dists:
-            sample_means.append(sequence_entropy_profile(sample).mean)
-    if sample_means:
-        h_p_mean = float(np.mean(sample_means))
+    scored = [sample.token_dists for sample in record.samples if sample.token_dists]
+    if scored:
+        h_p_mean = float(np.mean(sample_mean_entropies(scored)))
 
     h_s = None
     consensus_support = None
@@ -323,14 +320,15 @@ def run_cycle(records: list[GenerationRecord], config: PipelineConfig | None = N
 _CONFIG_KEYS = tuple(k for k in PipelineConfig.__dataclass_fields__ if k != "rules")
 
 
-def _finite_number(value) -> bool:
+def finite_number(value) -> bool:
     """A JSON number, not a bool, that a float holds; NaN and infinities fail."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
 
 
 def read_json_file(path: str):
-    """Decode a config or rules file; malformed JSON or UTF-8 is a ConfigError."""
+    """Decode a config, rules or mock spec file; malformed JSON or UTF-8 is a
+    ConfigError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -352,7 +350,7 @@ def load_config(path: str | None) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     for key in _CONFIG_KEYS:
-        if key in raw and not _finite_number(raw[key]):
+        if key in raw and not finite_number(raw[key]):
             raise ConfigError(f"{key} must be a finite number")
     cfg = PipelineConfig(**raw)
     if not 0.0 <= cfg.cluster_threshold <= 2.0:
@@ -383,7 +381,7 @@ def load_rules(obj) -> list[RouterRule]:
         if comparator not in COMPARATORS:
             raise ConfigError(f"rule {name!r}: comparator must be one of {COMPARATORS}")
         threshold = raw.get("threshold")
-        if not _finite_number(threshold):
+        if not finite_number(threshold):
             raise ConfigError(f"rule {name!r}: threshold must be a finite number")
         tier = raw.get("tier")
         if tier not in TIERS:

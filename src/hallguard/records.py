@@ -117,6 +117,8 @@ def _is_number(v) -> bool:
 
 
 def _validate_dist(dist: TokenDistribution, path: str, diags: list[Diagnostic]) -> None:
+    if not dist.probs:
+        diags.append(Diagnostic(f"{path}.probs", "must be nonempty"))
     if len(dist.token_labels) != len(dist.probs):
         diags.append(Diagnostic(f"{path}.probs", "length differs from token_labels"))
     n_diags = len(diags)

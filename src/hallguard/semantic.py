@@ -26,6 +26,14 @@ split by rounding, and then may break otherwise than in a plain pair loop
 that sums in another order (tests/test_semantic.py keeps one as the
 reference).
 
+One distinct row.  When every vector equals the first (``==``, so -0.0
+matches 0.0, as the row keys do) and the threshold is nonnegative, the
+outcome is known without a distance matrix: one cluster when the row has a
+nonzero norm (every distance is 0, so every merge is taken), n singletons
+when its norm is 0 (a zero row, or one whose squares all underflow).  It is
+the common case, since confident answers agree.  A negative threshold,
+under which nothing merges, takes the general path, as does a NaN one.
+
 Embedding sources.  A sample's stored ``embedding`` embeds its ``text`` and
 feeds semantic entropy only.  A valid record carries an embedding on every
 sample or on none (``records.validate_record``), so semantic entropy clusters
@@ -136,6 +144,10 @@ def cluster_embeddings(vectors, threshold: float) -> ClusterAssignment:
     if not np.isfinite(x).all():
         raise ValueError("vectors must be finite")
     n = len(vs)
+    if threshold >= 0.0 and (x == x[0]).all():  # one distinct row
+        if x[0] @ x[0] > 0.0:  # a squared norm is 0 exactly when _distances finds a zero norm
+            return ClusterAssignment([0] * n, [1.0], [0])
+        return ClusterAssignment(list(range(n)), [1 / n] * n, list(range(n)))
 
     sums = _distances(x)  # summed pairwise distance between clusters
     size = np.ones(n, dtype=int)

@@ -2,6 +2,21 @@
 
 Every entropy in this package is reported in nats (natural log) and
 0 * log 0 is taken as 0, so one-hot inputs score exactly zero.
+
+Token entropy is scored many positions at a time.  ``token_entropies``
+stacks the distributions of one length V into an (m, V) array and sums
+-p ln p along each row in one numpy pass; ``sequence_entropy_profile`` and
+``sample_mean_entropies`` (what ``pipeline.detect`` reads) both go through
+it, so a position is scored one way only.  Each result equals
+``entropy_nats`` of that distribution bit for bit: numpy sums a row of a
+C-ordered array in the same pairwise order as the same row on its own, for
+every V.  A row with a zero (or nonpositive) entry is the exception:
+``entropy_nats`` drops such entries, and the shorter sum takes another
+pairwise order once V >= 8 (a row sum with the zero term left in differs
+from it in about 40% of random rows with one zero entry, by up to 7e-16).
+Those rows are scored by ``entropy_nats`` itself.  Means over positions are
+taken the same way, as row sums of equal-length groups divided by the
+length, which is what ``np.mean`` computes.
 """
 
 from __future__ import annotations
@@ -9,6 +24,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -54,6 +70,50 @@ def token_entropy(dist: TokenDistribution) -> float:
     return entropy_nats(dist.probs)
 
 
+def _by_length(items) -> dict[int, list[int]]:
+    """The indices of items, grouped by len(item)."""
+    groups: dict[int, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(len(item), []).append(i)
+    return groups
+
+
+def _row_entropies(p: np.ndarray) -> np.ndarray:
+    """entropy_nats of each row of an (m, V) array."""
+    positive = (p > 0).all(axis=1)
+    if positive.all():
+        return 0.0 - (p * np.log(p)).sum(axis=1)  # 0.0 - 0.0 is +0.0, not -0.0
+    h = np.empty(len(p))
+    h[positive] = _row_entropies(p[positive])
+    # entropy_nats leaves zero entries out of its sum, which reorders it
+    h[~positive] = [entropy_nats(row) for row in p[~positive]]
+    return h
+
+
+def token_entropies(dists: list[TokenDistribution]) -> np.ndarray:
+    """token_entropy of each distribution, with one numpy pass per distinct
+    length; see the module docstring for why the values are exact."""
+    groups = _by_length([dist.probs for dist in dists])
+    if 0 in groups:
+        raise ValueError("token distribution has no entries")
+    h = np.empty(len(dists))
+    for rows in groups.values():
+        h[rows] = _row_entropies(np.array([dists[i].probs for i in rows], dtype=float))
+    return h
+
+
+def sample_mean_entropies(dist_lists: list[list[TokenDistribution]]) -> np.ndarray:
+    """The mean token entropy of each nonempty list of distributions, equal to
+    np.mean of its token_entropy values, from one token_entropies call."""
+    h = token_entropies([d for dists in dist_lists for d in dists])
+    starts = list(accumulate(map(len, dist_lists), initial=0))
+    means = np.empty(len(dist_lists))
+    for k, lists in _by_length(dist_lists).items():
+        positions = [starts[i] + j for i in lists for j in range(k)]
+        means[lists] = h[positions].reshape(-1, k).sum(axis=1) / k
+    return means
+
+
 def sequence_entropy_profile(sample: Sample) -> EntropyReport:
     """Apply token_entropy at every scored position of a sample.
 
@@ -62,8 +122,9 @@ def sequence_entropy_profile(sample: Sample) -> EntropyReport:
     """
     if not sample.token_dists:
         raise CapabilityError("distribution-level data unavailable for this sample")
-    per = [token_entropy(d) for d in sample.token_dists]
-    return EntropyReport(per_position=per, mean=float(np.mean(per)), max=float(np.max(per)))
+    per = token_entropies(sample.token_dists)
+    return EntropyReport(per_position=per.tolist(), mean=float(np.mean(per)),
+                         max=float(np.max(per)))
 
 
 def empirical_label_entropy(labels: list[str]) -> float:

@@ -332,10 +332,12 @@ def test_repeated_runs_are_byte_identical(mock_paths, tmp_path):
         ('{"text": "a"}, {"text": "b"}], "reference_claims": [{"key": ["k"], "value": 1.0}',
          "reference_claims[0].key"),
         ('{"text": "a", "embedding": [1.0, 0.0]}, {"text": "b"}', "samples[1].embedding"),
+        ('{"text": "a", "token_dists": [{"labels": [], "probs": []}]}, {"text": "b"}',
+         "samples[0].token_dists[0].probs: must be nonempty"),
     ],
     ids=["nan-embedding", "embedding-lengths", "embedding-not-list", "nan-logprob",
          "int-answer", "list-reasoning", "list-token-label", "string-prob", "list-claim-key",
-         "partial-embedding"],
+         "partial-embedding", "empty-token-dist"],
 )
 def test_bad_sample_field_is_one_line_data_error(tmp_path, capsys, samples, path):
     corpus = tmp_path / "corpus.jsonl"
@@ -413,21 +415,29 @@ def test_field_type_sweep_is_value_or_one_line_error(tmp_path, capsys):
 _SWEEP_CONFIG = {"cluster_threshold": 0.35, "fact_rel_tol": 0.01, "fact_abs_tol": 0.0, "min_delta": 0.05}
 
 
+_SWEEP_SPEC = {"n_records": 3, "samples_per_record": 3, "true_temperature": 1.5,
+               "inject_rates": {"model": 0.2, "context": 0.2, "data": 0.2},
+               "vocab_size": 5, "seed": 3}
+
+
 def test_config_and_rules_sweep_is_value_or_one_line_error(tmp_path, capsys):
-    """Every key of a full config file and of a full rules file, swapped for
-    a value of each JSON type, and each whole file replaced by such a value,
-    a malformed file or an empty one, either runs the pipeline or exits 1
-    with one stderr line."""
+    """Every key of a full config file, a full rules file and a full mock
+    spec, swapped for a value of each JSON type, and each whole file replaced
+    by such a value, a malformed file or an empty one, either runs its
+    command or exits 1 with one stderr line."""
     store = tmp_path / "store.json"
     store.write_text(json.dumps({"rate": {"value": 5.0, "unit": "%"}}))
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps(_SWEEP_RECORD) + "\n")
-    config, rules = tmp_path / "config.json", tmp_path / "rules.json"
-    base = ["pipeline", "--input", str(corpus), "--store", str(store),
-            "--output", str(tmp_path / "ledger.json")]
+    config, rules, spec = tmp_path / "config.json", tmp_path / "rules.json", tmp_path / "spec.json"
+    pipeline = ["pipeline", "--input", str(corpus), "--store", str(store),
+                "--output", str(tmp_path / "ledger.json")]
+    mockgen = ["mockgen", "--out", str(tmp_path / "mock.jsonl"),
+               "--store-out", str(tmp_path / "mock-store.json")]
     failures = []
-    for flag, path, full in (("--config", config, _SWEEP_CONFIG),
-                             ("--rules", rules, to_json(default_rules()))):
+    for command, path, full in ((pipeline + ["--config", str(config)], config, _SWEEP_CONFIG),
+                                (pipeline + ["--rules", str(rules)], rules, to_json(default_rules())),
+                                (mockgen + ["--spec", str(spec)], spec, _SWEEP_SPEC)):
         texts = [json.dumps(full), "{not json", ""]
         texts += [json.dumps(value) for value in _SWEEP_VALUES]
         texts += [json.dumps(_replaced(full, p, value))
@@ -435,10 +445,10 @@ def test_config_and_rules_sweep_is_value_or_one_line_error(tmp_path, capsys):
         for text in texts:
             path.write_text(text)
             try:
-                code = main(base + [flag, str(path)])
+                code = main(command)
             except Exception as exc:  # what the console script would print as a traceback
                 code = repr(exc)
             err = capsys.readouterr().err
             if code not in (0, 1) or (code == 1 and err.count("\n") != 1) or "Traceback" in err:
-                failures.append((flag, text, code, err))
+                failures.append((command[0], text, code, err))
     assert failures == []

@@ -198,6 +198,10 @@ def test_validate_accepts_valid_record():
             lambda r: r.__class__(**{**vars(r), "reference_claims": [Claim(key=["k"], value=1.0)]}),
             "reference_claims[0].key",
         ),
+        (
+            lambda r: _with_sample(r, token_dists=[TokenDistribution([], [])]),
+            "samples[0].token_dists[0].probs",
+        ),
     ],
 )
 def test_each_invariant_violation_is_detected(mutate, path_fragment):

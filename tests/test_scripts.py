@@ -26,3 +26,12 @@ def test_script_runs_cleanly(argv):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout
+
+
+def test_compare_outputs_finds_a_tree_identical_to_itself():
+    proc = subprocess.run(
+        [sys.executable, "scripts/compare_outputs.py", "src", "src", "--seed", "3"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("0 of 120 files differ"), proc.stdout

@@ -153,6 +153,7 @@ def test_negative_zero_duplicates_merge_at_threshold_zero():
 
 def test_matches_reference_loop_on_random_inputs():
     rng = np.random.default_rng(2024)
+    inputs = []
     for _ in range(300):
         n, dim = int(rng.integers(1, 13)), int(rng.integers(1, 6))
         pool = [rng.normal(size=dim) for _ in range(int(rng.integers(1, 4)))]
@@ -165,7 +166,16 @@ def test_matches_reference_loop_on_random_inputs():
                 vectors.append(pool[int(rng.integers(len(pool)))].copy())
             else:
                 vectors.append(rng.normal(size=dim))
-        for threshold in (0.0, 0.35, 2.0):
+        inputs.append(vectors)
+    # one distinct row, which cluster_embeddings answers without a distance matrix
+    for n in (1, 2, 5, 80):
+        inputs.append([np.array([0.3, -1.2, 0.0])] * n)
+    inputs.append([np.zeros(3)] * 4)
+    inputs.append([np.array([0.0, -0.0]), np.array([-0.0, 0.0]), np.array([0.0, 0.0])])
+    inputs.append([np.array([1.0, 0.0]), np.array([1.0, -0.0])])
+    inputs.append([np.array([1e-200, 0.0])] * 3)  # a norm that underflows to 0
+    for vectors in inputs:
+        for threshold in (0.0, 0.35, 2.0, -0.1):
             assert cluster_embeddings(vectors, threshold) == reference_cluster(vectors, threshold)
 
 

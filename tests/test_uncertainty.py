@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from hallguard.calibration import apply_temperature
 from hallguard.errors import CapabilityError
-from hallguard.records import Sample
+from hallguard.pipeline import detect
+from hallguard.records import GenerationRecord, Sample, validate_record
 from hallguard.uncertainty import (
     empirical_label_entropy,
     ensemble_disagreement,
     entropy_nats,
     parse_self_declared_confidence,
     sequence_entropy_profile,
+    token_entropies,
     token_entropy,
 )
 
@@ -95,6 +97,75 @@ def test_profile_single_position_mean_equals_max():
 def test_profile_without_distributions_is_capability_error():
     with pytest.raises(CapabilityError):
         sequence_entropy_profile(Sample(text="api output only"))
+
+
+# --- token_entropies against the per-position loop it replaces ---
+
+
+def reference_profile(sample):
+    """One entropy_nats call per position, then np.mean and np.max."""
+    per = [entropy_nats(d.probs) for d in sample.token_dists]
+    return per, float(np.mean(per)), float(np.max(per))
+
+
+def reference_h_p_mean(record):
+    means = [reference_profile(s)[1] for s in record.samples if s.token_dists]
+    return float(np.mean(means)) if means else None
+
+
+def _random_dist(rng):
+    v = int(rng.choice([*range(1, 13), 50]))
+    draw = rng.random()
+    if draw < 0.15:  # one-hot
+        probs = [0.0] * v
+        probs[int(rng.integers(v))] = 1.0
+    else:
+        weights = rng.random(v) ** 3
+        if draw < 0.55 and v > 1:  # some zero entries, at least one left positive
+            weights[rng.permutation(v)[: int(rng.integers(1, v))]] = 0.0
+        probs = (weights / weights.sum()).tolist()
+    return make_dist(probs)
+
+
+def _random_record(rng, i):
+    samples = []
+    for j in range(int(rng.integers(1, 7))):
+        dists = None
+        if rng.random() < 0.8:  # ragged: each sample has its own number of positions
+            dists = [_random_dist(rng) for _ in range(int(rng.integers(1, 10)))]
+        samples.append(Sample(text=f"answer {j % 2}", token_dists=dists))
+    return GenerationRecord(id=f"r{i}", prompt="q", samples=samples)
+
+
+def test_batched_entropy_equals_per_position_loop():
+    rng = np.random.default_rng(11)
+    for i in range(200):
+        record = _random_record(rng, i)
+        assert validate_record(record) == []
+        assert detect(record).h_p_mean == reference_h_p_mean(record)
+        dists = [d for s in record.samples for d in s.token_dists or []]
+        assert token_entropies(dists).tolist() == [entropy_nats(d.probs) for d in dists]
+        for sample in record.samples:
+            if sample.token_dists:
+                report = sequence_entropy_profile(sample)
+                assert (report.per_position, report.mean, report.max) == reference_profile(sample)
+
+
+def test_batched_entropy_keeps_rows_with_zero_entries_exact():
+    # a zero entry shortens entropy_nats's sum, which reorders it from V = 8 on
+    rng = np.random.default_rng(5)
+    for v in (3, 7, 8, 9, 16, 50):
+        dists = []
+        for _ in range(40):
+            weights = rng.random(v)
+            weights[int(rng.integers(v))] = 0.0
+            dists.append(make_dist((weights / weights.sum()).tolist()))
+        assert token_entropies(dists).tolist() == [entropy_nats(d.probs) for d in dists]
+
+
+def test_batched_entropy_of_an_empty_distribution_is_domain_error():
+    with pytest.raises(ValueError):
+        token_entropies([make_dist([0.5, 0.5]), make_dist([])])
 
 
 # --- empirical_label_entropy ---
