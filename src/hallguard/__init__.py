@@ -9,15 +9,12 @@ signals through a tier-based detect/mitigate/validate/refine cycle.
 
 from .calibration import (
     BinTable,
-    CredibleSummary,
     EceResult,
     IsotonicModel,
     TemperatureModel,
     aggregate_self_evaluation,
     apply_isotonic,
     apply_temperature,
-    bayesian_aggregate,
-    calibrated_sequence_probability,
     calibrated_token_entropy,
     compute_ece,
     fit_isotonic,
@@ -26,9 +23,7 @@ from .calibration import (
 )
 from .consistency import (
     ConsensusResult,
-    ConsistencyReport,
     RaceReport,
-    intrinsic_consistency,
     race_metrics,
     self_consistency_consensus,
 )
@@ -74,10 +69,7 @@ from .semantic import (
     semantic_entropy_of_record,
 )
 from .uncertainty import (
-    DisagreementReport,
     EntropyReport,
-    empirical_label_entropy,
-    ensemble_disagreement,
     parse_self_declared_confidence,
     sequence_entropy_profile,
     token_entropy,

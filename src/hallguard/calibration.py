@@ -2,8 +2,7 @@
 
 Measurement: expected calibration error over equal-width confidence bins.
 Correction: scalar temperature scaling fitted by NLL minimization, isotonic
-regression via pool-adjacent-violators, credible-across-passes aggregation of
-probability samples, and self-evaluation vote pooling.
+regression via pool-adjacent-violators, and self-evaluation vote pooling.
 
 Fitted calibrators serialize to a small JSON map (see calibration_map_to_json)
 so the CLI can persist and reload them.
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError
 from .records import GenerationRecord
 
 TEMPERATURE_MIN = 0.05
@@ -73,14 +71,6 @@ class IsotonicModel:
 
     breakpoints: list[float]
     values: list[float]
-
-
-@dataclass(frozen=True)
-class CredibleSummary:
-    mean: float
-    lower: float
-    upper: float
-    level: float
 
 
 def compute_ece(pairs, M: int = DEFAULT_ECE_BINS) -> EceResult:
@@ -201,30 +191,6 @@ def calibrated_token_entropy(dist_logits, T: float) -> float:
     return entropy_nats(apply_temperature(dist_logits, T))
 
 
-def calibrated_sequence_probability(per_position_logits, chosen_indices, T: float) -> float:
-    """Product over positions of the scaled probability of each chosen token.
-
-    Accumulated in log space and exponentiated once at the end.  Raises
-    CapabilityError when no full per-position distributions are supplied
-    (sampled-token logprobs alone cannot be re-scaled).
-    """
-    if T <= 0.0:
-        raise ValueError("temperature must be positive")
-    if not per_position_logits:
-        raise CapabilityError("full per-position distributions required for re-scaling")
-    if len(per_position_logits) != len(chosen_indices):
-        raise ValueError("one chosen index required per position")
-    total = 0.0
-    for z_raw, idx in zip(per_position_logits, chosen_indices):
-        z = np.asarray(z_raw, dtype=float) / T
-        if not 0 <= idx < len(z):
-            raise ValueError(f"chosen index {idx} out of range")
-        m = float(z.max())
-        log_norm = m + math.log(float(np.exp(z - m).sum()))
-        total += float(z[idx]) - log_norm
-    return math.exp(total)
-
-
 def mc_calibrated_mean(pass_logits, T: float) -> np.ndarray:
     """Mean of per-pass temperature-scaled softmaxes over M stochastic passes."""
     if len(pass_logits) < 1:
@@ -279,25 +245,6 @@ def apply_isotonic(model: IsotonicModel, score: float) -> float:
     if idx < 0:
         return model.values[0]
     return model.values[idx]
-
-
-def bayesian_aggregate(prob_samples, level: float = 0.95) -> CredibleSummary:
-    """Mean and central credible interval of a distribution of probabilities.
-
-    The interval is the empirical [(1-level)/2, 1-(1-level)/2] percentile
-    range with linear interpolation between order statistics, widened if
-    necessary so the mean always lies inside it.
-    """
-    samples = np.asarray(list(prob_samples), dtype=float)
-    if samples.size == 0:
-        raise ValueError("at least one probability sample required")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    mean = float(samples.mean())
-    alpha = (1.0 - level) / 2.0
-    lower = float(np.quantile(samples, alpha))
-    upper = float(np.quantile(samples, 1.0 - alpha))
-    return CredibleSummary(mean=mean, lower=min(lower, mean), upper=max(upper, mean), level=level)
 
 
 def aggregate_self_evaluation(votes) -> float:

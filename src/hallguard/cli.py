@@ -193,6 +193,10 @@ def cmd_factcheck(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.output is not None and Path(args.output).suffix == ".md":
+        print("hallguard pipeline: error: --output must not end in .md; the markdown ledger "
+              "is written next to it with that suffix", file=sys.stderr)
+        return EXIT_USAGE
     cfg = load_config(args.config)
     if args.rules:
         cfg.rules = load_rules(read_json_file(args.rules))

@@ -1,5 +1,5 @@
-"""Self-agreement estimators: consensus voting, cross-paraphrase consistency,
-and the joint reasoning/answer decomposition.
+"""Self-agreement estimators: consensus voting and the joint reasoning/answer
+decomposition.
 
 The reasoning/answer report decomposes the joint uncertainty of reasoning
 traces R and final answers A for one question into
@@ -35,14 +35,6 @@ class ConsensusResult:
     consensus_answer: str
     support: float
     dissenters: list[int]
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Agreement across paraphrase variants of one underlying query."""
-
-    agreement: float
-    contradictions: list[tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -89,37 +81,6 @@ def self_consistency_consensus(
         support=assignment.cluster_masses[winner],
         dissenters=[i for i, c in enumerate(assignment.cluster_of_sample) if c != winner],
     )
-
-
-def intrinsic_consistency(
-    records: list[GenerationRecord],
-    embed_fn=default_embed,
-    threshold: float = DEFAULT_CLUSTER_THRESHOLD,
-) -> ConsistencyReport:
-    """Check a model against itself across paraphrases of the same query.
-
-    Each record is reduced to one answer (its own consensus when it has
-    several samples); agreement is the largest answer-cluster mass over
-    records and every cross-cluster record pair is reported as a
-    contradiction.
-    """
-    if len(records) < 2:
-        raise CapabilityError("intrinsic consistency requires multiple query variants")
-    answers = []
-    for rec in records:
-        if len(rec.samples) >= 2:
-            answers.append(self_consistency_consensus(rec, embed_fn, threshold).consensus_answer)
-        else:
-            sample = rec.samples[0]
-            answers.append(sample.answer if sample.answer is not None else sample.text)
-    assignment = cluster_texts(answers, embed_fn, threshold)
-    contradictions = [
-        (records[i].id, records[j].id)
-        for i in range(len(records))
-        for j in range(i + 1, len(records))
-        if assignment.cluster_of_sample[i] != assignment.cluster_of_sample[j]
-    ]
-    return ConsistencyReport(agreement=max(assignment.cluster_masses), contradictions=contradictions)
 
 
 def race_metrics(

@@ -12,6 +12,7 @@ upstream's job.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 STATUS_MATCH = "match"
@@ -55,7 +56,8 @@ def _reject_duplicate_keys(pairs):
 
 
 def load_fact_store(data) -> FactStore:
-    """Load a store from JSON bytes or text; duplicate keys are a load error."""
+    """Load a store from JSON bytes or text; duplicate keys and NaN or infinite
+    values are load errors."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -70,6 +72,8 @@ def load_fact_store(data) -> FactStore:
             raise FactStoreError("fact store keys must be nonempty")
         if not isinstance(raw, dict) or "value" not in raw:
             raise FactStoreError(f"entry for {key!r} must be an object with a value")
+        if isinstance(raw["value"], float) and not math.isfinite(raw["value"]):
+            raise FactStoreError(f"value for {key!r} must be a finite number or a string")
         entries[key] = FactEntry(value=raw["value"], unit=raw.get("unit"), as_of=raw.get("as_of"))
     return FactStore(entries=entries)
 

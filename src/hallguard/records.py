@@ -186,6 +186,8 @@ def validate_record(record: GenerationRecord) -> list[Diagnostic]:
     for i, claim in enumerate(record.reference_claims or []):
         if not isinstance(claim.key, str) or not claim.key:
             diags.append(Diagnostic(f"reference_claims[{i}].key", "must be a nonempty string"))
+        if isinstance(claim.value, float) and not math.isfinite(claim.value):
+            diags.append(Diagnostic(f"reference_claims[{i}].value", "must be a finite number or a string"))
     gt = record.ground_truth
     if gt is not None:
         if gt.failure_class is not None and not gt.is_hallucinated:

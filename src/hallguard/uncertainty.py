@@ -22,7 +22,6 @@ length, which is what ``np.mean`` computes.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -39,15 +38,6 @@ class EntropyReport:
     per_position: list[float]
     mean: float
     max: float
-
-
-@dataclass(frozen=True)
-class DisagreementReport:
-    """Elementwise mean and population variance across a set of prediction vectors."""
-
-    mean_vector: list[float]
-    per_class_variance: list[float]
-    variance: float
 
 
 def entropy_nats(probs) -> float:
@@ -125,44 +115,6 @@ def sequence_entropy_profile(sample: Sample) -> EntropyReport:
     per = token_entropies(sample.token_dists)
     return EntropyReport(per_position=per.tolist(), mean=float(np.mean(per)),
                          max=float(np.max(per)))
-
-
-def empirical_label_entropy(labels: list[str]) -> float:
-    """Plug-in entropy of the empirical frequency distribution of labels.
-
-    No smoothing is applied, so the estimate carries the usual small-sample
-    bias; repeated identical labels score exactly zero.
-    """
-    if not labels:
-        raise ValueError("at least one label required")
-    counts = Counter(labels)
-    n = len(labels)
-    return entropy_nats([c / n for c in counts.values()])
-
-
-def ensemble_disagreement(prob_vectors) -> DisagreementReport:
-    """Mean prediction and per-class population variance across stochastic passes.
-
-    Works over any externally supplied prediction set: MC-dropout passes,
-    ensemble members, or repeated API calls.  The scalar variance is the mean
-    of the per-class variances.
-    """
-    if len(prob_vectors) < 2:
-        raise ValueError("at least two prediction vectors required")
-    dims = {len(v) for v in prob_vectors}
-    if len(dims) != 1:
-        raise ValueError("prediction vectors have mismatched dimensions")
-    arr = np.asarray(prob_vectors, dtype=float)
-    sums = arr.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
-        raise ValueError("every prediction vector must sum to 1")
-    mean = arr.mean(axis=0)
-    var = arr.var(axis=0)  # population variance, ddof=0
-    return DisagreementReport(
-        mean_vector=[float(x) for x in mean],
-        per_class_variance=[float(x) for x in var],
-        variance=float(var.mean()),
-    )
 
 
 # Verbalized-confidence extraction. Logs produced by a confidence-eliciting

@@ -10,8 +10,6 @@ from hallguard.calibration import (
     aggregate_self_evaluation,
     apply_isotonic,
     apply_temperature,
-    bayesian_aggregate,
-    calibrated_sequence_probability,
     calibrated_token_entropy,
     calibration_map_from_json,
     calibration_map_to_json,
@@ -20,7 +18,6 @@ from hallguard.calibration import (
     fit_temperature,
     mc_calibrated_mean,
 )
-from hallguard.errors import CapabilityError
 
 
 # ---------------------------------------------------------------------------
@@ -65,17 +62,6 @@ def naive_pav(pairs):
         for s in ss:
             fitted[s] = v
     return scores, [fitted[s] for s in scores]
-
-
-def percentile_oracle(samples, q):
-    """Linear interpolation between order statistics, by hand."""
-    xs = sorted(samples)
-    if len(xs) == 1:
-        return xs[0]
-    h = (len(xs) - 1) * q
-    lo = math.floor(h)
-    hi = math.ceil(h)
-    return xs[lo] + (h - lo) * (xs[hi] - xs[lo])
 
 
 def softmax(z):
@@ -258,49 +244,6 @@ def test_near_one_hot_logits_entropy_limits():
     assert calibrated_token_entropy([100.0, 0.0], 5000.0) == pytest.approx(math.log(2), abs=1e-3)
 
 
-# --- calibrated_sequence_probability ---
-
-
-def test_sequence_probability_single_position_unit_temperature():
-    z = [1.0, 2.0, 0.0]
-    assert calibrated_sequence_probability([z], [1], 1.0) == pytest.approx(
-        float(softmax(z)[1]), abs=1e-12
-    )
-
-
-def test_sequence_probability_product_rule():
-    # two positions, each scaled distribution gives the chosen token 0.5
-    z = [0.3, 0.3]
-    assert calibrated_sequence_probability([z, z], [0, 1], 1.7) == pytest.approx(0.25, abs=1e-12)
-
-
-def test_sequence_probability_matches_hand_evaluation():
-    positions = [
-        [1.2, -0.3, 0.8, 0.0],
-        [2.0, 1.0, -1.0, 0.5],
-        [-0.2, 0.4, 0.1, 0.9],
-    ]
-    chosen = [2, 0, 3]
-    t = 1.5
-    expected = 1.0
-    for z, idx in zip(positions, chosen):
-        scaled = np.asarray(z) / t
-        expected *= float(np.exp(scaled[idx]) / np.exp(scaled).sum())
-    assert calibrated_sequence_probability(positions, chosen, t) == pytest.approx(expected, rel=1e-12)
-
-
-def test_sequence_probability_requires_distributions():
-    with pytest.raises(CapabilityError):
-        calibrated_sequence_probability([], [], 1.0)
-    with pytest.raises(CapabilityError):
-        calibrated_sequence_probability(None, [], 1.0)
-
-
-def test_sequence_probability_rejects_bad_index():
-    with pytest.raises(ValueError):
-        calibrated_sequence_probability([[0.0, 1.0]], [2], 1.0)
-
-
 # --- mc_calibrated_mean ---
 
 
@@ -385,59 +328,6 @@ def test_apply_isotonic_is_non_decreasing(pairs, probes):
     probes = sorted(probes)
     values = [apply_isotonic(model, s) for s in probes]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-
-
-# --- bayesian_aggregate ---
-
-
-def test_bayes_constant_samples():
-    summary = bayesian_aggregate([0.8] * 100)
-    assert summary.mean == pytest.approx(0.8, abs=1e-12)
-    assert summary.lower == pytest.approx(0.8, abs=1e-12)
-    assert summary.upper == pytest.approx(0.8, abs=1e-12)
-
-
-def test_bayes_spanning_scenario():
-    # mean ~0.80 with bulk spanning [0.65, 0.90]
-    samples = [0.82, 0.79, 0.65, 0.88, 0.74, 0.90, 0.81, 0.80, 0.77, 0.84]
-    summary = bayesian_aggregate(samples, level=0.95)
-    assert summary.mean == pytest.approx(0.80, abs=0.01)
-    assert summary.lower == pytest.approx(percentile_oracle(samples, 0.025), abs=1e-12)
-    assert summary.upper == pytest.approx(percentile_oracle(samples, 0.975), abs=1e-12)
-
-
-def test_bayes_two_extreme_samples():
-    summary = bayesian_aggregate([0.0, 1.0], level=0.95)
-    assert summary.mean == 0.5
-    assert summary.lower == pytest.approx(percentile_oracle([0.0, 1.0], 0.025), abs=1e-12)
-    assert summary.upper == pytest.approx(percentile_oracle([0.0, 1.0], 0.975), abs=1e-12)
-
-
-def test_bayes_rejects_empty_and_bad_level():
-    with pytest.raises(ValueError):
-        bayesian_aggregate([])
-    with pytest.raises(ValueError):
-        bayesian_aggregate([0.5], level=1.0)
-
-
-def test_bayes_interval_always_contains_mean():
-    # heavy skew would push a raw percentile interval below the mean
-    samples = [0.0] * 99 + [1.0]
-    summary = bayesian_aggregate(samples, level=0.95)
-    assert summary.lower <= summary.mean <= summary.upper
-
-
-@settings(max_examples=100)
-@given(
-    samples=st.lists(st.floats(0.0, 0.4, allow_nan=False), min_size=1, max_size=30),
-    shift=st.floats(0.0, 0.5, allow_nan=False),
-)
-def test_bayes_translation_consistency(samples, shift):
-    base = bayesian_aggregate(samples)
-    moved = bayesian_aggregate([s + shift for s in samples])
-    assert moved.mean == pytest.approx(base.mean + shift, abs=1e-9)
-    assert moved.lower == pytest.approx(base.lower + shift, abs=1e-9)
-    assert moved.upper == pytest.approx(base.upper + shift, abs=1e-9)
 
 
 # --- aggregate_self_evaluation ---

@@ -138,6 +138,18 @@ def test_pipeline_injected_counts_match_labels(mock_paths, tmp_path):
     assert (tmp_path / "ledger.md").exists()
 
 
+def test_pipeline_markdown_output_path_is_usage_error(mock_paths, tmp_path, capsys):
+    # the markdown ledger goes to --output with a .md suffix, which would
+    # overwrite the JSON ledger written there first
+    corpus, _, _ = mock_paths
+    out = tmp_path / "ledger.md"
+    assert main(["pipeline", "--input", str(tmp_path / "missing.jsonl"), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hallguard pipeline: error: ") and err.count("\n") == 1
+    assert main(["pipeline", "--input", str(corpus), "--output", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_pipeline_all_clean_corpus(tmp_path):
     spec = MockSpec(n_records=12, seed=3)
     corpus = tmp_path / "clean.jsonl"
@@ -334,10 +346,12 @@ def test_repeated_runs_are_byte_identical(mock_paths, tmp_path):
         ('{"text": "a", "embedding": [1.0, 0.0]}, {"text": "b"}', "samples[1].embedding"),
         ('{"text": "a", "token_dists": [{"labels": [], "probs": []}]}, {"text": "b"}',
          "samples[0].token_dists[0].probs: must be nonempty"),
+        ('{"text": "a"}, {"text": "b"}], "reference_claims": [{"key": "k", "value": Infinity}',
+         "reference_claims[0].value: must be a finite number or a string"),
     ],
     ids=["nan-embedding", "embedding-lengths", "embedding-not-list", "nan-logprob",
          "int-answer", "list-reasoning", "list-token-label", "string-prob", "list-claim-key",
-         "partial-embedding", "empty-token-dist"],
+         "partial-embedding", "empty-token-dist", "infinite-claim-value"],
 )
 def test_bad_sample_field_is_one_line_data_error(tmp_path, capsys, samples, path):
     corpus = tmp_path / "corpus.jsonl"
@@ -363,7 +377,7 @@ _SWEEP_RECORD = {
     "reference_claims": [{"key": "rate", "value": 5.0, "unit": "%"}],
     "ground_truth": {"is_hallucinated": True, "failure_class": "data", "correct_answer": "hold"},
 }
-_SWEEP_VALUES = ("s", 3, 2.5, True, None, [1], [[1]], ["s"], {"a": 1})
+_SWEEP_VALUES = ("s", 3, 2.5, True, None, [1], [[1]], ["s"], {"a": 1}, float("nan"))
 
 
 def _field_paths(obj, path=()):
@@ -388,14 +402,19 @@ def _replaced(obj, path, value):
     return obj
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def test_field_type_sweep_is_value_or_one_line_error(tmp_path, capsys):
-    """Every field of a full record, swapped for a value of each JSON type,
-    either analyzes or exits 2 with at most one stderr line."""
+    """Every field of a full record, swapped for a value of each JSON type or
+    NaN, either analyzes to a strict-JSON report or exits 2 with at most one
+    stderr line."""
     store = tmp_path / "store.json"
     store.write_text(json.dumps({"rate": {"value": 5.0, "unit": "%"}}))
     corpus = tmp_path / "corpus.jsonl"
-    command = ["analyze", "--input", str(corpus), "--store", str(store),
-               "--output", str(tmp_path / "report.json")]
+    report = tmp_path / "report.json"
+    command = ["analyze", "--input", str(corpus), "--store", str(store), "--output", str(report)]
     corpus.write_text(json.dumps(_SWEEP_RECORD) + "\n")
     assert main(command) == 0
     failures = []
@@ -404,6 +423,8 @@ def test_field_type_sweep_is_value_or_one_line_error(tmp_path, capsys):
             corpus.write_text(json.dumps(_replaced(_SWEEP_RECORD, path, value)) + "\n")
             try:
                 code = main(command)
+                if code == 0:
+                    json.loads(report.read_text(), parse_constant=_reject_constant)
             except Exception as exc:  # what the console script would print as a traceback
                 code = repr(exc)
             err = capsys.readouterr().err

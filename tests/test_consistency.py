@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hallguard.consistency import intrinsic_consistency, race_metrics, self_consistency_consensus
+from hallguard.consistency import race_metrics, self_consistency_consensus
 from hallguard.errors import CapabilityError
 
 from conftest import make_record
@@ -67,51 +67,6 @@ def test_consensus_support_at_least_one_over_clusters():
     record = make_record(answers=["aa", "bb", "cc", "aa"])
     result = self_consistency_consensus(record)
     assert result.support >= 1.0 / 3.0
-
-
-# --- intrinsic_consistency ---
-
-
-def test_intrinsic_paraphrase_contradiction():
-    records = [
-        make_record(answers=["$3.7B"], record_id="q1"),
-        make_record(answers=["$4.1B"], record_id="q2"),
-    ]
-    report = intrinsic_consistency(records)
-    assert report.agreement == pytest.approx(0.5)
-    assert report.contradictions == [("q1", "q2")]
-
-
-def test_intrinsic_identical_answers():
-    records = [make_record(answers=["5.00%"], record_id=f"q{i}") for i in range(3)]
-    report = intrinsic_consistency(records)
-    assert report.agreement == 1.0
-    assert report.contradictions == []
-
-
-def test_intrinsic_two_against_one():
-    records = [
-        make_record(answers=["A"], record_id="q1"),
-        make_record(answers=["A"], record_id="q2"),
-        make_record(answers=["B"], record_id="q3"),
-    ]
-    report = intrinsic_consistency(records)
-    assert report.agreement == pytest.approx(2 / 3)
-    assert report.contradictions == [("q1", "q3"), ("q2", "q3")]
-
-
-def test_intrinsic_uses_per_record_consensus():
-    records = [
-        make_record(answers=["up", "up", "down"], record_id="q1"),
-        make_record(answers=["up"], record_id="q2"),
-    ]
-    report = intrinsic_consistency(records)
-    assert report.agreement == 1.0
-
-
-def test_intrinsic_requires_two_records():
-    with pytest.raises(CapabilityError):
-        intrinsic_consistency([make_record(answers=["alone"])])
 
 
 # --- race_metrics ---

@@ -34,6 +34,9 @@ def test_load_rejects_malformed_json_and_shapes():
         load_fact_store("[1, 2]")
     with pytest.raises(FactStoreError):
         load_fact_store('{"k": {"unit": "%"}}')  # missing value
+    for value in ("NaN", "-Infinity"):
+        with pytest.raises(FactStoreError, match="'k'"):
+            load_fact_store('{"k": {"value": %s}}' % value)
 
 
 def test_store_round_trips_through_json():

@@ -10,8 +10,6 @@ from hallguard.errors import CapabilityError
 from hallguard.pipeline import detect
 from hallguard.records import GenerationRecord, Sample, validate_record
 from hallguard.uncertainty import (
-    empirical_label_entropy,
-    ensemble_disagreement,
     entropy_nats,
     parse_self_declared_confidence,
     sequence_entropy_profile,
@@ -168,80 +166,10 @@ def test_batched_entropy_of_an_empty_distribution_is_domain_error():
         token_entropies([make_dist([0.5, 0.5]), make_dist([])])
 
 
-# --- empirical_label_entropy ---
-
-
-def test_empirical_entropy_four_one_split():
-    assert empirical_label_entropy(["A", "A", "A", "A", "B"]) == pytest.approx(0.500, abs=0.005)
-
-
-def test_empirical_entropy_unanimous_is_zero():
-    assert empirical_label_entropy(["A", "A", "A"]) == 0.0
-
-
-def test_empirical_entropy_all_distinct():
-    assert empirical_label_entropy(["A", "B", "C", "D"]) == pytest.approx(math.log(4), abs=1e-12)
-
-
-def test_empirical_entropy_empty_is_domain_error():
-    with pytest.raises(ValueError):
-        empirical_label_entropy([])
-
-
-@given(k=st.integers(1, 50))
-def test_empirical_entropy_repeated_label_is_zero(k):
-    assert empirical_label_entropy(["same"] * k) == 0.0
-
-
 def test_one_point_entropy_is_positive_zero():
     # reports print -0.0 for a negative zero, so unanimous records must get +0.0
     for probs in ([1.0], [0.0, 1.0, 0.0]):
         assert math.copysign(1.0, entropy_nats(probs)) == 1.0
-    assert math.copysign(1.0, empirical_label_entropy(["A", "A"])) == 1.0
-
-
-# --- ensemble_disagreement ---
-
-
-def test_disagreement_identical_vectors_zero_variance():
-    report = ensemble_disagreement([[0.7, 0.3]] * 5)
-    assert report.variance == 0.0
-    assert report.per_class_variance == [0.0, 0.0]
-
-
-def test_disagreement_opposite_one_hots():
-    report = ensemble_disagreement([[1.0, 0.0], [0.0, 1.0]])
-    assert report.per_class_variance == pytest.approx([0.25, 0.25])
-    assert report.variance == pytest.approx(0.25)
-
-
-def test_disagreement_mean_vector():
-    report = ensemble_disagreement([[0.82, 0.18], [0.79, 0.21], [0.65, 0.35]])
-    assert report.mean_vector == pytest.approx([0.7533, 0.2467], abs=1e-4)
-    assert sum(report.mean_vector) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_disagreement_dimension_mismatch():
-    with pytest.raises(ValueError):
-        ensemble_disagreement([[0.5, 0.5], [0.2, 0.3, 0.5]])
-
-
-def test_disagreement_requires_two_vectors():
-    with pytest.raises(ValueError):
-        ensemble_disagreement([[1.0]])
-
-
-@settings(max_examples=100)
-@given(probs=prob_vectors(min_size=2, max_size=5), n=st.integers(2, 6))
-def test_disagreement_zero_iff_identical(probs, n):
-    assert ensemble_disagreement([probs] * n).variance <= 1e-12
-    perturbed = list(probs)
-    perturbed[0], perturbed[1] = perturbed[1], perturbed[0]
-    d = perturbed[0] - probs[0]
-    if abs(d) > 1e-9:
-        # swapping two entries that differ by d gives variance d^2 / (2V) exactly
-        report = ensemble_disagreement([probs, perturbed])
-        assert report.variance == pytest.approx(d**2 / (2 * len(probs)), rel=1e-9, abs=0)
 
 
 # --- parse_self_declared_confidence ---
