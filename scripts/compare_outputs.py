@@ -8,10 +8,11 @@ PARENT_SRC and CHANGE_SRC are directories that hold the ``hallguard``
 package (a checkout's ``src``).  The three benchmark corpora are built from
 the seed with ``perfbench/workloads.py`` under PARENT_SRC.  On each corpus,
 both trees run analyze (json and md), pipeline (to a file, md to stdout, json
-to stdout), race, factcheck, calibrate (temperature and isotonic) and
-mockgen.  Each command's output files, stdout, stderr and exit code are
-compared, with every line that holds a ledger ``"timestamp"`` dropped.  Each
-file that differs is printed, and the exit code is 1 when any does.
+to stdout), race, factcheck, calibrate (temperature and isotonic), mockgen,
+and chunk on a text file of the corpus prompts.  Each command's output files,
+stdout, stderr and exit code are compared, with every line that holds a
+ledger ``"timestamp"`` dropped.  Each file that differs is printed, and the
+exit code is 1 when any does.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# name -> CLI arguments; {in}, {store} and {spec} name the corpus files and
-# {out} the directory the outputs go to
+# name -> CLI arguments; {in}, {store}, {spec} and {text} name the corpus files
+# and {out} the directory the outputs go to
 COMMANDS = {
     "analyze-json": "analyze --input {in} --store {store} --output {out}/analyze.json",
     "analyze-md": "analyze --input {in} --store {store} --format md --output {out}/analyze.md",
@@ -40,6 +41,7 @@ COMMANDS = {
     "calibrate-temperature": "calibrate --input {in} --kind temperature --output {out}/temperature.json",
     "calibrate-isotonic": "calibrate --input {in} --kind isotonic --output {out}/isotonic.json",
     "mockgen": "mockgen --spec {spec} --out {out}/mock.jsonl --store-out {out}/mock-store.json",
+    "chunk": "chunk --input {text} --target-size 200 --output {out}/chunks.json",
 }
 
 
@@ -55,6 +57,8 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
         (d / "corpus.jsonl").write_bytes(corpus.corpus_bytes)
         (d / "store.json").write_text(json.dumps(corpus.store))
         (d / "spec.json").write_text(json.dumps(corpus.spec))
+        prompts = [json.loads(line)["prompt"] for line in corpus.corpus_bytes.splitlines()]
+        (d / "prompts.txt").write_text("\n".join(prompts) + "\n", encoding="utf-8")
 
 
 def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
@@ -64,7 +68,7 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
         out = outputs / corpus.name
         out.mkdir(parents=True)
         paths = {"in": corpus / "corpus.jsonl", "store": corpus / "store.json",
-                 "spec": corpus / "spec.json", "out": out}
+                 "spec": corpus / "spec.json", "text": corpus / "prompts.txt", "out": out}
         for name, template in COMMANDS.items():
             argv = [arg.format(**paths) for arg in template.split()]
             proc = subprocess.run([sys.executable, "-m", "hallguard.cli", *argv],

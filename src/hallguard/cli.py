@@ -18,19 +18,11 @@ import json
 import sys
 from pathlib import Path
 
-from .calibration import (
-    apply_isotonic,
-    calibration_map_to_json,
-    fit_isotonic,
-    fit_temperature,
-    logit_label_pairs,
-    score_outcome_pairs,
-)
+# calibration, mitigation and mockgen are imported by the one command that
+# runs each, so analyze, pipeline, race and factcheck never load them
 from .consistency import race_metrics
 from .errors import CapabilityError, ConfigError
 from .grounding import STATUS_MISMATCH, FactStoreError, check_claims, fact_store_to_json, load_fact_store
-from .mitigation import DEFAULT_CHUNK_OVERLAP, chunk_document
-from .mockgen import generate_corpus, generate_fact_store, mock_spec_from_json
 from .pipeline import (
     detect,
     ledger_to_json,
@@ -138,6 +130,15 @@ def _fmt(value) -> str:
 
 
 def cmd_calibrate(args) -> int:
+    from .calibration import (
+        apply_isotonic,
+        calibration_map_to_json,
+        fit_isotonic,
+        fit_temperature,
+        logit_label_pairs,
+        score_outcome_pairs,
+    )
+
     records = _read_corpus(args.input)
     if args.kind == "temperature":
         logit_sets, labels = logit_label_pairs(records)
@@ -221,6 +222,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_mockgen(args) -> int:
+    from .mockgen import generate_corpus, generate_fact_store, mock_spec_from_json
+
     raw = read_json_file(args.spec)
     if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
@@ -237,12 +240,15 @@ def cmd_mockgen(args) -> int:
 
 
 def cmd_chunk(args) -> int:
-    if args.target_size < 1 or not 0.0 <= args.overlap < 0.5:
+    from .mitigation import DEFAULT_CHUNK_OVERLAP, chunk_document
+
+    overlap = DEFAULT_CHUNK_OVERLAP if args.overlap is None else args.overlap
+    if args.target_size < 1 or not 0.0 <= overlap < 0.5:
         print("hallguard chunk: error: need --target-size >= 1 and --overlap in [0, 0.5)",
               file=sys.stderr)
         return EXIT_USAGE
     text = Path(args.input).read_text(encoding="utf-8")
-    chunks = chunk_document(text, args.target_size, args.overlap)
+    chunks = chunk_document(text, args.target_size, overlap)
     payload = {
         "chunks": [
             {"index": c.index, "start": c.start_offset, "end": c.end_offset, "text": c.text}
@@ -308,8 +314,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("chunk", help="split a document into overlapping chunks")
     p.add_argument("--input", required=True, help="UTF-8 text file")
     p.add_argument("--target-size", type=int, required=True, help="chunk size in characters")
-    p.add_argument("--overlap", type=float, default=DEFAULT_CHUNK_OVERLAP,
-                   help="overlap fraction in [0, 0.5)")
+    p.add_argument("--overlap", type=float, help="overlap fraction in [0, 0.5)")
     p.add_argument("--output", help="write chunk JSON here instead of stdout")
     p.set_defaults(func=cmd_chunk)
 

@@ -12,8 +12,9 @@ upstream's job.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+
+from .records import finite_number
 
 STATUS_MATCH = "match"
 STATUS_MISMATCH = "mismatch"
@@ -72,7 +73,7 @@ def load_fact_store(data) -> FactStore:
             raise FactStoreError("fact store keys must be nonempty")
         if not isinstance(raw, dict) or "value" not in raw:
             raise FactStoreError(f"entry for {key!r} must be an object with a value")
-        if isinstance(raw["value"], float) and not math.isfinite(raw["value"]):
+        if type(raw["value"]) in (int, float) and not finite_number(raw["value"]):
             raise FactStoreError(f"value for {key!r} must be a finite number or a string")
         entries[key] = FactEntry(value=raw["value"], unit=raw.get("unit"), as_of=raw.get("as_of"))
     return FactStore(entries=entries)
@@ -91,9 +92,7 @@ def fact_store_to_json(store: FactStore) -> dict:
 
 
 def _as_number(value) -> float | None:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
+    if finite_number(value):
         return float(value)
     if isinstance(value, str):
         try:

@@ -23,6 +23,7 @@ Everything is deterministic in the seed; texts are templated, not realistic.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -31,8 +32,7 @@ import numpy as np
 from .calibration import apply_temperature
 from .errors import ConfigError
 from .grounding import FactEntry, FactStore
-from .pipeline import finite_number
-from .records import Claim, GenerationRecord, GroundTruthLabel, Sample, TokenDistribution
+from .records import Claim, GenerationRecord, GroundTruthLabel, Sample, TokenDistribution, finite_number
 from .uncertainty import entropy_nats
 
 CLEAN_ENTROPY_LO = 0.25
@@ -69,6 +69,8 @@ def _validate_spec(spec: MockSpec) -> None:
         raise ValueError("true_temperature must be positive")
     if spec.vocab_size < 4:
         raise ValueError("vocab_size must be >= 4 so injected uniform entropy clears 1.2 nats")
+    if max(spec.n_records, spec.samples_per_record, spec.vocab_size) > sys.maxsize:
+        raise ValueError(f"n_records, samples_per_record and vocab_size must be at most {sys.maxsize}")
     total = 0.0
     for cls, rate in spec.inject_rates.items():
         if cls not in _INJECT_CLASSES:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import operator
-import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, is_dataclass, replace
@@ -24,7 +23,7 @@ import numpy as np
 from .consistency import RaceReport, race_metrics, self_consistency_consensus
 from .errors import CapabilityError, ConfigError
 from .grounding import STATUS_MISMATCH, ClaimVerdict, FactStore, check_claims
-from .records import GenerationRecord
+from .records import GenerationRecord, finite_number
 from .semantic import DEFAULT_CLUSTER_THRESHOLD, default_embed, semantic_entropy_of_record
 from .uncertainty import parse_self_declared_confidence, sample_mean_entropies
 
@@ -153,8 +152,8 @@ def detect(record: GenerationRecord, config: PipelineConfig | None = None,
 
     h_p_mean = None
     scored = [sample.token_dists for sample in record.samples if sample.token_dists]
-    if scored:
-        h_p_mean = float(np.mean(sample_mean_entropies(scored)))
+    if scored:  # np.mean's sum and division, without its wrapper
+        h_p_mean = float(np.add.reduce(sample_mean_entropies(scored))) / len(scored)
 
     h_s = None
     consensus_support = None
@@ -171,7 +170,9 @@ def detect(record: GenerationRecord, config: PipelineConfig | None = None,
             value = parse_self_declared_confidence(sample.text)
         if value is not None:
             confidences.append(value)
-    self_confidence = float(np.mean(confidences)) if confidences else None
+    self_confidence = None
+    if confidences:
+        self_confidence = float(np.add.reduce(confidences, dtype=float)) / len(confidences)
 
     race = None
     try:
@@ -318,12 +319,6 @@ def run_cycle(records: list[GenerationRecord], config: PipelineConfig | None = N
 # Config and rules file I/O
 
 _CONFIG_KEYS = tuple(k for k in PipelineConfig.__dataclass_fields__ if k != "rules")
-
-
-def finite_number(value) -> bool:
-    """A JSON number, not a bool, that a float holds; NaN and infinities fail."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
 
 
 def read_json_file(path: str):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 FAILURE_CLASSES = ("model", "context", "data")
@@ -116,6 +117,12 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def finite_number(value) -> bool:
+    """A JSON number, not a bool, that a float holds; NaN, infinities and
+    integers too large for a float fail."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
 def _validate_dist(dist: TokenDistribution, path: str, diags: list[Diagnostic]) -> None:
     if not dist.probs:
         diags.append(Diagnostic(f"{path}.probs", "must be nonempty"))
@@ -146,11 +153,11 @@ def _validate_sample(sample: Sample, path: str, diags: list[Diagnostic]) -> None
             if not _is_number(lp) or not lp <= 0.0:  # NaN fails <= too
                 diags.append(Diagnostic(f"{path}.token_logprobs[{j}]", "log-probability must be <= 0"))
     emb = sample.embedding
-    # plain JSON floats and ints pass in two C-level passes; anything else
-    # gets the exact check, which names the first bad entry
-    if emb is not None and not (set(map(type, emb)) <= {float, int} and all(map(math.isfinite, emb))):
+    # plain JSON floats pass in two C-level passes; anything else gets the
+    # exact check, which names the first bad entry
+    if emb is not None and not (set(map(type, emb)) <= {float} and all(map(math.isfinite, emb))):
         for j, x in enumerate(emb):
-            if not (_is_number(x) and math.isfinite(x)):
+            if not finite_number(x):
                 diags.append(Diagnostic(f"{path}.embedding[{j}]", "must be a finite number"))
                 break
     for name in ("reasoning", "answer"):
@@ -186,7 +193,7 @@ def validate_record(record: GenerationRecord) -> list[Diagnostic]:
     for i, claim in enumerate(record.reference_claims or []):
         if not isinstance(claim.key, str) or not claim.key:
             diags.append(Diagnostic(f"reference_claims[{i}].key", "must be a nonempty string"))
-        if isinstance(claim.value, float) and not math.isfinite(claim.value):
+        if _is_number(claim.value) and not finite_number(claim.value):
             diags.append(Diagnostic(f"reference_claims[{i}].value", "must be a finite number or a string"))
     gt = record.ground_truth
     if gt is not None:

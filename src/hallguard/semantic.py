@@ -26,13 +26,17 @@ split by rounding, and then may break otherwise than in a plain pair loop
 that sums in another order (tests/test_semantic.py keeps one as the
 reference).
 
-One distinct row.  When every vector equals the first (``==``, so -0.0
-matches 0.0, as the row keys do) and the threshold is nonnegative, the
-outcome is known without a distance matrix: one cluster when the row has a
-nonzero norm (every distance is 0, so every merge is taken), n singletons
-when its norm is 0 (a zero row, or one whose squares all underflow).  It is
-the common case, since confident answers agree.  A negative threshold,
-under which nothing merges, takes the general path, as does a NaN one.
+One distinct row.  Every clustering runs ``_cluster_rows`` over the
+distinct rows and the row of each sample; ``cluster_embeddings`` finds the
+distinct rows by their bytes (after + 0.0, so -0.0 matches 0.0), and
+``cluster_texts`` hands it the one vector of a list whose texts are all one
+string without stacking or re-checking it.  When there is one distinct row
+and the threshold is nonnegative, ``_cluster_rows`` knows the outcome
+without a distance matrix: one cluster when the row has a nonzero norm
+(every distance is 0, so every merge is taken), n singletons when its norm
+is 0 (a zero row, or one whose squares all underflow).  It is the common
+case, since confident answers agree.  A negative threshold, under which
+nothing merges, takes the general path, as does a NaN one.
 
 Embedding sources.  A sample's stored ``embedding`` embeds its ``text`` and
 feeds semantic entropy only.  A valid record carries an embedding on every
@@ -110,14 +114,9 @@ def default_embed(text: str, dim: int = EMBED_DIM) -> np.ndarray:
     return vec
 
 
-def _distances(x: np.ndarray) -> np.ndarray:
-    """Pairwise cosine distances of the rows of x, computed once per distinct
-    row: 0 between equal rows, inf on every row and column of a zero row."""
-    keys = [row.tobytes() for row in x + 0.0]  # + 0.0 maps -0.0 to 0.0
-    slot: dict[bytes, int] = {}
-    of_row = np.array([slot.setdefault(key, len(slot)) for key in keys])
-    distinct = np.empty((len(slot), x.shape[1]))
-    distinct[of_row] = x
+def _distances(distinct: np.ndarray) -> np.ndarray:
+    """Pairwise cosine distances of pairwise unequal rows: inf on every row
+    and column of a zero row."""
     norms = np.linalg.norm(distinct, axis=1)
     zero = norms == 0.0
     unit = distinct / np.where(zero, 1.0, norms)[:, None]
@@ -125,7 +124,7 @@ def _distances(x: np.ndarray) -> np.ndarray:
     d += d.T  # exactly symmetric, with 0 on the diagonal
     d[zero] = math.inf
     d[:, zero] = math.inf
-    return d[np.ix_(of_row, of_row)]
+    return d
 
 
 def cluster_embeddings(vectors, threshold: float) -> ClusterAssignment:
@@ -143,13 +142,24 @@ def cluster_embeddings(vectors, threshold: float) -> ClusterAssignment:
     x = np.stack(vs)
     if not np.isfinite(x).all():
         raise ValueError("vectors must be finite")
-    n = len(vs)
-    if threshold >= 0.0 and (x == x[0]).all():  # one distinct row
-        if x[0] @ x[0] > 0.0:  # a squared norm is 0 exactly when _distances finds a zero norm
+    slot: dict[bytes, int] = {}
+    # equal rows share one key; + 0.0 maps -0.0 to 0.0
+    of_sample = [slot.setdefault(row.tobytes(), len(slot)) for row in x + 0.0]
+    distinct = np.empty((len(slot), x.shape[1]))
+    distinct[of_sample] = x
+    return _cluster_rows(distinct, of_sample, threshold)
+
+
+def _cluster_rows(distinct: np.ndarray, of_sample: list[int], threshold: float) -> ClusterAssignment:
+    """cluster_embeddings of the samples whose vectors are the finite, pairwise
+    unequal rows of ``distinct``: sample i has row of_sample[i]."""
+    n = len(of_sample)
+    if threshold >= 0.0 and len(distinct) == 1:  # one distinct row
+        if distinct[0] @ distinct[0] > 0.0:  # a squared norm is 0 exactly when _distances finds a zero norm
             return ClusterAssignment([0] * n, [1.0], [0])
         return ClusterAssignment(list(range(n)), [1 / n] * n, list(range(n)))
 
-    sums = _distances(x)  # summed pairwise distance between clusters
+    sums = _distances(distinct)[np.ix_(of_sample, of_sample)]  # summed pairwise distance between clusters
     size = np.ones(n, dtype=int)
     # a pair (a, b) is a candidate while a < b and both clusters are alive
     barred = np.tri(n, dtype=bool)
@@ -180,7 +190,15 @@ def cluster_embeddings(vectors, threshold: float) -> ClusterAssignment:
 
 @functools.lru_cache(maxsize=8)
 def _cluster_texts(texts: tuple[str, ...], embed_fn, threshold: float) -> ClusterAssignment:
-    vectors = {text: embed_fn(text) for text in dict.fromkeys(texts)}
+    distinct = dict.fromkeys(texts)
+    if len(distinct) == 1:
+        v = np.asarray(embed_fn(texts[0]), dtype=float)
+        # squares that sum to a finite value are all finite: no further check
+        if v.ndim == 1 and math.isfinite(v @ v):
+            return _cluster_rows(v[None], [0] * len(texts), threshold)
+        vectors = {texts[0]: v}  # cluster_embeddings raises what it must
+    else:
+        vectors = {text: embed_fn(text) for text in distinct}
     return cluster_embeddings([vectors[text] for text in texts], threshold)
 
 

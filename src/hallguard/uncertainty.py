@@ -42,6 +42,8 @@ class EntropyReport:
 
 def entropy_nats(probs) -> float:
     """Shannon entropy -sum(p * ln p) of a probability vector."""
+    if type(probs) is list and probs == [1.0]:  # the common one-cluster mass, without numpy
+        return 0.0
     p = np.asarray(probs, dtype=float)
     if p.size == 0:
         raise ValueError("entropy of an empty distribution is undefined")

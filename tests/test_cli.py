@@ -377,7 +377,8 @@ _SWEEP_RECORD = {
     "reference_claims": [{"key": "rate", "value": 5.0, "unit": "%"}],
     "ground_truth": {"is_hallucinated": True, "failure_class": "data", "correct_answer": "hold"},
 }
-_SWEEP_VALUES = ("s", 3, 2.5, True, None, [1], [[1]], ["s"], {"a": 1}, float("nan"))
+_SWEEP_VALUES = ("s", 3, 2.5, True, None, [1], [[1]], ["s"], {"a": 1}, float("nan"),
+                 int("9" * 400))  # no float holds it
 
 
 def _field_paths(obj, path=()):
@@ -407,9 +408,9 @@ def _reject_constant(name):
 
 
 def test_field_type_sweep_is_value_or_one_line_error(tmp_path, capsys):
-    """Every field of a full record, swapped for a value of each JSON type or
-    NaN, either analyzes to a strict-JSON report or exits 2 with at most one
-    stderr line."""
+    """Every field of a full record, swapped for a value of each JSON type,
+    NaN or an integer too large for a float, either analyzes to a strict-JSON
+    report or exits 2 with at most one stderr line."""
     store = tmp_path / "store.json"
     store.write_text(json.dumps({"rate": {"value": 5.0, "unit": "%"}}))
     corpus = tmp_path / "corpus.jsonl"

@@ -223,17 +223,50 @@ def test_cluster_texts_embeds_each_distinct_string_once():
     assert seen == ["rates up", "rates down"]
 
 
+def _huge_embed(text):
+    return np.full(3, 1e200)  # finite, but its squared norm overflows
+
+
+@pytest.mark.parametrize("threshold", [0.35, 0.0, -0.1, math.nan])
+@pytest.mark.parametrize("text, embed_fn", [
+    ("", default_embed),  # zero vectors: n singletons
+    ("   ", default_embed),
+    ("rates up", default_embed),  # one cluster
+    ("rates up", _huge_embed),
+])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_one_distinct_text_matches_the_general_path(text, embed_fn, threshold, n):
+    with np.errstate(over="ignore"):
+        vectors = [embed_fn(text)] * n
+        expected = cluster_embeddings(vectors, threshold)
+        assert cluster_texts([text] * n, embed_fn, threshold) == expected
+        assert expected == reference_cluster(vectors, threshold)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_one_distinct_text_rejects_a_non_finite_vector_as_the_general_path_does(bad):
+    def embed(text):
+        return np.array([1.0, bad])
+
+    with pytest.raises(ValueError) as general:
+        cluster_embeddings([embed("a")] * 3, semantic.DEFAULT_CLUSTER_THRESHOLD)
+    with pytest.raises(ValueError) as one_text:
+        cluster_texts(["a"] * 3, embed)
+    assert str(one_text.value) == str(general.value) == "vectors must be finite"
+
+
 def test_detect_clusters_each_distinct_input_once(monkeypatch):
     spec = MockSpec(n_records=1, samples_per_record=5, seed=3)
     record = generate_corpus(spec)[0]
     assert all(s.text == s.answer and s.reasoning != s.answer for s in record.samples)
     calls = []
+    clustering = semantic._cluster_rows  # every clustering, by text or by vector, runs it
 
-    def counting(vectors, threshold):
-        calls.append(len(vectors))
-        return cluster_embeddings(vectors, threshold)
+    def counting(distinct, of_sample, threshold):
+        calls.append(len(of_sample))
+        return clustering(distinct, of_sample, threshold)
 
-    monkeypatch.setattr(semantic, "cluster_embeddings", counting)
+    monkeypatch.setattr(semantic, "_cluster_rows", counting)
     semantic._cluster_texts.cache_clear()
     signals = detect(record)
     # semantic entropy, consensus and RACE answers share one input list; the
