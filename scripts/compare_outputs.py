@@ -9,9 +9,11 @@ package (a checkout's ``src``).  The three benchmark corpora are built from
 the seed with ``perfbench/workloads.py`` under PARENT_SRC.  On each corpus,
 both trees run analyze (json and md), pipeline (to a file, md to stdout, json
 to stdout), race, factcheck, calibrate (temperature and isotonic), mockgen,
-and chunk on a text file of the corpus prompts.  Each command's output files,
-stdout, stderr and exit code are compared, with every line that holds a
-ledger ``"timestamp"`` dropped.  Each file that differs is printed, and the
+and chunk on a text file of the corpus prompts, then analyze and pipeline
+again on a tagged copy of the corpus, which adds one unknown key to every
+record, sample, token distribution, claim and ground truth.  Each command's
+output files, stdout, stderr and exit code are compared, with every line that
+holds a ledger ``"timestamp"`` dropped.  Each file that differs is printed, and the
 exit code is 1 when any does.
 """
 
@@ -28,8 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# name -> CLI arguments; {in}, {store}, {spec} and {text} name the corpus files
-# and {out} the directory the outputs go to
+# name -> CLI arguments; {in}, {tagged}, {store}, {spec} and {text} name the
+# corpus files and {out} the directory the outputs go to
 COMMANDS = {
     "analyze-json": "analyze --input {in} --store {store} --output {out}/analyze.json",
     "analyze-md": "analyze --input {in} --store {store} --format md --output {out}/analyze.md",
@@ -42,7 +44,23 @@ COMMANDS = {
     "calibrate-isotonic": "calibrate --input {in} --kind isotonic --output {out}/isotonic.json",
     "mockgen": "mockgen --spec {spec} --out {out}/mock.jsonl --store-out {out}/mock-store.json",
     "chunk": "chunk --input {text} --target-size 200 --output {out}/chunks.json",
+    "analyze-tagged": "analyze --input {tagged} --store {store} --output {out}/analyze-tagged.json",
+    "pipeline-tagged": "pipeline --input {tagged} --store {store} --output {out}/ledger-tagged.json",
 }
+
+UNKNOWN_KEY = {"x_unknown": {"note": "carries no meaning", "n": [1, 2.5]}}
+
+
+def tagged(record: dict) -> dict:
+    """The record with UNKNOWN_KEY added to every object the corpus format
+    defines."""
+    parts = [record, *record["samples"], *(record.get("reference_claims") or [])]
+    parts += [d for s in record["samples"] for d in s.get("token_dists") or []]
+    if record.get("ground_truth") is not None:
+        parts.append(record["ground_truth"])
+    for part in parts:
+        part.update(UNKNOWN_KEY)
+    return record
 
 
 def write_corpora(src: Path, seed: int, into: Path) -> None:
@@ -57,8 +75,10 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
         (d / "corpus.jsonl").write_bytes(corpus.corpus_bytes)
         (d / "store.json").write_text(json.dumps(corpus.store))
         (d / "spec.json").write_text(json.dumps(corpus.spec))
-        prompts = [json.loads(line)["prompt"] for line in corpus.corpus_bytes.splitlines()]
-        (d / "prompts.txt").write_text("\n".join(prompts) + "\n", encoding="utf-8")
+        records = [json.loads(line) for line in corpus.corpus_bytes.splitlines()]
+        (d / "prompts.txt").write_text("\n".join(r["prompt"] for r in records) + "\n", encoding="utf-8")
+        (d / "tagged.jsonl").write_text("".join(json.dumps(tagged(r)) + "\n" for r in records),
+                                        encoding="utf-8")
 
 
 def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
@@ -67,8 +87,9 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
     for corpus in sorted(inputs.iterdir()):
         out = outputs / corpus.name
         out.mkdir(parents=True)
-        paths = {"in": corpus / "corpus.jsonl", "store": corpus / "store.json",
-                 "spec": corpus / "spec.json", "text": corpus / "prompts.txt", "out": out}
+        paths = {"in": corpus / "corpus.jsonl", "tagged": corpus / "tagged.jsonl",
+                 "store": corpus / "store.json", "spec": corpus / "spec.json",
+                 "text": corpus / "prompts.txt", "out": out}
         for name, template in COMMANDS.items():
             argv = [arg.format(**paths) for arg in template.split()]
             proc = subprocess.run([sys.executable, "-m", "hallguard.cli", *argv],

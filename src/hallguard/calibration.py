@@ -122,18 +122,12 @@ def _mean_nll(logits: np.ndarray, labels: np.ndarray, T: float) -> float:
     return float((log_norm - z[np.arange(len(labels)), labels]).mean())
 
 
-def fit_temperature(
-    logit_sets,
-    true_labels,
-    t_min: float = TEMPERATURE_MIN,
-    t_max: float = TEMPERATURE_MAX,
-    tol: float = TEMPERATURE_TOL,
-) -> TemperatureModel:
+def fit_temperature(logit_sets, true_labels) -> TemperatureModel:
     """Fit the scaling temperature by minimizing mean NLL on a validation set.
 
-    Golden-section search runs on ln T within [t_min, t_max] down to an
-    absolute bracket width of tol in T.  The fit never returns a temperature
-    worse than T=1 on the fit set.
+    Golden-section search runs on ln T within [TEMPERATURE_MIN,
+    TEMPERATURE_MAX] down to an absolute bracket width of TEMPERATURE_TOL in
+    T.  The fit never returns a temperature worse than T=1 on the fit set.
     """
     logits = np.asarray(logit_sets, dtype=float)
     labels = np.asarray(true_labels, dtype=int)
@@ -148,13 +142,13 @@ def fit_temperature(
     if np.all(np.ptp(logits, axis=1) < 1e-12):
         raise FitError("all logit vectors are constant; temperature is unidentifiable")
 
-    a, b = math.log(t_min), math.log(t_max)
+    a, b = math.log(TEMPERATURE_MIN), math.log(TEMPERATURE_MAX)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc = _mean_nll(logits, labels, math.exp(c))
     fd = _mean_nll(logits, labels, math.exp(d))
     for _ in range(500):
-        if math.exp(b) - math.exp(a) <= tol:
+        if math.exp(b) - math.exp(a) <= TEMPERATURE_TOL:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -167,10 +161,9 @@ def fit_temperature(
     t_star = math.exp((a + b) / 2.0)
 
     best_t, best_nll = t_star, _mean_nll(logits, labels, t_star)
-    if t_min <= 1.0 <= t_max:  # guarantee NLL(T*) <= NLL(1)
-        nll_one = _mean_nll(logits, labels, 1.0)
-        if nll_one < best_nll:
-            best_t, best_nll = 1.0, nll_one
+    nll_one = _mean_nll(logits, labels, 1.0)  # guarantee NLL(T*) <= NLL(1)
+    if nll_one < best_nll:
+        best_t, best_nll = 1.0, nll_one
     return TemperatureModel(T=best_t, fit_nll=best_nll, n_fit=len(labels))
 
 

@@ -6,9 +6,9 @@ min_delta); the report format and the router rules are set by --format and
 pipeline --rules.
 
 Exit codes are a stable contract: 0 success, 1 usage or environment error
-(bad flags, unreadable files, invalid or malformed config, rules and mock
-spec files), 2 data or validation error (malformed corpus, empty input,
-insufficient fit data).
+(bad flags, unreadable or unwritable files, invalid or malformed config,
+rules and mock spec files), 2 data or validation error (malformed corpus,
+empty input, insufficient fit data).
 """
 
 from __future__ import annotations
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+        print(f"cannot access file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RecordParseError, RecordValidationError, FactStoreError) as exc:
         print(f"invalid data: {exc}", file=sys.stderr)

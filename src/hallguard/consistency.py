@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import CapabilityError
 from .records import GenerationRecord
-from .semantic import DEFAULT_CLUSTER_THRESHOLD, cluster_texts, default_embed
+from .semantic import DEFAULT_CLUSTER_THRESHOLD, cluster_texts
 from .uncertainty import entropy_nats
 
 FLAG_ANSWER_SUPPORT = 0.8
@@ -58,11 +58,8 @@ def _sample_answers(record: GenerationRecord) -> list[str]:
     return [s.answer if s.answer is not None else s.text for s in record.samples]
 
 
-def self_consistency_consensus(
-    record: GenerationRecord,
-    embed_fn=default_embed,
-    threshold: float = DEFAULT_CLUSTER_THRESHOLD,
-) -> ConsensusResult:
+def self_consistency_consensus(record: GenerationRecord,
+                               threshold: float = DEFAULT_CLUSTER_THRESHOLD) -> ConsensusResult:
     """Cluster the sampled answers and select the most frequent result.
 
     Mass ties break toward the lexicographically smallest representative
@@ -72,7 +69,7 @@ def self_consistency_consensus(
     if len(record.samples) < 2:
         raise CapabilityError("consensus requires multiple generations")
     answers = _sample_answers(record)
-    assignment = cluster_texts(answers, embed_fn, threshold)
+    assignment = cluster_texts(answers, threshold)
     best_mass = max(assignment.cluster_masses)
     tied = [k for k, m in enumerate(assignment.cluster_masses) if m == best_mass]
     winner = min(tied, key=lambda k: answers[assignment.representatives[k]])
@@ -83,20 +80,15 @@ def self_consistency_consensus(
     )
 
 
-def race_metrics(
-    record: GenerationRecord,
-    embed_fn=default_embed,
-    cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD,
-    flag_answer_support: float = FLAG_ANSWER_SUPPORT,
-    flag_reasoning_entropy: float = FLAG_REASONING_ENTROPY,
-    flag_mi_max: float = FLAG_MI_MAX,
-) -> RaceReport:
+def race_metrics(record: GenerationRecord,
+                 cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD) -> RaceReport:
     """Joint reasoning/answer decomposition over one record's samples.
 
     Every sample must carry both a reasoning trace and an answer.  The
-    right-answer-wrong-reasoning flag fires when answer consensus support,
-    reasoning entropy, and (clamped) mutual information all cross their
-    thresholds.
+    right-answer-wrong-reasoning flag fires when answer consensus support
+    reaches FLAG_ANSWER_SUPPORT, reasoning entropy reaches
+    FLAG_REASONING_ENTROPY, and (clamped) mutual information is at most
+    FLAG_MI_MAX.
     """
     if len(record.samples) < 2:
         raise CapabilityError("reasoning/answer decomposition requires multiple generations")
@@ -105,8 +97,8 @@ def race_metrics(
 
     reasonings = [s.reasoning for s in record.samples]
     answers = [s.answer for s in record.samples]
-    r_assign = cluster_texts(reasonings, embed_fn, cluster_threshold)
-    a_assign = cluster_texts(answers, embed_fn, cluster_threshold)
+    r_assign = cluster_texts(reasonings, cluster_threshold)
+    a_assign = cluster_texts(answers, cluster_threshold)
 
     h_r = entropy_nats(r_assign.cluster_masses)
     h_a = entropy_nats(a_assign.cluster_masses)
@@ -118,9 +110,9 @@ def race_metrics(
     mi = max(0.0, mi_raw)
     support = max(a_assign.cluster_masses)
     flag = (
-        support >= flag_answer_support
-        and h_r >= flag_reasoning_entropy
-        and mi <= flag_mi_max
+        support >= FLAG_ANSWER_SUPPORT
+        and h_r >= FLAG_REASONING_ENTROPY
+        and mi <= FLAG_MI_MAX
     )
     return RaceReport(
         h_reasoning=h_r,

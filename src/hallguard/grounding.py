@@ -57,14 +57,16 @@ def _reject_duplicate_keys(pairs):
 
 
 def load_fact_store(data) -> FactStore:
-    """Load a store from JSON bytes or text; duplicate keys and NaN or infinite
-    values are load errors."""
+    """Load a store from JSON bytes or text; duplicate keys and values that
+    are neither strings nor finite numbers are load errors."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
         obj = json.loads(data, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise FactStoreError(f"malformed fact store JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise FactStoreError("malformed fact store JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise FactStoreError("fact store must be a JSON object")
     entries: dict[str, FactEntry] = {}
@@ -73,7 +75,7 @@ def load_fact_store(data) -> FactStore:
             raise FactStoreError("fact store keys must be nonempty")
         if not isinstance(raw, dict) or "value" not in raw:
             raise FactStoreError(f"entry for {key!r} must be an object with a value")
-        if type(raw["value"]) in (int, float) and not finite_number(raw["value"]):
+        if not (isinstance(raw["value"], str) or finite_number(raw["value"])):
             raise FactStoreError(f"value for {key!r} must be a finite number or a string")
         entries[key] = FactEntry(value=raw["value"], unit=raw.get("unit"), as_of=raw.get("as_of"))
     return FactStore(entries=entries)

@@ -24,7 +24,7 @@ from .consistency import RaceReport, race_metrics, self_consistency_consensus
 from .errors import CapabilityError, ConfigError
 from .grounding import STATUS_MISMATCH, ClaimVerdict, FactStore, check_claims
 from .records import GenerationRecord, finite_number
-from .semantic import DEFAULT_CLUSTER_THRESHOLD, default_embed, semantic_entropy_of_record
+from .semantic import DEFAULT_CLUSTER_THRESHOLD, semantic_entropy_of_record
 from .uncertainty import parse_self_declared_confidence, sample_mean_entropies
 
 TIERS = ("model", "context", "data")
@@ -322,12 +322,14 @@ _CONFIG_KEYS = tuple(k for k in PipelineConfig.__dataclass_fields__ if k != "rul
 
 
 def read_json_file(path: str):
-    """Decode a config, rules or mock spec file; malformed JSON or UTF-8 is a
-    ConfigError."""
+    """Decode a config, rules or mock spec file; malformed JSON or UTF-8, or
+    JSON nested too deeply to decode, is a ConfigError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"malformed JSON in {path}: nested too deeply") from None
 
 
 def load_config(path: str | None) -> PipelineConfig:

@@ -13,9 +13,9 @@ A corpus is UTF-8 JSONL, one record object per line:
      "ground_truth": {"is_hallucinated": true, "failure_class": "data",
                       "correct_answer": "..."}}
 
-Optional fields are omitted when absent.  Unknown keys are preserved on
-round-trip but carry no meaning.  Probabilities are stored as plain decimals,
-log-probabilities in nats.  All types are immutable after construction.
+Optional fields are omitted when absent.  Unknown keys are accepted and
+ignored.  Probabilities are stored as plain decimals, log-probabilities in
+nats.  All types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 FAILURE_CLASSES = ("model", "context", "data")
 
@@ -62,7 +62,6 @@ class TokenDistribution:
 
     token_labels: list[str]
     probs: list[float]
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ class Sample:
     reasoning: str | None = None
     answer: str | None = None
     self_confidence: float | None = None
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,6 @@ class Claim:
     key: str
     value: str | float
     unit: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,6 @@ class GroundTruthLabel:
     is_hallucinated: bool
     failure_class: str | None = None
     correct_answer: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,6 @@ class GenerationRecord:
     samples: list[Sample]
     reference_claims: list[Claim] | None = None
     ground_truth: GroundTruthLabel | None = None
-    extra: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +167,7 @@ def _validate_sample(sample: Sample, path: str, diags: list[Diagnostic]) -> None
 def validate_record(record: GenerationRecord) -> list[Diagnostic]:
     """Return the (possibly empty) list of invariant violations for one record.
 
-    Empty result means the record is valid.  Unknown keys under ``extra`` are
-    never flagged.
+    Empty result means the record is valid.
     """
     diags: list[Diagnostic] = []
     if not record.id:
@@ -193,7 +187,7 @@ def validate_record(record: GenerationRecord) -> list[Diagnostic]:
     for i, claim in enumerate(record.reference_claims or []):
         if not isinstance(claim.key, str) or not claim.key:
             diags.append(Diagnostic(f"reference_claims[{i}].key", "must be a nonempty string"))
-        if _is_number(claim.value) and not finite_number(claim.value):
+        if not (isinstance(claim.value, str) or finite_number(claim.value)):
             diags.append(Diagnostic(f"reference_claims[{i}].value", "must be a finite number or a string"))
     gt = record.ground_truth
     if gt is not None:
@@ -209,19 +203,8 @@ def validate_record(record: GenerationRecord) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # JSON conversion
 
-_DIST_KEYS = ("labels", "probs")
-_SAMPLE_KEYS = ("text", "token_dists", "token_logprobs", "embedding", "reasoning", "answer", "self_confidence")
-_CLAIM_KEYS = ("key", "value", "unit")
-_GT_KEYS = ("is_hallucinated", "failure_class", "correct_answer")
-_RECORD_KEYS = ("id", "prompt", "samples", "reference_claims", "ground_truth")
-
-
 def _shape_error(record_id: str, path: str, reason: str) -> RecordValidationError:
     return RecordValidationError(record_id, [Diagnostic(path, reason)])
-
-
-def _extras(obj: dict, known: tuple[str, ...]) -> dict:
-    return {k: v for k, v in obj.items() if k not in known}
 
 
 def record_from_json(obj: dict) -> GenerationRecord:
@@ -258,7 +241,6 @@ def record_from_json(obj: dict) -> GenerationRecord:
         samples=samples,
         reference_claims=claims,
         ground_truth=gt,
-        extra=_extras(obj, _RECORD_KEYS),
     )
 
 
@@ -280,13 +262,7 @@ def _sample_from_json(obj, path: str, rid: str) -> Sample:
         for j, d in enumerate(raw):
             if not isinstance(d, dict) or not isinstance(d.get("labels"), list) or not isinstance(d.get("probs"), list):
                 raise _shape_error(rid, f"{path}.token_dists[{j}]", "must be an object with labels[] and probs[]")
-            dists.append(
-                TokenDistribution(
-                    token_labels=list(d["labels"]),
-                    probs=list(d["probs"]),
-                    extra=_extras(d, _DIST_KEYS),
-                )
-            )
+            dists.append(TokenDistribution(token_labels=list(d["labels"]), probs=list(d["probs"])))
     return Sample(
         text=text,
         token_dists=dists,
@@ -295,19 +271,13 @@ def _sample_from_json(obj, path: str, rid: str) -> Sample:
         reasoning=obj.get("reasoning"),
         answer=obj.get("answer"),
         self_confidence=obj.get("self_confidence"),
-        extra=_extras(obj, _SAMPLE_KEYS),
     )
 
 
 def _claim_from_json(obj, path: str, rid: str) -> Claim:
     if not isinstance(obj, dict) or "key" not in obj or "value" not in obj:
         raise _shape_error(rid, path, "claim must be an object with key and value")
-    return Claim(
-        key=obj["key"],
-        value=obj["value"],
-        unit=obj.get("unit"),
-        extra=_extras(obj, _CLAIM_KEYS),
-    )
+    return Claim(key=obj["key"], value=obj["value"], unit=obj.get("unit"))
 
 
 def _gt_from_json(obj, rid: str) -> GroundTruthLabel:
@@ -317,7 +287,6 @@ def _gt_from_json(obj, rid: str) -> GroundTruthLabel:
         is_hallucinated=obj["is_hallucinated"],
         failure_class=obj.get("failure_class"),
         correct_answer=obj.get("correct_answer"),
-        extra=_extras(obj, _GT_KEYS),
     )
 
 
@@ -329,16 +298,13 @@ def record_to_json(record: GenerationRecord) -> dict:
         out["reference_claims"] = [_claim_to_json(c) for c in record.reference_claims]
     if record.ground_truth is not None:
         out["ground_truth"] = _gt_to_json(record.ground_truth)
-    out.update(record.extra)
     return out
 
 
 def _sample_to_json(sample: Sample) -> dict:
     out: dict = {"text": sample.text}
     if sample.token_dists is not None:
-        out["token_dists"] = [
-            {"labels": d.token_labels, "probs": d.probs, **d.extra} for d in sample.token_dists
-        ]
+        out["token_dists"] = [{"labels": d.token_labels, "probs": d.probs} for d in sample.token_dists]
     if sample.token_logprobs is not None:
         out["token_logprobs"] = sample.token_logprobs
     if sample.embedding is not None:
@@ -349,7 +315,6 @@ def _sample_to_json(sample: Sample) -> dict:
         out["answer"] = sample.answer
     if sample.self_confidence is not None:
         out["self_confidence"] = sample.self_confidence
-    out.update(sample.extra)
     return out
 
 
@@ -357,7 +322,6 @@ def _claim_to_json(claim: Claim) -> dict:
     out: dict = {"key": claim.key, "value": claim.value}
     if claim.unit is not None:
         out["unit"] = claim.unit
-    out.update(claim.extra)
     return out
 
 
@@ -367,7 +331,6 @@ def _gt_to_json(gt: GroundTruthLabel) -> dict:
         out["failure_class"] = gt.failure_class
     if gt.correct_answer is not None:
         out["correct_answer"] = gt.correct_answer
-    out.update(gt.extra)
     return out
 
 
@@ -404,6 +367,8 @@ def parse_records(stream) -> list[GenerationRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise RecordParseError(line_no, exc.msg) from exc
+        except RecursionError:
+            raise RecordParseError(line_no, "JSON nested too deeply") from None
         record = record_from_json(obj)
         diags = validate_record(record)
         if record.id in seen_ids:

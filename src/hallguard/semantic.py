@@ -30,28 +30,29 @@ One distinct row.  Every clustering runs ``_cluster_rows`` over the
 distinct rows and the row of each sample; ``cluster_embeddings`` finds the
 distinct rows by their bytes (after + 0.0, so -0.0 matches 0.0), and
 ``cluster_texts`` hands it the one vector of a list whose texts are all one
-string without stacking or re-checking it.  When there is one distinct row
-and the threshold is nonnegative, ``_cluster_rows`` knows the outcome
-without a distance matrix: one cluster when the row has a nonzero norm
-(every distance is 0, so every merge is taken), n singletons when its norm
-is 0 (a zero row, or one whose squares all underflow).  It is the common
-case, since confident answers agree.  A negative threshold, under which
-nothing merges, takes the general path, as does a NaN one.
+string without stacking or checking it (a ``default_embed`` vector is
+bucket counts divided by their finite norm, so it is finite).  When there is
+one distinct row and the threshold is nonnegative, ``_cluster_rows`` knows
+the outcome without a distance matrix: one cluster when the row has a
+nonzero norm (every distance is 0, so every merge is taken), n singletons
+when its norm is 0 (a zero row, or one whose squares all underflow).  It is
+the common case, since confident answers agree.  A negative threshold,
+under which nothing merges, takes the general path, as does a NaN one.
 
 Embedding sources.  A sample's stored ``embedding`` embeds its ``text`` and
 feeds semantic entropy only.  A valid record carries an embedding on every
 sample or on none (``records.validate_record``), so semantic entropy clusters
-either the stored vectors or ``embed_fn`` of every text, never a mix of the
-two spaces.  Consensus and the reasoning/answer decomposition always embed
-the answer and reasoning strings with ``embed_fn``.  The built-in default is a
-deterministic hashing bag-of-words embedder: dependency-free, order
-invariant, and good enough at desk scale where test texts are constructed to
-be lexically disjoint.
+either the stored vectors or ``default_embed`` of every text, never a mix of
+the two spaces.  Consensus and the reasoning/answer decomposition always embed
+the answer and reasoning strings with ``default_embed``: a deterministic
+hashing bag-of-words embedder, dependency-free, order invariant, and good
+enough at desk scale where test texts are constructed to be lexically
+disjoint.
 
 String inputs go through ``cluster_texts``, which embeds each distinct string
 once and remembers its last few results, so the clusterings that one record
 asks for with the same strings (on mock corpora the texts are the answers)
-run once.  ``embed_fn`` must therefore be a pure function of its argument.
+run once.
 """
 
 from __future__ import annotations
@@ -101,13 +102,13 @@ def _fnv1a(token: str) -> int:
     return h
 
 
-def default_embed(text: str, dim: int = EMBED_DIM) -> np.ndarray:
+def default_embed(text: str) -> np.ndarray:
     """Hashing bag-of-words embedding: lowercase whitespace tokens, FNV-1a
-    bucketed counts, L2-normalized.  Empty or whitespace-only text maps to
-    the zero vector."""
-    vec = np.zeros(dim, dtype=float)
+    bucketed counts over EMBED_DIM buckets, L2-normalized.  Empty or
+    whitespace-only text maps to the zero vector."""
+    vec = np.zeros(EMBED_DIM, dtype=float)
     for token in text.lower().split():
-        vec[_fnv1a(token) % dim] += 1.0
+        vec[_fnv1a(token) % EMBED_DIM] += 1.0
     norm = float(np.linalg.norm(vec))
     if norm > 0.0:
         vec /= norm
@@ -189,25 +190,19 @@ def _cluster_rows(distinct: np.ndarray, of_sample: list[int], threshold: float) 
 
 
 @functools.lru_cache(maxsize=8)
-def _cluster_texts(texts: tuple[str, ...], embed_fn, threshold: float) -> ClusterAssignment:
+def _cluster_texts(texts: tuple[str, ...], threshold: float) -> ClusterAssignment:
     distinct = dict.fromkeys(texts)
     if len(distinct) == 1:
-        v = np.asarray(embed_fn(texts[0]), dtype=float)
-        # squares that sum to a finite value are all finite: no further check
-        if v.ndim == 1 and math.isfinite(v @ v):
-            return _cluster_rows(v[None], [0] * len(texts), threshold)
-        vectors = {texts[0]: v}  # cluster_embeddings raises what it must
-    else:
-        vectors = {text: embed_fn(text) for text in distinct}
+        return _cluster_rows(default_embed(texts[0])[None], [0] * len(texts), threshold)
+    vectors = {text: default_embed(text) for text in distinct}
     return cluster_embeddings([vectors[text] for text in texts], threshold)
 
 
-def cluster_texts(texts, embed_fn=default_embed,
-                  threshold: float = DEFAULT_CLUSTER_THRESHOLD) -> ClusterAssignment:
-    """cluster_embeddings over embed_fn of each string.  Each distinct string
-    is embedded once, and a repeat of one of the last few calls is not
+def cluster_texts(texts, threshold: float = DEFAULT_CLUSTER_THRESHOLD) -> ClusterAssignment:
+    """cluster_embeddings over default_embed of each string.  Each distinct
+    string is embedded once, and a repeat of one of the last few calls is not
     clustered again."""
-    a = _cluster_texts(tuple(texts), embed_fn, threshold)
+    a = _cluster_texts(tuple(texts), threshold)
     # a copy, so that no caller can change what the next one receives
     return ClusterAssignment(list(a.cluster_of_sample), list(a.cluster_masses),
                              list(a.representatives))
@@ -218,15 +213,12 @@ def semantic_entropy(assignment: ClusterAssignment) -> float:
     return entropy_nats(assignment.cluster_masses)
 
 
-def semantic_entropy_of_record(
-    record: GenerationRecord,
-    embed_fn=default_embed,
-    threshold: float = DEFAULT_CLUSTER_THRESHOLD,
-) -> SemanticEntropyResult:
+def semantic_entropy_of_record(record: GenerationRecord,
+                               threshold: float = DEFAULT_CLUSTER_THRESHOLD) -> SemanticEntropyResult:
     """Sample -> embed -> cluster -> estimate, over one record's responses.
 
     Uses the stored embeddings when every sample carries one, otherwise
-    embed_fn over the texts.
+    default_embed over the texts.
     """
     if len(record.samples) < 2:
         raise CapabilityError("semantic entropy requires multiple generations")
@@ -234,5 +226,5 @@ def semantic_entropy_of_record(
         vectors = [np.asarray(s.embedding, dtype=float) for s in record.samples]
         assignment = cluster_embeddings(vectors, threshold)
     else:
-        assignment = cluster_texts([s.text for s in record.samples], embed_fn, threshold)
+        assignment = cluster_texts([s.text for s in record.samples], threshold)
     return SemanticEntropyResult(entropy=semantic_entropy(assignment), assignment=assignment)

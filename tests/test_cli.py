@@ -54,8 +54,13 @@ def test_analyze_empty_corpus_exits_2(tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
-def test_analyze_missing_file_exits_1(tmp_path, capsys):
-    assert main(["analyze", "--input", str(tmp_path / "nope.jsonl")]) == 1
+def test_analyze_missing_file_exits_1(mock_paths, tmp_path, capsys):
+    corpus, _, _ = mock_paths
+    for argv in (["--input", str(tmp_path / "nope.jsonl")],  # unreadable input
+                 ["--input", str(corpus), "--output", str(tmp_path / "nodir" / "a.json")]):  # unwritable output
+        assert main(["analyze", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot access file: ") and err.count("\n") == 1
 
 
 def test_analyze_corrupt_corpus_exits_2(tmp_path, capsys):
@@ -346,12 +351,14 @@ def test_repeated_runs_are_byte_identical(mock_paths, tmp_path):
         ('{"text": "a", "embedding": [1.0, 0.0]}, {"text": "b"}', "samples[1].embedding"),
         ('{"text": "a", "token_dists": [{"labels": [], "probs": []}]}, {"text": "b"}',
          "samples[0].token_dists[0].probs: must be nonempty"),
-        ('{"text": "a"}, {"text": "b"}], "reference_claims": [{"key": "k", "value": Infinity}',
-         "reference_claims[0].value: must be a finite number or a string"),
+        *(('{"text": "a"}, {"text": "b"}], "reference_claims": [{"key": "k", "value": %s}' % value,
+            "reference_claims[0].value: must be a finite number or a string")
+          for value in ("Infinity", "null", "true", "[1.0]", '{"a": 1}', "[" * 500 + "]" * 500)),
     ],
     ids=["nan-embedding", "embedding-lengths", "embedding-not-list", "nan-logprob",
          "int-answer", "list-reasoning", "list-token-label", "string-prob", "list-claim-key",
-         "partial-embedding", "empty-token-dist", "infinite-claim-value"],
+         "partial-embedding", "empty-token-dist", "infinite-claim-value", "null-claim-value",
+         "bool-claim-value", "list-claim-value", "object-claim-value", "deep-list-claim-value"],
 )
 def test_bad_sample_field_is_one_line_data_error(tmp_path, capsys, samples, path):
     corpus = tmp_path / "corpus.jsonl"
@@ -359,6 +366,25 @@ def test_bad_sample_field_is_one_line_data_error(tmp_path, capsys, samples, path
     assert main(["analyze", "--input", str(corpus)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid data: record 'r1': " + path) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, code", [
+    ("input", 2), ("config", 1), ("rules", 1), ("spec", 1), ("store", 2),
+])
+def test_deeply_nested_json_file_is_one_line_error(mock_paths, tmp_path, capsys, kind, code):
+    corpus, _, _ = mock_paths
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "\n")
+    argv = {
+        "input": ["analyze", "--input", str(deep)],
+        "config": ["pipeline", "--input", str(corpus), "--config", str(deep)],
+        "rules": ["pipeline", "--input", str(corpus), "--rules", str(deep)],
+        "spec": ["mockgen", "--spec", str(deep), "--out", str(tmp_path / "mock.jsonl")],
+        "store": ["factcheck", "--input", str(corpus), "--store", str(deep)],
+    }[kind]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nested too deeply" in err, err
 
 
 _SWEEP_RECORD = {

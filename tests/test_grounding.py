@@ -34,7 +34,7 @@ def test_load_rejects_malformed_json_and_shapes():
         load_fact_store("[1, 2]")
     with pytest.raises(FactStoreError):
         load_fact_store('{"k": {"unit": "%"}}')  # missing value
-    for value in ("NaN", "-Infinity", "9" * 400):
+    for value in ("NaN", "-Infinity", "9" * 400, "null", "true", "[1]", '{"a": 1}', "[" * 500 + "]" * 500):
         with pytest.raises(FactStoreError, match="'k'"):
             load_fact_store('{"k": {"value": %s}}' % value)
 

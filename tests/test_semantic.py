@@ -174,9 +174,11 @@ def test_matches_reference_loop_on_random_inputs():
     inputs.append([np.array([0.0, -0.0]), np.array([-0.0, 0.0]), np.array([0.0, 0.0])])
     inputs.append([np.array([1.0, 0.0]), np.array([1.0, -0.0])])
     inputs.append([np.array([1e-200, 0.0])] * 3)  # a norm that underflows to 0
-    for vectors in inputs:
-        for threshold in (0.0, 0.35, 2.0, -0.1):
-            assert cluster_embeddings(vectors, threshold) == reference_cluster(vectors, threshold)
+    inputs.append([np.full(3, 1e200)] * 3)  # finite, but its squared norm overflows
+    with np.errstate(over="ignore"):
+        for vectors in inputs:
+            for threshold in (0.0, 0.35, 2.0, -0.1):
+                assert cluster_embeddings(vectors, threshold) == reference_cluster(vectors, threshold)
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,50 +211,34 @@ def test_masses_sum_to_one_and_representatives_align():
 # --- cluster_texts ---
 
 
-def test_cluster_texts_embeds_each_distinct_string_once():
+def test_cluster_texts_embeds_each_distinct_string_once(monkeypatch):
     seen = []
 
     def embed(text):
         seen.append(text)
         return default_embed(text)
 
+    monkeypatch.setattr(semantic, "default_embed", embed)
+    semantic._cluster_texts.cache_clear()
     texts = ["rates up", "rates up", "rates down", "rates up"]
-    assert cluster_texts(texts, embed) == cluster_embeddings(
+    assert cluster_texts(texts) == cluster_embeddings(
         [default_embed(t) for t in texts], semantic.DEFAULT_CLUSTER_THRESHOLD
     )
     assert seen == ["rates up", "rates down"]
 
 
-def _huge_embed(text):
-    return np.full(3, 1e200)  # finite, but its squared norm overflows
-
-
 @pytest.mark.parametrize("threshold", [0.35, 0.0, -0.1, math.nan])
-@pytest.mark.parametrize("text, embed_fn", [
+@pytest.mark.parametrize("text, embed", [  # the vectors cluster_texts makes
     ("", default_embed),  # zero vectors: n singletons
     ("   ", default_embed),
     ("rates up", default_embed),  # one cluster
-    ("rates up", _huge_embed),
 ])
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_one_distinct_text_matches_the_general_path(text, embed_fn, threshold, n):
-    with np.errstate(over="ignore"):
-        vectors = [embed_fn(text)] * n
-        expected = cluster_embeddings(vectors, threshold)
-        assert cluster_texts([text] * n, embed_fn, threshold) == expected
-        assert expected == reference_cluster(vectors, threshold)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_one_distinct_text_rejects_a_non_finite_vector_as_the_general_path_does(bad):
-    def embed(text):
-        return np.array([1.0, bad])
-
-    with pytest.raises(ValueError) as general:
-        cluster_embeddings([embed("a")] * 3, semantic.DEFAULT_CLUSTER_THRESHOLD)
-    with pytest.raises(ValueError) as one_text:
-        cluster_texts(["a"] * 3, embed)
-    assert str(one_text.value) == str(general.value) == "vectors must be finite"
+def test_one_distinct_text_matches_the_general_path(text, embed, threshold, n):
+    vectors = [embed(text)] * n
+    expected = cluster_embeddings(vectors, threshold)
+    assert cluster_texts([text] * n, threshold) == expected
+    assert expected == reference_cluster(vectors, threshold)
 
 
 def test_detect_clusters_each_distinct_input_once(monkeypatch):

@@ -48,17 +48,21 @@ def test_cli_import_loads_no_calibration_mitigation_or_mockgen(tmp_path):
 
 def test_traced_mockgen_and_calibrate_record_their_spans(tmp_path):
     """The commands import these modules when they run; the traced run still
-    reads their spans by name."""
+    reads their spans by name.  The pipeline reaches the embedder through
+    the semantic module's global, which the tracer wraps."""
     spec = {"n_records": 12, "samples_per_record": 3, "true_temperature": 1.5,
             "inject_rates": {"model": 0.2, "context": 0.2, "data": 0.2}, "vocab_size": 5, "seed": 1}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     tracing = _load_tracing()
-    for argv, names in (
+    for argv, calls in (
         (["mockgen", "--spec", "spec.json", "--out", "corpus.jsonl", "--store-out", "store.json"],
-         ("mockgen.generate_corpus", "mockgen.generate_fact_store")),
+         {"mockgen.generate_corpus": 1, "mockgen.generate_fact_store": 1}),
         (["calibrate", "--input", "corpus.jsonl", "--kind", "temperature", "--output", "t.json"],
-         ("calibration.fit_temperature",)),
+         {"calibration.fit_temperature": 1}),
+        # one embedding per distinct string of each clustered list
+        (["pipeline", "--input", "corpus.jsonl", "--store", "store.json", "--output", "ledger.json"],
+         {"pipeline.detect": 12, "semantic.default_embed": 19}),
     ):
         _run([str(TRACING_PY), "spans.json", "--", *argv], tmp_path)
         stats = tracing.summarize(json.loads((tmp_path / "spans.json").read_text())["spans"])
-        assert all(stats[name]["calls"] == 1 for name in names)
+        assert {name: stats[name]["calls"] for name in calls} == calls
