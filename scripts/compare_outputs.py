@@ -11,9 +11,12 @@ both trees run analyze (json and md), pipeline (to a file, md to stdout, json
 to stdout), race, factcheck, calibrate (temperature and isotonic), mockgen,
 and chunk on a text file of the corpus prompts, then analyze and pipeline
 again on a tagged copy of the corpus, which adds one unknown key to every
-record, sample, token distribution, claim and ground truth.  Each command's
-output files, stdout, stderr and exit code are compared, with every line that
-holds a ledger ``"timestamp"`` dropped.  Each file that differs is printed, and the
+record, sample, token distribution, claim and ground truth.  Last, analyze,
+pipeline, race and factcheck run on an escaped copy, whose record ids, claim
+keys and store keys start with characters that JSON escapes (a quote, a
+backslash, a tab and U+2028) and a non-ASCII letter.  Each command's output
+files, stdout, stderr and exit code are compared, with every line that holds
+a ledger ``"timestamp"`` dropped.  Each file that differs is printed, and the
 exit code is 1 when any does.
 """
 
@@ -30,8 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# name -> CLI arguments; {in}, {tagged}, {store}, {spec} and {text} name the
-# corpus files and {out} the directory the outputs go to
+# name -> CLI arguments; {in}, {tagged}, {escaped}, {store}, {escaped_store},
+# {spec} and {text} name the corpus files and {out} the directory the outputs
+# go to
 COMMANDS = {
     "analyze-json": "analyze --input {in} --store {store} --output {out}/analyze.json",
     "analyze-md": "analyze --input {in} --store {store} --format md --output {out}/analyze.md",
@@ -46,9 +50,14 @@ COMMANDS = {
     "chunk": "chunk --input {text} --target-size 200 --output {out}/chunks.json",
     "analyze-tagged": "analyze --input {tagged} --store {store} --output {out}/analyze-tagged.json",
     "pipeline-tagged": "pipeline --input {tagged} --store {store} --output {out}/ledger-tagged.json",
+    "analyze-escaped": "analyze --input {escaped} --store {escaped_store} --output {out}/analyze-escaped.json",
+    "pipeline-escaped": "pipeline --input {escaped} --store {escaped_store} --output {out}/ledger-escaped.json",
+    "race-escaped": "race --input {escaped} --output {out}/race-escaped.json",
+    "factcheck-escaped": "factcheck --input {escaped} --store {escaped_store} --output {out}/factcheck-escaped.json",
 }
 
 UNKNOWN_KEY = {"x_unknown": {"note": "carries no meaning", "n": [1, 2.5]}}
+ESCAPED_PREFIX = '"\\\u00e9\t\u2028'
 
 
 def tagged(record: dict) -> dict:
@@ -60,6 +69,15 @@ def tagged(record: dict) -> dict:
         parts.append(record["ground_truth"])
     for part in parts:
         part.update(UNKNOWN_KEY)
+    return record
+
+
+def escaped(record: dict) -> dict:
+    """The record with ESCAPED_PREFIX before its id (a ``.retry`` id keeps its
+    suffix and still names its base) and before every claim key."""
+    record["id"] = ESCAPED_PREFIX + record["id"]
+    for claim in record.get("reference_claims") or []:
+        claim["key"] = ESCAPED_PREFIX + claim["key"]
     return record
 
 
@@ -79,6 +97,11 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
         (d / "prompts.txt").write_text("\n".join(r["prompt"] for r in records) + "\n", encoding="utf-8")
         (d / "tagged.jsonl").write_text("".join(json.dumps(tagged(r)) + "\n" for r in records),
                                         encoding="utf-8")
+        records = [json.loads(line) for line in corpus.corpus_bytes.splitlines()]  # untagged
+        (d / "escaped.jsonl").write_text("".join(json.dumps(escaped(r)) + "\n" for r in records),
+                                         encoding="utf-8")
+        store = {ESCAPED_PREFIX + key: entry for key, entry in corpus.store.items()}
+        (d / "escaped-store.json").write_text(json.dumps(store))
 
 
 def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
@@ -88,7 +111,8 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
         out = outputs / corpus.name
         out.mkdir(parents=True)
         paths = {"in": corpus / "corpus.jsonl", "tagged": corpus / "tagged.jsonl",
-                 "store": corpus / "store.json", "spec": corpus / "spec.json",
+                 "escaped": corpus / "escaped.jsonl", "store": corpus / "store.json",
+                 "escaped_store": corpus / "escaped-store.json", "spec": corpus / "spec.json",
                  "text": corpus / "prompts.txt", "out": out}
         for name, template in COMMANDS.items():
             argv = [arg.format(**paths) for arg in template.split()]

@@ -14,7 +14,6 @@ empty input, insufficient fit data).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .pipeline import (
     read_json_file,
     run_cycle,
     signal_value,
-    to_json,
+    write_json,
 )
 from .records import (
     GenerationRecord,
@@ -65,8 +64,14 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
 
 
-def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2)
+def _emit_json(write, report, output: str | None) -> None:
+    """Stream a report with write (write_json or ledger_to_json) to output,
+    or to stdout when it is None; the file is opened only now."""
+    if output is None:
+        write(report, sys.stdout)
+    else:
+        with open(output, "w", encoding="utf-8") as fp:
+            write(report, fp)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +102,7 @@ def cmd_analyze(args) -> int:
     if args.format == "md":
         _emit(_analyze_markdown(signals, aggregates), args.output)
     else:
-        _emit(_json_dumps({"records": to_json(signals), "aggregates": aggregates}), args.output)
+        _emit_json(write_json, {"records": signals, "aggregates": aggregates}, args.output)
     return EXIT_OK
 
 
@@ -155,7 +160,7 @@ def cmd_calibrate(args) -> int:
         model = fit_isotonic(pairs)
         sse = sum((float(y) - apply_isotonic(model, s)) ** 2 for s, y in pairs)
         print(f"fitted isotonic map with {len(model.breakpoints)} breakpoints sse={sse:.5f} n={len(pairs)}")
-    _emit(_json_dumps(calibration_map_to_json(model)), args.output)
+    _emit_json(write_json, calibration_map_to_json(model), args.output)
     return EXIT_OK
 
 
@@ -169,10 +174,10 @@ def cmd_race(args) -> int:
     for rec in records:
         try:
             report = race_metrics(rec, cluster_threshold=cfg.cluster_threshold)
-            rows.append({"record_id": rec.id, "race": to_json(report)})
+            rows.append({"record_id": rec.id, "race": report})
         except CapabilityError as exc:
             rows.append({"record_id": rec.id, "race": None, "skipped": str(exc)})
-    _emit(_json_dumps({"records": rows}), args.output)
+    _emit_json(write_json, {"records": rows}, args.output)
     return EXIT_OK
 
 
@@ -188,8 +193,8 @@ def cmd_factcheck(args) -> int:
     for rec in records:
         verdicts = check_claims(rec.reference_claims or [], store, cfg.fact_rel_tol, cfg.fact_abs_tol)
         mismatches += sum(1 for v in verdicts if v.status == STATUS_MISMATCH)
-        rows.append({"record_id": rec.id, "verdicts": to_json(verdicts)})
-    _emit(_json_dumps({"records": rows, "mismatches": mismatches}), args.output)
+        rows.append({"record_id": rec.id, "verdicts": verdicts})
+    _emit_json(write_json, {"records": rows, "mismatches": mismatches}, args.output)
     return EXIT_OK
 
 
@@ -212,12 +217,12 @@ def cmd_pipeline(args) -> int:
         print("warning: no fact store supplied; data-tier fact rules will not fire", file=sys.stderr)
     ledger = run_cycle(records, cfg, store)
     if args.output is not None:
-        _emit(_json_dumps(ledger_to_json(ledger)), args.output)
+        _emit_json(ledger_to_json, ledger, args.output)
         _emit(ledger_to_markdown(ledger), str(Path(args.output).with_suffix(".md")))
     elif args.format == "md":
         _emit(ledger_to_markdown(ledger), None)
     else:
-        _emit(_json_dumps(ledger_to_json(ledger)), None)
+        _emit_json(ledger_to_json, ledger, None)
     return EXIT_OK
 
 
@@ -232,9 +237,7 @@ def cmd_mockgen(args) -> int:
     Path(args.out).write_bytes(write_records(records))
     if args.store_out:
         store = generate_fact_store(spec)
-        Path(args.store_out).write_text(
-            _json_dumps(fact_store_to_json(store)) + "\n", encoding="utf-8"
-        )
+        _emit_json(write_json, fact_store_to_json(store), args.store_out)
     print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
 
@@ -255,7 +258,7 @@ def cmd_chunk(args) -> int:
             for c in chunks
         ]
     }
-    _emit(_json_dumps(payload), args.output)
+    _emit_json(write_json, payload, args.output)
     return EXIT_OK
 
 

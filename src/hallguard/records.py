@@ -148,6 +148,8 @@ def _validate_sample(sample: Sample, path: str, diags: list[Diagnostic]) -> None
             if not _is_number(lp) or not lp <= 0.0:  # NaN fails <= too
                 diags.append(Diagnostic(f"{path}.token_logprobs[{j}]", "log-probability must be <= 0"))
     emb = sample.embedding
+    if emb is not None and not emb:
+        diags.append(Diagnostic(f"{path}.embedding", "must be nonempty"))
     # plain JSON floats pass in two C-level passes; anything else gets the
     # exact check, which names the first bad entry
     if emb is not None and not (set(map(type, emb)) <= {float} and all(map(math.isfinite, emb))):

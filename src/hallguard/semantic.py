@@ -36,7 +36,11 @@ one distinct row and the threshold is nonnegative, ``_cluster_rows`` knows
 the outcome without a distance matrix: one cluster when the row has a
 nonzero norm (every distance is 0, so every merge is taken), n singletons
 when its norm is 0 (a zero row, or one whose squares all underflow).  It is
-the common case, since confident answers agree.  A negative threshold,
+the common case, since confident answers agree.  With more distinct rows,
+when the largest distance lies below the threshold by more than the
+rounding of a computed linkage (n^2 * 2^-52 relative), every merge is taken
+too, so the answer is one cluster without the merge loop.  A zero row makes
+the largest distance infinite and takes the loop.  A negative threshold,
 under which nothing merges, takes the general path, as does a NaN one.
 
 Embedding sources.  A sample's stored ``embedding`` embeds its ``text`` and
@@ -160,7 +164,13 @@ def _cluster_rows(distinct: np.ndarray, of_sample: list[int], threshold: float) 
             return ClusterAssignment([0] * n, [1.0], [0])
         return ClusterAssignment(list(range(n)), [1 / n] * n, list(range(n)))
 
-    sums = _distances(distinct)[np.ix_(of_sample, of_sample)]  # summed pairwise distance between clusters
+    d = _distances(distinct)
+    # a computed linkage is a sum of at most n^2 of these distances over a
+    # size product, so it exceeds the largest by less than n^2 * 2^-52
+    # relative; the largest that far under the threshold takes every merge
+    if threshold >= 0.0 and d.max() <= threshold * (1.0 - n * n * 2.0**-52):
+        return ClusterAssignment([0] * n, [1.0], [0])
+    sums = d[np.ix_(of_sample, of_sample)]  # summed pairwise distance between clusters
     size = np.ones(n, dtype=int)
     # a pair (a, b) is a candidate while a < b and both clusters are alive
     barred = np.tri(n, dtype=bool)

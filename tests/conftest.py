@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import io
+import json
+
+from hallguard.pipeline import write_json
 from hallguard.records import Claim, GenerationRecord, GroundTruthLabel, Sample, TokenDistribution
 
 
@@ -57,3 +61,10 @@ def make_ground_truth(is_hallucinated, failure_class=None, correct_answer=None) 
         failure_class=failure_class,
         correct_answer=correct_answer,
     )
+
+
+def decoded(obj):
+    """obj as write_json writes it, read back with json.loads."""
+    out = io.StringIO()
+    write_json(obj, out)
+    return json.loads(out.getvalue())

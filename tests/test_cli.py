@@ -7,8 +7,10 @@ import pytest
 from hallguard.cli import main
 from hallguard.mockgen import MockSpec, generate_corpus, generate_fact_store
 from hallguard.grounding import fact_store_to_json
-from hallguard.pipeline import default_rules, to_json
+from hallguard.pipeline import default_rules
 from hallguard.records import write_records
+
+from conftest import decoded
 
 
 @pytest.fixture
@@ -186,7 +188,7 @@ def test_pipeline_bad_rules_file_names_offender(mock_paths, tmp_path, capsys):
 def test_pipeline_accepts_custom_rules(mock_paths, tmp_path):
     corpus, store, _ = mock_paths
     rules = tmp_path / "rules.json"
-    rules.write_text(json.dumps(to_json(default_rules())))
+    rules.write_text(json.dumps(decoded(default_rules())))
     out = tmp_path / "ledger.json"
     assert main([
         "pipeline", "--input", str(corpus), "--store", str(store),
@@ -268,7 +270,7 @@ def test_config_file_controls_knobs(mock_paths, tmp_path):
 def test_bad_config_value_is_one_line_usage_error(mock_paths, tmp_path, capsys, text):
     corpus, _, _ = mock_paths
     rules = tmp_path / "rules.json"
-    rules.write_text(json.dumps(to_json(default_rules())))
+    rules.write_text(json.dumps(decoded(default_rules())))
     config = tmp_path / "config.json"
     config.write_text(text.replace("RULES", json.dumps(str(rules))))
     assert main(["race", "--input", str(corpus), "--config", str(config)]) == 1
@@ -349,6 +351,8 @@ def test_repeated_runs_are_byte_identical(mock_paths, tmp_path):
         ('{"text": "a"}, {"text": "b"}], "reference_claims": [{"key": ["k"], "value": 1.0}',
          "reference_claims[0].key"),
         ('{"text": "a", "embedding": [1.0, 0.0]}, {"text": "b"}', "samples[1].embedding"),
+        ('{"text": "x", "embedding": []}, {"text": "x", "embedding": []}',
+         "samples[0].embedding: must be nonempty"),
         ('{"text": "a", "token_dists": [{"labels": [], "probs": []}]}, {"text": "b"}',
          "samples[0].token_dists[0].probs: must be nonempty"),
         *(('{"text": "a"}, {"text": "b"}], "reference_claims": [{"key": "k", "value": %s}' % value,
@@ -357,7 +361,7 @@ def test_repeated_runs_are_byte_identical(mock_paths, tmp_path):
     ],
     ids=["nan-embedding", "embedding-lengths", "embedding-not-list", "nan-logprob",
          "int-answer", "list-reasoning", "list-token-label", "string-prob", "list-claim-key",
-         "partial-embedding", "empty-token-dist", "infinite-claim-value", "null-claim-value",
+         "partial-embedding", "empty-embedding", "empty-token-dist", "infinite-claim-value", "null-claim-value",
          "bool-claim-value", "list-claim-value", "object-claim-value", "deep-list-claim-value"],
 )
 def test_bad_sample_field_is_one_line_data_error(tmp_path, capsys, samples, path):
@@ -484,7 +488,7 @@ def test_config_and_rules_sweep_is_value_or_one_line_error(tmp_path, capsys):
                "--store-out", str(tmp_path / "mock-store.json")]
     failures = []
     for command, path, full in ((pipeline + ["--config", str(config)], config, _SWEEP_CONFIG),
-                                (pipeline + ["--rules", str(rules)], rules, to_json(default_rules())),
+                                (pipeline + ["--rules", str(rules)], rules, decoded(default_rules())),
                                 (mockgen + ["--spec", str(spec)], spec, _SWEEP_SPEC)):
         texts = [json.dumps(full), "{not json", ""]
         texts += [json.dumps(value) for value in _SWEEP_VALUES]

@@ -1,12 +1,27 @@
-import pytest
+import io
+import json
+import math
+from dataclasses import is_dataclass
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hallguard import pipeline
+from hallguard.consistency import RaceReport
 from hallguard.errors import ConfigError
-from hallguard.grounding import FactEntry, FactStore
+from hallguard.grounding import ClaimVerdict, FactEntry, FactStore
 from hallguard.pipeline import (
     SIGNALS,
+    CycleLedger,
     DetectionSignals,
+    LedgerEntry,
     PipelineConfig,
     RouterRule,
+    TierVerdict,
+    Validation,
     default_rules,
     detect,
     ledger_to_json,
@@ -15,12 +30,12 @@ from hallguard.pipeline import (
     route,
     run_cycle,
     signal_value,
-    to_json,
     validate,
+    write_json,
 )
 from hallguard.records import GenerationRecord, Sample
 
-from conftest import make_claim, make_dist, make_record
+from conftest import decoded, make_claim, make_dist, make_record
 
 
 STORE = FactStore(entries={"rate": FactEntry(value=5.0)})
@@ -155,7 +170,7 @@ def test_route_threshold_monotonicity():
 
 def test_rules_round_trip():
     rules = default_rules()
-    assert load_rules(to_json(rules)) == rules
+    assert load_rules(decoded(rules)) == rules
 
 
 @pytest.mark.parametrize(
@@ -309,7 +324,9 @@ def test_cycle_routes_with_config_rules():
 
 def test_ledger_json_shape():
     ledger = run_cycle([_clean_record(), _noisy_record()], clock=lambda: 123.0)
-    payload = ledger_to_json(ledger)
+    out = io.StringIO()
+    ledger_to_json(ledger, out)
+    payload = json.loads(out.getvalue())
     assert {e["record_id"] for e in payload["entries"]} == {"c1", "n1"}
     entry = payload["entries"][0]
     assert set(entry) == {"record_id", "signals", "verdict", "action_taken", "outcome", "timestamp"}
@@ -320,7 +337,7 @@ def test_ledger_json_shape():
 
 
 def test_signals_json_keeps_every_field():
-    payload = to_json(_signals(h_p_mean=0.5))
+    payload = decoded(_signals(h_p_mean=0.5))
     assert set(payload) == {
         "record_id",
         "h_p_mean",
@@ -331,3 +348,105 @@ def test_signals_json_keeps_every_field():
         "fact_verdicts",
     }
 
+
+
+def _written(obj) -> str:
+    out = io.StringIO()
+    write_json(obj, out)
+    return out.getvalue()
+
+
+# strings with escapes, non-ASCII text, control characters, lone surrogates
+# and U+2028, which json writes as escapes
+_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                          st.sampled_from(['"', "\\", "\t", "\n", "\x00", "\x1f", "\x7f", "é",
+                                           "\u2028", "\u2029", "\ud800", "\udfff", "\U0001f600"])))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-(2**64), min_value=-(2**200)), st.floats(), _TEXT,
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(_TEXT, inner)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_VALUES)
+@example(value=[math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7])
+@example(value={"": [], "a": {}, "b": [[], {}, [[]]], "\u2028\ud800": {"x": ["\x00"]}})
+@example(value=[2**64, -(2**64) - 1, 10**40, True, False, None])
+def test_write_json_matches_json_dumps(value):
+    expected = json.dumps(value, indent=2) + "\n"
+    assert _written(value) == expected
+    with mock.patch.object(pipeline, "_FLUSH_PIECES", 1):  # a write after every nested element
+        assert _written(value) == expected
+
+
+def _reference_tree(obj):
+    """The dict tree that json.dumps encodes into what write_json writes:
+    dataclass fields in order, a TierVerdict's None validation left out."""
+    if is_dataclass(obj):
+        return {k: _reference_tree(v) for k, v in vars(obj).items()
+                if not (isinstance(obj, TierVerdict) and k == "validation" and v is None)}
+    if isinstance(obj, list):
+        return [_reference_tree(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _reference_tree(v) for k, v in obj.items()}
+    return obj
+
+
+def _report_values():
+    race = RaceReport(h_reasoning=0.9, h_answer=0.1, h_joint=1.0, mutual_information=0.2,
+                      mutual_information_raw=-1e-17, flag_right_answer_wrong_reasoning=True)
+    verdicts = [ClaimVerdict("rate", 4.25, 5.0, "mismatch"), ClaimVerdict("ceo", "Ann", None, "unknown"),
+                ClaimVerdict("n", 3, 3, "match")]
+    before = DetectionSignals("r1", h_p_mean=np.float64(1.25), h_s=0.0, consensus_support=0.4,
+                              self_confidence=None, race=race, fact_verdicts=verdicts)
+    after = DetectionSignals("r1", h_p_mean=0.5, fact_verdicts=[])
+    validated = TierVerdict("r1", ["high_token_entropy", "fact_mismatch"], "model",
+                            ["temperature_calibration"], Validation(before, after, improved=False))
+    pending = TierVerdict("r2", ["low_consensus"], "model", [])
+    passed = TierVerdict("r3", [], None, [])
+    ledger = CycleLedger(
+        entries=[LedgerEntry("r1", before, validated, "validated_retry", "not_improved", 1.5),
+                 LedgerEntry("r2", after, pending, "flagged_for_external_mitigation", "pending", 2.0),
+                 LedgerEntry("r3", DetectionSignals("r3"), passed, "none", "pass", 1e9)],
+        summary={"total": 3, "pass": 1, "model": 2, "context": 0, "data": 0, "tiered": 2, "residuals": 1},
+    )
+    return [before, after, race, verdicts, validated, pending, ledger, CycleLedger([], {}),
+            {"records": [before, after], "aggregates": {"h_s_avg": None, "n": np.float64(2.0)}}]
+
+
+@pytest.mark.parametrize("value", _report_values())
+def test_write_json_encodes_report_dataclasses(value):
+    assert _written(value) == json.dumps(_reference_tree(value), indent=2) + "\n"
+
+
+def test_write_json_leaves_out_only_a_verdicts_absent_validation():
+    payload = json.loads(_written(_report_values()[6]))
+    verdicts = [e["verdict"] for e in payload["entries"]]
+    assert ["validation" in v for v in verdicts] == [True, False, False]
+    assert verdicts[2]["tier"] is None
+    assert payload["entries"][0]["signals"]["self_confidence"] is None
+
+
+def test_ledger_to_json_streams_in_chunks():
+    entries = [LedgerEntry(f"r{i}", DetectionSignals(f"r{i}", h_p_mean=i / 7), TierVerdict(f"r{i}", [], None, []),
+                           "none", "pass", float(i)) for i in range(3000)]
+    ledger = CycleLedger(entries, {"total": 3000})
+    chunks = []
+    writer = mock.Mock(write=chunks.append)
+    ledger_to_json(ledger, writer)
+    text = "".join(chunks)
+    assert text == json.dumps(_reference_tree(ledger), indent=2) + "\n"
+    assert len(chunks) > 10 and max(map(len, chunks)) < len(text) / 10
+
+
+@pytest.mark.parametrize("value", [
+    object(), {"a": {1, 2}}, [np.int64(1)], {"flag": np.bool_(True)}, [np.array([1.0])], {1: "a"},
+])
+def test_write_json_rejects_what_it_cannot_encode(value):
+    with pytest.raises(TypeError):
+        _written(value)

@@ -181,6 +181,21 @@ def test_matches_reference_loop_on_random_inputs():
                 assert cluster_embeddings(vectors, threshold) == reference_cluster(vectors, threshold)
 
 
+def test_matches_reference_loop_near_the_threshold():
+    """The threshold 1e-12 above or below the largest distance.  Above it,
+    every merge is taken and the answer comes without the merge loop; below
+    it, the loop decides."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n, dim = int(rng.integers(2, 13)), int(rng.integers(2, 6))
+        center = rng.normal(size=dim)
+        vectors = [center + rng.normal(scale=float(rng.uniform(0.05, 1.0)), size=dim) for _ in range(n)]
+        largest = float(semantic._distances(np.stack(vectors)).max())
+        for threshold in (largest - 1e-12, largest + 1e-12):
+            assert cluster_embeddings(vectors, threshold) == reference_cluster(vectors, threshold)
+        assert cluster_embeddings(vectors, largest + 1e-12).cluster_masses == [1.0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**16),

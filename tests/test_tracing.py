@@ -59,9 +59,10 @@ def test_traced_mockgen_and_calibrate_record_their_spans(tmp_path):
          {"mockgen.generate_corpus": 1, "mockgen.generate_fact_store": 1}),
         (["calibrate", "--input", "corpus.jsonl", "--kind", "temperature", "--output", "t.json"],
          {"calibration.fit_temperature": 1}),
-        # one embedding per distinct string of each clustered list
+        # one embedding per distinct string of each clustered list; the
+        # ledger is written through the name the benchmark times
         (["pipeline", "--input", "corpus.jsonl", "--store", "store.json", "--output", "ledger.json"],
-         {"pipeline.detect": 12, "semantic.default_embed": 19}),
+         {"pipeline.detect": 12, "semantic.default_embed": 19, "pipeline.ledger_to_json": 1}),
     ):
         _run([str(TRACING_PY), "spans.json", "--", *argv], tmp_path)
         stats = tracing.summarize(json.loads((tmp_path / "spans.json").read_text())["spans"])
