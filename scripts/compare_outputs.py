@@ -11,13 +11,16 @@ both trees run analyze (json and md), pipeline (to a file, md to stdout, json
 to stdout), race, factcheck, calibrate (temperature and isotonic), mockgen,
 and chunk on a text file of the corpus prompts, then analyze and pipeline
 again on a tagged copy of the corpus, which adds one unknown key to every
-record, sample, token distribution, claim and ground truth.  Last, analyze,
+record, sample, token distribution, claim and ground truth.  Then analyze,
 pipeline, race and factcheck run on an escaped copy, whose record ids, claim
 keys and store keys start with characters that JSON escapes (a quote, a
-backslash, a tab and U+2028) and a non-ASCII letter.  Each command's output
-files, stdout, stderr and exit code are compared, with every line that holds
-a ledger ``"timestamp"`` dropped.  Each file that differs is printed, and the
-exit code is 1 when any does.
+backslash, a tab and U+2028) and a non-ASCII letter.  Last come the error
+paths: analyze, pipeline, race and factcheck on an empty corpus, on the
+corpus's first two lines with the second cut in half, and on its first record
+with no samples, and analyze, pipeline and factcheck with the store cut in
+half.  Each command's output files, stdout, stderr and exit code are
+compared, with every line that holds a ledger ``"timestamp"`` dropped.  Each
+file that differs is printed, and the exit code is 1 when any does.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # name -> CLI arguments; {in}, {tagged}, {escaped}, {store}, {escaped_store},
-# {spec} and {text} name the corpus files and {out} the directory the outputs
-# go to
+# {spec}, {text} and the bad inputs {empty}, {malformed}, {invalid} and
+# {bad_store} name the corpus files and {out} the directory the outputs go to
 COMMANDS = {
     "analyze-json": "analyze --input {in} --store {store} --output {out}/analyze.json",
     "analyze-md": "analyze --input {in} --store {store} --format md --output {out}/analyze.md",
@@ -55,6 +58,12 @@ COMMANDS = {
     "race-escaped": "race --input {escaped} --output {out}/race-escaped.json",
     "factcheck-escaped": "factcheck --input {escaped} --store {escaped_store} --output {out}/factcheck-escaped.json",
 }
+for bad in ("empty", "malformed", "invalid"):
+    for command in ("analyze", "pipeline", "race"):
+        COMMANDS[f"{command}-{bad}"] = f"{command} --input {{{bad}}}"
+    COMMANDS[f"factcheck-{bad}"] = f"factcheck --input {{{bad}}} --store {{store}}"
+for command in ("analyze", "pipeline", "factcheck"):
+    COMMANDS[f"{command}-bad-store"] = f"{command} --input {{in}} --store {{bad_store}}"
 
 UNKNOWN_KEY = {"x_unknown": {"note": "carries no meaning", "n": [1, 2.5]}}
 ESCAPED_PREFIX = '"\\\u00e9\t\u2028'
@@ -102,6 +111,12 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
                                          encoding="utf-8")
         store = {ESCAPED_PREFIX + key: entry for key, entry in corpus.store.items()}
         (d / "escaped-store.json").write_text(json.dumps(store))
+        lines = corpus.corpus_bytes.splitlines(keepends=True)
+        (d / "empty.jsonl").write_bytes(b"")
+        (d / "malformed.jsonl").write_bytes(lines[0] + lines[1][: len(lines[1]) // 2] + b"\n")
+        (d / "invalid.jsonl").write_text(json.dumps(dict(json.loads(lines[0]), samples=[])) + "\n")
+        store_text = json.dumps(corpus.store)
+        (d / "bad-store.json").write_text(store_text[: len(store_text) // 2])
 
 
 def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
@@ -113,7 +128,9 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
         paths = {"in": corpus / "corpus.jsonl", "tagged": corpus / "tagged.jsonl",
                  "escaped": corpus / "escaped.jsonl", "store": corpus / "store.json",
                  "escaped_store": corpus / "escaped-store.json", "spec": corpus / "spec.json",
-                 "text": corpus / "prompts.txt", "out": out}
+                 "text": corpus / "prompts.txt", "empty": corpus / "empty.jsonl",
+                 "malformed": corpus / "malformed.jsonl", "invalid": corpus / "invalid.jsonl",
+                 "bad_store": corpus / "bad-store.json", "out": out}
         for name, template in COMMANDS.items():
             argv = [arg.format(**paths) for arg in template.split()]
             proc = subprocess.run([sys.executable, "-m", "hallguard.cli", *argv],

@@ -4,8 +4,8 @@ Measurement: expected calibration error over equal-width confidence bins.
 Correction: scalar temperature scaling fitted by NLL minimization, isotonic
 regression via pool-adjacent-violators, and self-evaluation vote pooling.
 
-Fitted calibrators serialize to a small JSON map (see calibration_map_to_json)
-so the CLI can persist and reload them.
+Fitted calibrators serialize to a small JSON map (see calibration_map_to_json),
+which `hallguard calibrate` writes; no command reads a map back yet.
 """
 
 from __future__ import annotations
@@ -177,13 +177,6 @@ def apply_temperature(logits, T: float) -> np.ndarray:
     return e / e.sum()
 
 
-def calibrated_token_entropy(dist_logits, T: float) -> float:
-    """Entropy (nats) of the temperature-scaled distribution of one position."""
-    from .uncertainty import entropy_nats
-
-    return entropy_nats(apply_temperature(dist_logits, T))
-
-
 def mc_calibrated_mean(pass_logits, T: float) -> np.ndarray:
     """Mean of per-pass temperature-scaled softmaxes over M stochastic passes."""
     if len(pass_logits) < 1:
@@ -267,20 +260,21 @@ def calibration_map_to_json(model) -> dict:
     raise TypeError(f"not a calibration model: {type(model).__name__}")
 
 
-def calibration_map_from_json(obj: dict):
-    kind = obj.get("kind")
-    if kind == "temperature":
-        return TemperatureModel(T=float(obj["T"]), fit_nll=float(obj["fit_nll"]), n_fit=int(obj["n_fit"]))
-    if kind == "isotonic":
-        return IsotonicModel(
-            breakpoints=[float(x) for x in obj["breakpoints"]],
-            values=[float(x) for x in obj["values"]],
-        )
-    raise ValueError(f"unknown calibration map kind: {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Corpus bridges: pull fit data out of generation records
+
+
+def _first_labeled_dist(rec: GenerationRecord):
+    """The first scored position of the first sample and the correct answer,
+    or None when the record has no label, no such position, no probabilities
+    there, or the label is not among its tokens."""
+    gt = rec.ground_truth
+    if gt is None or gt.correct_answer is None or not rec.samples or not rec.samples[0].token_dists:
+        return None
+    dist = rec.samples[0].token_dists[0]
+    if len(dist.probs) == 0 or gt.correct_answer not in dist.token_labels:
+        return None
+    return dist, gt.correct_answer
 
 
 def logit_label_pairs(records: list[GenerationRecord]):
@@ -292,20 +286,15 @@ def logit_label_pairs(records: list[GenerationRecord]):
     """
     logit_sets, labels = [], []
     for rec in records:
-        gt = rec.ground_truth
-        if gt is None or gt.correct_answer is None or not rec.samples:
+        found = _first_labeled_dist(rec)
+        if found is None:
             continue
-        sample = rec.samples[0]
-        if not sample.token_dists:
-            continue
-        dist = sample.token_dists[0]
-        if gt.correct_answer not in dist.token_labels:
-            continue
+        dist, answer = found
         probs = np.asarray(dist.probs, dtype=float)
-        if probs.size == 0 or np.any(probs <= 0.0):
+        if np.any(probs <= 0.0):
             continue
         logit_sets.append(np.log(probs))
-        labels.append(dist.token_labels.index(gt.correct_answer))
+        labels.append(dist.token_labels.index(answer))
     return logit_sets, labels
 
 
@@ -314,15 +303,10 @@ def score_outcome_pairs(records: list[GenerationRecord]):
     of the first scored position, correctness is argmax against the label."""
     pairs = []
     for rec in records:
-        gt = rec.ground_truth
-        if gt is None or gt.correct_answer is None or not rec.samples:
+        found = _first_labeled_dist(rec)
+        if found is None:
             continue
-        sample = rec.samples[0]
-        if not sample.token_dists:
-            continue
-        dist = sample.token_dists[0]
-        if not dist.probs or gt.correct_answer not in dist.token_labels:
-            continue
+        dist, answer = found
         top = int(np.argmax(dist.probs))
-        pairs.append((float(dist.probs[top]), dist.token_labels[top] == gt.correct_answer))
+        pairs.append((float(dist.probs[top]), dist.token_labels[top] == answer))
     return pairs

@@ -21,7 +21,7 @@ from pathlib import Path
 # runs each, so analyze, pipeline, race and factcheck never load them
 from .consistency import race_metrics
 from .errors import CapabilityError, ConfigError
-from .grounding import STATUS_MISMATCH, FactStoreError, check_claims, fact_store_to_json, load_fact_store
+from .grounding import STATUS_MISMATCH, check_claims, fact_store_to_json, load_fact_store
 from .pipeline import (
     detect,
     ledger_to_json,
@@ -33,13 +33,7 @@ from .pipeline import (
     signal_value,
     write_json,
 )
-from .records import (
-    GenerationRecord,
-    RecordParseError,
-    RecordValidationError,
-    parse_records,
-    write_records,
-)
+from .records import GenerationRecord, parse_records, write_records
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,21 +51,18 @@ def _read_corpus(path: str) -> list[GenerationRecord]:
     return parse_records(Path(path).read_bytes())
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        Path(output).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
-
-
-def _emit_json(write, report, output: str | None) -> None:
-    """Stream a report with write (write_json or ledger_to_json) to output,
-    or to stdout when it is None; the file is opened only now."""
+def _emit(write, report, output: str | None) -> None:
+    """Write a report with write(report, fp) to output, or to stdout when it
+    is None; the file is opened only now."""
     if output is None:
         write(report, sys.stdout)
     else:
         with open(output, "w", encoding="utf-8") as fp:
             write(report, fp)
+
+
+def _write_text(text: str, fp) -> None:
+    fp.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +91,9 @@ def cmd_analyze(args) -> int:
         "fact_mismatch_records": sum(1 for n in _present("fact_mismatches") if n > 0),
     }
     if args.format == "md":
-        _emit(_analyze_markdown(signals, aggregates), args.output)
+        _emit(_write_text, _analyze_markdown(signals, aggregates), args.output)
     else:
-        _emit_json(write_json, {"records": signals, "aggregates": aggregates}, args.output)
+        _emit(write_json, {"records": signals, "aggregates": aggregates}, args.output)
     return EXIT_OK
 
 
@@ -160,7 +151,7 @@ def cmd_calibrate(args) -> int:
         model = fit_isotonic(pairs)
         sse = sum((float(y) - apply_isotonic(model, s)) ** 2 for s, y in pairs)
         print(f"fitted isotonic map with {len(model.breakpoints)} breakpoints sse={sse:.5f} n={len(pairs)}")
-    _emit_json(write_json, calibration_map_to_json(model), args.output)
+    _emit(write_json, calibration_map_to_json(model), args.output)
     return EXIT_OK
 
 
@@ -177,7 +168,7 @@ def cmd_race(args) -> int:
             rows.append({"record_id": rec.id, "race": report})
         except CapabilityError as exc:
             rows.append({"record_id": rec.id, "race": None, "skipped": str(exc)})
-    _emit_json(write_json, {"records": rows}, args.output)
+    _emit(write_json, {"records": rows}, args.output)
     return EXIT_OK
 
 
@@ -194,7 +185,7 @@ def cmd_factcheck(args) -> int:
         verdicts = check_claims(rec.reference_claims or [], store, cfg.fact_rel_tol, cfg.fact_abs_tol)
         mismatches += sum(1 for v in verdicts if v.status == STATUS_MISMATCH)
         rows.append({"record_id": rec.id, "verdicts": verdicts})
-    _emit_json(write_json, {"records": rows, "mismatches": mismatches}, args.output)
+    _emit(write_json, {"records": rows, "mismatches": mismatches}, args.output)
     return EXIT_OK
 
 
@@ -217,12 +208,12 @@ def cmd_pipeline(args) -> int:
         print("warning: no fact store supplied; data-tier fact rules will not fire", file=sys.stderr)
     ledger = run_cycle(records, cfg, store)
     if args.output is not None:
-        _emit_json(ledger_to_json, ledger, args.output)
-        _emit(ledger_to_markdown(ledger), str(Path(args.output).with_suffix(".md")))
+        _emit(ledger_to_json, ledger, args.output)
+        _emit(_write_text, ledger_to_markdown(ledger), str(Path(args.output).with_suffix(".md")))
     elif args.format == "md":
-        _emit(ledger_to_markdown(ledger), None)
+        _emit(_write_text, ledger_to_markdown(ledger), None)
     else:
-        _emit_json(ledger_to_json, ledger, None)
+        _emit(ledger_to_json, ledger, None)
     return EXIT_OK
 
 
@@ -237,7 +228,7 @@ def cmd_mockgen(args) -> int:
     Path(args.out).write_bytes(write_records(records))
     if args.store_out:
         store = generate_fact_store(spec)
-        _emit_json(write_json, fact_store_to_json(store), args.store_out)
+        _emit(write_json, fact_store_to_json(store), args.store_out)
     print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
 
@@ -258,7 +249,7 @@ def cmd_chunk(args) -> int:
             for c in chunks
         ]
     }
-    _emit_json(write_json, payload, args.output)
+    _emit(write_json, payload, args.output)
     return EXIT_OK
 
 
@@ -341,9 +332,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot access file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RecordParseError, RecordValidationError, FactStoreError) as exc:
-        print(f"invalid data: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ValueError as exc:
         print(f"invalid data: {exc}", file=sys.stderr)
         return EXIT_DATA

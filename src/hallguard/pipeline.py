@@ -271,15 +271,13 @@ def run_cycle(records: list[GenerationRecord], config: PipelineConfig | None = N
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate record ids in corpus")
     id_set = set(ids)
-    retries = {
-        r.id[: -len(RETRY_SUFFIX)]: r
-        for r in records
-        if r.id.endswith(RETRY_SUFFIX) and r.id[: -len(RETRY_SUFFIX)] in id_set
-    }
-    primaries = [
-        r for r in records
-        if not (r.id.endswith(RETRY_SUFFIX) and r.id[: -len(RETRY_SUFFIX)] in id_set)
-    ]
+    retries, primaries = {}, []
+    for r in records:
+        base = r.id[: -len(RETRY_SUFFIX)]
+        if r.id.endswith(RETRY_SUFFIX) and base in id_set:
+            retries[base] = r
+        else:
+            primaries.append(r)
 
     entries: list[LedgerEntry] = []
     counts = {"pass": 0, "model": 0, "context": 0, "data": 0}

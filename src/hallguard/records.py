@@ -384,7 +384,4 @@ def parse_records(stream) -> list[GenerationRecord]:
 
 def write_records(records: list[GenerationRecord]) -> bytes:
     """Serialize records to JSONL bytes; parse_records(write_records(x)) == x."""
-    lines = [json.dumps(record_to_json(r)) for r in records]
-    if not lines:
-        return b""
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "".join(json.dumps(record_to_json(r)) + "\n" for r in records).encode("utf-8")

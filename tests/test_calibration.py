@@ -7,17 +7,20 @@ from hypothesis import strategies as st
 
 from hallguard.calibration import (
     FitError,
+    IsotonicModel,
+    TemperatureModel,
     aggregate_self_evaluation,
     apply_isotonic,
     apply_temperature,
-    calibrated_token_entropy,
-    calibration_map_from_json,
     calibration_map_to_json,
     compute_ece,
     fit_isotonic,
     fit_temperature,
+    logit_label_pairs,
     mc_calibrated_mean,
+    score_outcome_pairs,
 )
+from hallguard.records import GenerationRecord, GroundTruthLabel, Sample, TokenDistribution
 
 
 # ---------------------------------------------------------------------------
@@ -218,32 +221,6 @@ def test_apply_temperature_sums_to_one(z, t):
     assert float(apply_temperature(z, t).sum()) == pytest.approx(1.0, abs=1e-12)
 
 
-# --- calibrated_token_entropy ---
-
-
-def test_calibrated_entropy_matches_uncalibrated_at_unit():
-    z = [1.0, 0.5, -2.0]
-    p = softmax(z)
-    h = float(-(p * np.log(p)).sum())
-    assert calibrated_token_entropy(z, 1.0) == pytest.approx(h, abs=1e-12)
-
-
-def test_cooling_peaked_logits_raises_entropy():
-    assert calibrated_token_entropy([5.0, 0.0, 0.0], 2.0) > calibrated_token_entropy(
-        [5.0, 0.0, 0.0], 1.0
-    )
-
-
-def test_near_one_hot_logits_entropy_limits():
-    assert calibrated_token_entropy([100.0, 0.0], 1.0) == pytest.approx(0.0, abs=1e-9)
-    # direct evaluation oracle at T=50: entropy of softmax([2, 0])
-    p = softmax([2.0, 0.0])
-    expected = float(-(p * np.log(p)).sum())
-    assert calibrated_token_entropy([100.0, 0.0], 50.0) == pytest.approx(expected, abs=1e-12)
-    # and the large-T limit approaches ln 2
-    assert calibrated_token_entropy([100.0, 0.0], 5000.0) == pytest.approx(math.log(2), abs=1e-3)
-
-
 # --- mc_calibrated_mean ---
 
 
@@ -367,14 +344,74 @@ def test_self_evaluation_permutation_invariant(votes, seed):
 # --- calibration map serialization ---
 
 
-def test_calibration_maps_round_trip():
-    t_model = fit_temperature([[2.0, -1.0], [-1.5, 1.0], [0.3, 0.1]], [0, 1, 0])
-    assert calibration_map_from_json(calibration_map_to_json(t_model)) == t_model
+def test_calibration_map_to_json_keys_in_order():
+    t_model = TemperatureModel(T=1.5, fit_nll=0.25, n_fit=3)
+    t_map = calibration_map_to_json(t_model)
+    assert list(t_map.items()) == [("kind", "temperature"), ("T", 1.5), ("fit_nll", 0.25), ("n_fit", 3)]
 
-    iso = fit_isotonic([(0.2, 0), (0.5, 1), (0.7, 0), (0.9, 1)])
-    assert calibration_map_from_json(calibration_map_to_json(iso)) == iso
+    iso = IsotonicModel(breakpoints=[0.2, 0.5], values=[0.0, 1.0])
+    iso_map = calibration_map_to_json(iso)
+    assert list(iso_map.items()) == [("kind", "isotonic"), ("breakpoints", [0.2, 0.5]),
+                                     ("values", [0.0, 1.0])]
 
 
-def test_calibration_map_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        calibration_map_from_json({"kind": "platt"})
+@pytest.mark.parametrize("obj", [None, 1.5, {"kind": "temperature", "T": 1.5}, [0.2, 0.5]])
+def test_calibration_map_to_json_rejects_other_objects(obj):
+    with pytest.raises(TypeError, match="not a calibration model"):
+        calibration_map_to_json(obj)
+
+
+# --- corpus bridges: logit_label_pairs / score_outcome_pairs ---
+
+_GT = GroundTruthLabel(is_hallucinated=False, correct_answer="a")
+
+
+def _rec(dists=None, ground_truth=_GT, samples=None):
+    """A record whose first sample carries dists; a second sample always
+    holds the label, so a pair that reads past the first sample shows."""
+    if samples is None:
+        samples = [Sample("first", token_dists=dists),
+                   Sample("second", token_dists=[TokenDistribution(["a"], [1.0])])]
+    return GenerationRecord("r", "q", samples, ground_truth=ground_truth)
+
+
+# id, record, logit pair as (probs, label index) or None, score pair or None
+FIT_PAIR_CASES = [
+    ("scored",
+     _rec([TokenDistribution(["x", "a", "y"], [0.2, 0.5, 0.3])]), ([0.2, 0.5, 0.3], 1), (0.5, True)),
+    ("top-not-label", _rec([TokenDistribution(["a", "x"], [0.25, 0.75])]), ([0.25, 0.75], 0), (0.75, False)),
+    ("no-ground-truth", _rec([TokenDistribution(["a"], [1.0])], ground_truth=None), None, None),
+    ("no-correct-answer",
+     _rec([TokenDistribution(["a"], [1.0])], ground_truth=GroundTruthLabel(True, "model")), None, None),
+    ("no-samples", _rec(samples=[]), None, None),
+    ("no-token-dists", _rec(None), None, None),
+    ("empty-token-dists", _rec([]), None, None),
+    ("label-not-in-tokens",
+     _rec([TokenDistribution(["x", "y"], [0.5, 0.5]), TokenDistribution(["a"], [1.0])]), None, None),
+    ("zero-probability", _rec([TokenDistribution(["a", "x"], [1.0, 0.0])]), None, (1.0, True)),
+    ("empty-probs", _rec([TokenDistribution(["a"], [])]), None, None),
+    ("duplicate-labels",
+     _rec([TokenDistribution(["a", "x", "a"], [0.1, 0.3, 0.6])]), ([0.1, 0.3, 0.6], 0), (0.6, True)),
+]
+
+
+@pytest.mark.parametrize("record, logit_pair, score_pair", [case[1:] for case in FIT_PAIR_CASES],
+                         ids=[case[0] for case in FIT_PAIR_CASES])
+def test_fit_pairs_use_first_scored_position_of_labeled_records(record, logit_pair, score_pair):
+    logit_sets, labels = logit_label_pairs([record])
+    if logit_pair is None:
+        assert (logit_sets, labels) == ([], [])
+    else:
+        probs, label = logit_pair
+        assert labels == [label]
+        assert len(logit_sets) == 1
+        np.testing.assert_array_equal(logit_sets[0], np.log(probs))
+    assert score_outcome_pairs([record]) == ([] if score_pair is None else [score_pair])
+
+
+def test_fit_pairs_keep_corpus_order_and_skip_unusable_records():
+    records = [case[1] for case in FIT_PAIR_CASES]
+    logit_sets, labels = logit_label_pairs(records)
+    assert labels == [case[2][1] for case in FIT_PAIR_CASES if case[2] is not None]
+    assert len(logit_sets) == len(labels)
+    assert score_outcome_pairs(records) == [case[3] for case in FIT_PAIR_CASES if case[3] is not None]
