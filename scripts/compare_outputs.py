@@ -18,7 +18,12 @@ backslash, a tab and U+2028) and a non-ASCII letter.  Last come the error
 paths: analyze, pipeline, race and factcheck on an empty corpus, on the
 corpus's first two lines with the second cut in half, and on its first record
 with no samples, and analyze, pipeline and factcheck with the store cut in
-half.  Each command's output files, stdout, stderr and exit code are
+half.  analyze, race, factcheck and pipeline run again with a --config that
+moves every number off its default, and pipeline with a --rules file that
+reverses and retunes the default rules.  Three runs check the order in which
+inputs are read: pipeline with a bad rules file on an empty corpus, analyze
+on an empty corpus with a bad store, and race with a bad config on an empty
+corpus.  Each command's output files, stdout, stderr and exit code are
 compared, with every line that holds a ledger ``"timestamp"`` dropped.  Each
 file that differs is printed, and the exit code is 1 when any does.
 """
@@ -37,8 +42,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # name -> CLI arguments; {in}, {tagged}, {escaped}, {store}, {escaped_store},
-# {spec}, {text} and the bad inputs {empty}, {malformed}, {invalid} and
-# {bad_store} name the corpus files and {out} the directory the outputs go to
+# {spec}, {text}, {config}, {rules} and the bad inputs {empty}, {malformed},
+# {invalid}, {bad_store}, {bad_config} and {bad_rules} name the input files and
+# {out} the directory the outputs go to
 COMMANDS = {
     "analyze-json": "analyze --input {in} --store {store} --output {out}/analyze.json",
     "analyze-md": "analyze --input {in} --store {store} --format md --output {out}/analyze.md",
@@ -64,7 +70,20 @@ for bad in ("empty", "malformed", "invalid"):
     COMMANDS[f"factcheck-{bad}"] = f"factcheck --input {{{bad}}} --store {{store}}"
 for command in ("analyze", "pipeline", "factcheck"):
     COMMANDS[f"{command}-bad-store"] = f"{command} --input {{in}} --store {{bad_store}}"
+COMMANDS.update({
+    "analyze-config": "analyze --input {in} --store {store} --config {config} --output {out}/analyze-config.json",
+    "race-config": "race --input {in} --config {config} --output {out}/race-config.json",
+    "factcheck-config": "factcheck --input {in} --store {store} --config {config} --output {out}/factcheck-config.json",
+    "pipeline-config": "pipeline --input {in} --store {store} --config {config} --output {out}/ledger-config.json",
+    "pipeline-rules": "pipeline --input {in} --store {store} --rules {rules} --output {out}/ledger-rules.json",
+    # the first bad input in read order is the one reported
+    "pipeline-bad-rules-empty": "pipeline --input {empty} --rules {bad_rules}",
+    "analyze-empty-bad-store": "analyze --input {empty} --store {bad_store}",
+    "race-bad-config-empty": "race --input {empty} --config {bad_config}",
+})
 
+# every number off its default, so each reaches the outputs it can change
+CONFIG = {"cluster_threshold": 0.9, "fact_rel_tol": 0.02, "fact_abs_tol": 6.0, "min_delta": 0.2}
 UNKNOWN_KEY = {"x_unknown": {"note": "carries no meaning", "n": [1, 2.5]}}
 ESCAPED_PREFIX = '"\\\u00e9\t\u2028'
 
@@ -117,6 +136,26 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
         (d / "invalid.jsonl").write_text(json.dumps(dict(json.loads(lines[0]), samples=[])) + "\n")
         store_text = json.dumps(corpus.store)
         (d / "bad-store.json").write_text(store_text[: len(store_text) // 2])
+        (d / "config.json").write_text(json.dumps(CONFIG))
+        (d / "rules.json").write_text(json.dumps(modified_rules()))
+        (d / "bad-config.json").write_text(json.dumps({"cluster_threshold": 5.0}))
+        (d / "bad-rules.json").write_text(json.dumps({"not": "a list"}))
+
+
+def modified_rules() -> list[dict]:
+    """The default rules in reverse priority, the token-entropy threshold
+    lowered and the consensus rule routed to the context tier."""
+    from dataclasses import asdict
+
+    from hallguard.pipeline import default_rules
+
+    rules = [asdict(rule) for rule in reversed(default_rules())]
+    for rule in rules:
+        if rule["signal"] == "h_p_mean":
+            rule["threshold"] = 0.6
+        if rule["signal"] == "consensus_support":
+            rule["tier"] = "context"
+    return rules
 
 
 def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
@@ -130,7 +169,9 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
                  "escaped_store": corpus / "escaped-store.json", "spec": corpus / "spec.json",
                  "text": corpus / "prompts.txt", "empty": corpus / "empty.jsonl",
                  "malformed": corpus / "malformed.jsonl", "invalid": corpus / "invalid.jsonl",
-                 "bad_store": corpus / "bad-store.json", "out": out}
+                 "bad_store": corpus / "bad-store.json", "config": corpus / "config.json",
+                 "rules": corpus / "rules.json", "bad_config": corpus / "bad-config.json",
+                 "bad_rules": corpus / "bad-rules.json", "out": out}
         for name, template in COMMANDS.items():
             argv = [arg.format(**paths) for arg in template.split()]
             proc = subprocess.run([sys.executable, "-m", "hallguard.cli", *argv],

@@ -21,8 +21,9 @@ from pathlib import Path
 # runs each, so analyze, pipeline, race and factcheck never load them
 from .consistency import race_metrics
 from .errors import CapabilityError, ConfigError
-from .grounding import STATUS_MISMATCH, check_claims, fact_store_to_json, load_fact_store
+from .grounding import STATUS_MISMATCH, FactStore, check_claims, fact_store_to_json, load_fact_store
 from .pipeline import (
+    PipelineConfig,
     detect,
     ledger_to_json,
     ledger_to_markdown,
@@ -47,8 +48,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _read_corpus(path: str) -> list[GenerationRecord]:
-    return parse_records(Path(path).read_bytes())
+class _NoRecords(Exception):
+    """An empty corpus; main prints the "no records" line."""
+
+
+def _read_inputs(args) -> tuple[PipelineConfig, list[GenerationRecord], FactStore | None]:
+    """The inputs of a corpus command, read in this order so that the first
+    bad one is the one reported: --config, pipeline --rules, the corpus
+    (raising _NoRecords when it is empty), then --store.  A flag that is
+    given is read, an empty path too."""
+    cfg = load_config(args.config)
+    rules, store = getattr(args, "rules", None), getattr(args, "store", None)
+    if rules is not None:
+        cfg.rules = load_rules(read_json_file(rules))
+    records = parse_records(Path(args.input).read_bytes())
+    if not records:
+        raise _NoRecords
+    return cfg, records, None if store is None else load_fact_store(Path(store).read_bytes())
 
 
 def _emit(write, report, output: str | None) -> None:
@@ -70,12 +86,7 @@ def _write_text(text: str, fp) -> None:
 
 
 def cmd_analyze(args) -> int:
-    cfg = load_config(args.config)
-    records = _read_corpus(args.input)
-    if not records:
-        print("no records", file=sys.stderr)
-        return EXIT_DATA
-    store = load_fact_store(Path(args.store).read_bytes()) if args.store else None
+    cfg, records, store = _read_inputs(args)
     signals = [detect(rec, cfg, store) for rec in records]
 
     def _present(signal_id):
@@ -135,7 +146,7 @@ def cmd_calibrate(args) -> int:
         score_outcome_pairs,
     )
 
-    records = _read_corpus(args.input)
+    records = parse_records(Path(args.input).read_bytes())
     if args.kind == "temperature":
         logit_sets, labels = logit_label_pairs(records)
         if len(logit_sets) < 2:
@@ -156,11 +167,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_race(args) -> int:
-    cfg = load_config(args.config)
-    records = _read_corpus(args.input)
-    if not records:
-        print("no records", file=sys.stderr)
-        return EXIT_DATA
+    cfg, records, _ = _read_inputs(args)
     rows = []
     for rec in records:
         try:
@@ -173,12 +180,7 @@ def cmd_race(args) -> int:
 
 
 def cmd_factcheck(args) -> int:
-    cfg = load_config(args.config)
-    records = _read_corpus(args.input)
-    if not records:
-        print("no records", file=sys.stderr)
-        return EXIT_DATA
-    store = load_fact_store(Path(args.store).read_bytes())
+    cfg, records, store = _read_inputs(args)
     rows = []
     mismatches = 0
     for rec in records:
@@ -194,17 +196,8 @@ def cmd_pipeline(args) -> int:
         print("hallguard pipeline: error: --output must not end in .md; the markdown ledger "
               "is written next to it with that suffix", file=sys.stderr)
         return EXIT_USAGE
-    cfg = load_config(args.config)
-    if args.rules:
-        cfg.rules = load_rules(read_json_file(args.rules))
-    records = _read_corpus(args.input)
-    if not records:
-        print("no records", file=sys.stderr)
-        return EXIT_DATA
-    store = None
-    if args.store:
-        store = load_fact_store(Path(args.store).read_bytes())
-    elif any(r.signal == "fact_mismatches" for r in cfg.rules):
+    cfg, records, store = _read_inputs(args)
+    if store is None and any(r.signal == "fact_mismatches" for r in cfg.rules):
         print("warning: no fact store supplied; data-tier fact rules will not fire", file=sys.stderr)
     ledger = run_cycle(records, cfg, store)
     if args.output is not None:
@@ -326,6 +319,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except _NoRecords:
+        print("no records", file=sys.stderr)
+        return EXIT_DATA
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -59,10 +59,12 @@ def _reject_duplicate_keys(pairs):
 def load_fact_store(data) -> FactStore:
     """Load a store from JSON bytes or text; duplicate keys and values that
     are neither strings nor finite numbers are load errors."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         obj = json.loads(data, object_pairs_hook=_reject_duplicate_keys)
+    except UnicodeDecodeError as exc:
+        raise FactStoreError(f"fact store is not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FactStoreError(f"malformed fact store JSON: {exc.msg}") from exc
     except RecursionError:

@@ -61,11 +61,13 @@ def apply_sampling_policy(dist: TokenDistribution, policy: SamplingPolicy) -> To
 
     Temperature rescales in the probability domain (p ** (1/T), renormalized),
     which equals logit scaling exactly whenever the stored probabilities came
-    out of a softmax.  Top-k keeps the k most probable tokens (ties keep the
-    earlier original position); top-p keeps the smallest probability-sorted
-    prefix whose cumulative mass reaches p (all survivors when the post-top-k
-    mass never reaches it).  Surviving tokens keep their original order and
-    are renormalized to sum to 1.
+    out of a softmax; each p is divided by the largest first, so the top
+    entry stays 1 before renormalizing and no small T underflows them all.
+    One ranking by probability, ties to the earlier original position, serves
+    both filters: top-k keeps its first k entries, and top-p keeps the
+    shortest prefix of those whose cumulative mass reaches p (all of them
+    when it never does).  Surviving tokens keep their original order and are
+    renormalized to sum to 1.
     """
     probs = list(dist.probs)
     labels = list(dist.token_labels)
@@ -74,30 +76,21 @@ def apply_sampling_policy(dist: TokenDistribution, policy: SamplingPolicy) -> To
         raise ValueError("token distribution has no entries")
 
     if policy.temperature != 1.0:
-        probs = [p ** (1.0 / policy.temperature) if p > 0.0 else 0.0 for p in probs]
+        top = max(probs)
+        probs = [(p / top) ** (1.0 / policy.temperature) if p > 0.0 else 0.0 for p in probs]
     total = sum(probs)
     probs = [p / total for p in probs]
 
-    keep = [True] * n
-    if policy.top_k is not None and policy.top_k < n:
-        ranked = sorted(range(n), key=lambda i: (-probs[i], i))
-        for i in ranked[policy.top_k:]:
-            keep[i] = False
+    ranked = sorted(range(n), key=lambda i: (-probs[i], i))[: policy.top_k]
     if policy.top_p is not None:
-        ranked = sorted((i for i in range(n) if keep[i]), key=lambda i: (-probs[i], i))
         cumulative = 0.0
-        nucleus = []
-        for i in ranked:
-            nucleus.append(i)
+        for cut, i in enumerate(ranked, start=1):
             cumulative += probs[i]
             if cumulative >= policy.top_p - 1e-12:
+                del ranked[cut:]
                 break
-        nucleus_set = set(nucleus)
-        for i in range(n):
-            if keep[i] and i not in nucleus_set:
-                keep[i] = False
 
-    kept = [i for i in range(n) if keep[i]]
+    kept = sorted(ranked)
     mass = sum(probs[i] for i in kept)
     return TokenDistribution(
         token_labels=[labels[i] for i in kept],

@@ -32,13 +32,12 @@ import numpy as np
 from .calibration import apply_temperature
 from .errors import ConfigError
 from .grounding import FactEntry, FactStore
-from .records import Claim, GenerationRecord, GroundTruthLabel, Sample, TokenDistribution, finite_number
+from .records import (FAILURE_CLASSES, Claim, GenerationRecord, GroundTruthLabel, Sample,
+                      TokenDistribution, finite_number)
 from .uncertainty import entropy_nats
 
 CLEAN_ENTROPY_LO = 0.25
 CLEAN_ENTROPY_HI = 0.70
-
-_INJECT_CLASSES = ("model", "context", "data")
 
 _REASONING_BASE = "standard ledger lookup confirmed the filed figure"
 _REASONING_SPLIT = (
@@ -73,7 +72,7 @@ def _validate_spec(spec: MockSpec) -> None:
         raise ValueError(f"n_records, samples_per_record and vocab_size must be at most {sys.maxsize}")
     total = 0.0
     for cls, rate in spec.inject_rates.items():
-        if cls not in _INJECT_CLASSES:
+        if cls not in FAILURE_CLASSES:
             raise ValueError(f"unknown failure class {cls!r}")
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"inject rate for {cls!r} must lie in [0, 1]")
@@ -111,7 +110,7 @@ def _scale_into_entropy_band(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def _pick_class(u: float, rates: Mapping[str, float]) -> str | None:
     acc = 0.0
-    for cls in _INJECT_CLASSES:
+    for cls in FAILURE_CLASSES:
         acc += rates.get(cls, 0.0)
         if u < acc:
             return cls

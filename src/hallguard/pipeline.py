@@ -25,11 +25,10 @@ import numpy as np
 from .consistency import RaceReport, race_metrics, self_consistency_consensus
 from .errors import CapabilityError, ConfigError
 from .grounding import STATUS_MISMATCH, ClaimVerdict, FactStore, check_claims
-from .records import GenerationRecord, finite_number
+from .records import FAILURE_CLASSES, GenerationRecord, finite_number
 from .semantic import DEFAULT_CLUSTER_THRESHOLD, semantic_entropy_of_record
 from .uncertainty import parse_self_declared_confidence, sample_mean_entropies
 
-TIERS = ("model", "context", "data")
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 COMPARATORS = tuple(_COMPARE)
 
@@ -280,7 +279,7 @@ def run_cycle(records: list[GenerationRecord], config: PipelineConfig | None = N
             primaries.append(r)
 
     entries: list[LedgerEntry] = []
-    counts = {"pass": 0, "model": 0, "context": 0, "data": 0}
+    counts = dict.fromkeys(("pass", *FAILURE_CLASSES), 0)
     residuals = 0
     for rec in primaries:
         signals = detect(rec, config, store)
@@ -303,15 +302,7 @@ def run_cycle(records: list[GenerationRecord], config: PipelineConfig | None = N
         entries.append(LedgerEntry(rec.id, signals, verdict, action, outcome, clock()))
 
     total = len(primaries)
-    summary = {
-        "total": total,
-        "pass": counts["pass"],
-        "model": counts["model"],
-        "context": counts["context"],
-        "data": counts["data"],
-        "tiered": total - counts["pass"],
-        "residuals": residuals,
-    }
+    summary = {"total": total, **counts, "tiered": total - counts["pass"], "residuals": residuals}
     return CycleLedger(entries=entries, summary=summary)
 
 
@@ -381,8 +372,8 @@ def load_rules(obj) -> list[RouterRule]:
         if not finite_number(threshold):
             raise ConfigError(f"rule {name!r}: threshold must be a finite number")
         tier = raw.get("tier")
-        if tier not in TIERS:
-            raise ConfigError(f"rule {name!r}: tier must be one of {TIERS}")
+        if tier not in FAILURE_CLASSES:
+            raise ConfigError(f"rule {name!r}: tier must be one of {FAILURE_CLASSES}")
         mitigations = raw.get("recommended_mitigations", [])
         if not isinstance(mitigations, list) or not all(isinstance(m, str) for m in mitigations):
             raise ConfigError(f"rule {name!r}: recommended_mitigations must be a list of strings")
@@ -498,10 +489,7 @@ def ledger_to_markdown(ledger: CycleLedger) -> str:
         "",
         "| tier | records |",
         "| --- | --- |",
-        f"| pass | {s['pass']} |",
-        f"| model | {s['model']} |",
-        f"| context | {s['context']} |",
-        f"| data | {s['data']} |",
+        *(f"| {tier} | {s[tier]} |" for tier in ("pass", *FAILURE_CLASSES)),
         "",
         f"Total: {s['total']}  Tiered: {s['tiered']}  Residual errors: {s['residuals']}",
         "",

@@ -25,6 +25,9 @@ import math
 import sys
 from dataclasses import dataclass
 
+# The root-cause tiers: a label's failure_class, a router rule's tier and a
+# mock injection are each one of these.  The order is the ledger's and the
+# mock generator's seeded draw.
 FAILURE_CLASSES = ("model", "context", "data")
 
 PROB_SUM_TOL = 1e-6
@@ -353,8 +356,9 @@ def parse_records(stream) -> list[GenerationRecord]:
     if isinstance(stream, bytes):
         try:
             text = stream.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise RecordParseError(0, f"input is not valid UTF-8: {exc}") from exc
+        except UnicodeDecodeError as exc:  # name the line of the first bad byte
+            line_no = stream.count(b"\n", 0, exc.start) + 1
+            raise RecordParseError(line_no, f"input is not valid UTF-8: {exc}") from None
     else:
         text = stream
 

@@ -7,14 +7,17 @@ with Shannon entropy.  Zero entropy means all samples landed in one semantic
 cluster; ln K is the maximum over K clusters.
 
 Clustering.  All pairwise cosine distances 1 - cos(u, v), clamped at 0, come
-from one Gram matrix of the unit-normalised vectors.  The merge loop keeps the
-summed pairwise distance between every two clusters and each cluster's size,
-so the average linkage of clusters a and b is sum(a, b) / (|a| |b|), and a
-merge adds b's row and column into a's (the Lance-Williams update for average
-linkage; Muellner, arXiv:1109.2378).  Each merge is one numpy pass over the
-n x n matrix, so a clustering of n vectors costs O(n^2) numpy work per merge
-and at most n - 1 merges.  Merging stops once the smallest linkage exceeds
-the threshold.
+from one Gram matrix of the unit-normalised vectors.  Each vector is divided
+by its largest |entry| before it is normalised, so distances are
+scale-invariant: no norm overflows or underflows, and scaling a vector by a
+power of two leaves every distance bit for bit as it was while its entries
+stay normal floats.  The merge loop keeps the summed pairwise distance
+between every two clusters and each cluster's size, so the average linkage
+of clusters a and b is sum(a, b) / (|a| |b|), and a merge adds b's row and
+column into a's (the Lance-Williams update for average linkage; Muellner,
+arXiv:1109.2378).  Each merge is one numpy pass over the n x n matrix, so a
+clustering of n vectors costs O(n^2) numpy work per merge and at most n - 1
+merges.  Merging stops once the smallest linkage exceeds the threshold.
 
 Tie rule.  Among equal computed linkages the lowest (a, b) pair merges, where
 a cluster is indexed by its lowest member.  Exact duplicates (equal rows,
@@ -33,15 +36,15 @@ distinct rows by their bytes (after + 0.0, so -0.0 matches 0.0), and
 string without stacking or checking it (a ``default_embed`` vector is
 bucket counts divided by their finite norm, so it is finite).  When there is
 one distinct row and the threshold is nonnegative, ``_cluster_rows`` knows
-the outcome without a distance matrix: one cluster when the row has a
-nonzero norm (every distance is 0, so every merge is taken), n singletons
-when its norm is 0 (a zero row, or one whose squares all underflow).  It is
-the common case, since confident answers agree.  With more distinct rows,
-when the largest distance lies below the threshold by more than the
-rounding of a computed linkage (n^2 * 2^-52 relative), every merge is taken
-too, so the answer is one cluster without the merge loop.  A zero row makes
-the largest distance infinite and takes the loop.  A negative threshold,
-under which nothing merges, takes the general path, as does a NaN one.
+the outcome without a distance matrix: one cluster when the row is nonzero
+(every distance is 0, so every merge is taken), n singletons when it is
+zero.  It is the common case, since confident answers agree.  With more
+distinct rows, when the largest distance lies below the threshold by more
+than the rounding of a computed linkage (n^2 * 2^-52 relative), every merge
+is taken too, so the answer is one cluster without the merge loop.  A zero
+row makes the largest distance infinite and takes the loop.  A negative
+threshold, under which nothing merges, takes the general path, as does a
+NaN one.
 
 Embedding sources.  A sample's stored ``embedding`` embeds its ``text`` and
 feeds semantic entropy only.  A valid record carries an embedding on every
@@ -121,10 +124,12 @@ def default_embed(text: str) -> np.ndarray:
 
 def _distances(distinct: np.ndarray) -> np.ndarray:
     """Pairwise cosine distances of pairwise unequal rows: inf on every row
-    and column of a zero row."""
-    norms = np.linalg.norm(distinct, axis=1)
-    zero = norms == 0.0
-    unit = distinct / np.where(zero, 1.0, norms)[:, None]
+    and column of a zero row.  Each row is divided by its largest |entry|
+    before it is normalised, so no norm overflows or underflows."""
+    largest = np.abs(distinct).max(axis=1)
+    zero = largest == 0.0
+    scaled = distinct / np.where(zero, 1.0, largest)[:, None]
+    unit = scaled / np.where(zero, 1.0, np.linalg.norm(scaled, axis=1))[:, None]
     d = np.triu(np.maximum(0.0, 1.0 - unit @ unit.T), 1)
     d += d.T  # exactly symmetric, with 0 on the diagonal
     d[zero] = math.inf
@@ -160,7 +165,7 @@ def _cluster_rows(distinct: np.ndarray, of_sample: list[int], threshold: float) 
     unequal rows of ``distinct``: sample i has row of_sample[i]."""
     n = len(of_sample)
     if threshold >= 0.0 and len(distinct) == 1:  # one distinct row
-        if distinct[0] @ distinct[0] > 0.0:  # a squared norm is 0 exactly when _distances finds a zero norm
+        if distinct[0].any():  # every distance is 0, so every merge is taken
             return ClusterAssignment([0] * n, [1.0], [0])
         return ClusterAssignment(list(range(n)), [1 / n] * n, list(range(n)))
 

@@ -5,12 +5,13 @@ Every entropy in this package is reported in nats (natural log) and
 
 Token entropy is scored many positions at a time.  ``token_entropies``
 stacks the distributions of one length V into an (m, V) array and sums
--p ln p along each row in one numpy pass; ``sequence_entropy_profile`` and
-``sample_mean_entropies`` (what ``pipeline.detect`` reads) both go through
-it, so a position is scored one way only.  Each result equals
-``entropy_nats`` of that distribution bit for bit: numpy sums a row of a
-C-ordered array in the same pairwise order as the same row on its own, for
-every V.  A row with a zero (or nonpositive) entry is the exception:
+-p ln p along each row in one numpy pass; ``token_entropy`` (one position),
+``sequence_entropy_profile`` and ``sample_mean_entropies`` (what
+``pipeline.detect`` reads) all go through it, so a position is scored one
+way only, and an empty distribution raises the same error from each.  Each
+result equals ``entropy_nats`` of that distribution bit for bit: numpy sums a
+row of a C-ordered array in the same pairwise order as the same row on its
+own, for every V.  A row with a zero (or nonpositive) entry is the exception:
 ``entropy_nats`` drops such entries, and the shorter sum takes another
 pairwise order once V >= 8 (a row sum with the zero term left in differs
 from it in about 40% of random rows with one zero entry, by up to 7e-16).
@@ -52,14 +53,13 @@ def entropy_nats(probs) -> float:
 
 
 def token_entropy(dist: TokenDistribution) -> float:
-    """Entropy of one next-token distribution, in nats.
+    """Entropy of one next-token distribution, in nats, as token_entropies
+    scores it.
 
     Zero-probability entries are permitted and contribute nothing; the result
     lies in [0, ln V] for a V-entry distribution.
     """
-    if not dist.probs:
-        raise ValueError("token distribution has no entries")
-    return entropy_nats(dist.probs)
+    return float(token_entropies([dist])[0])
 
 
 def _by_length(items) -> dict[int, list[int]]:

@@ -1,7 +1,10 @@
 import copy
 import json
+import math
 import re
+import warnings
 
+import numpy as np
 import pytest
 
 from hallguard.cli import main
@@ -240,6 +243,58 @@ def test_chunk_non_utf8_input_is_data_error(tmp_path):
     doc = tmp_path / "doc.txt"
     doc.write_bytes(b"caf\xe9")
     assert main(["chunk", "--input", str(doc), "--target-size", "400"]) == 2
+
+
+@pytest.mark.parametrize("kind, code, start", [
+    ("input", 2, "invalid data: line 2: input is not valid UTF-8: 'utf-8' codec"),
+    ("store", 2, "invalid data: fact store is not valid UTF-8: 'utf-8' codec"),
+    ("config", 1, "config error: malformed JSON in "),
+])
+def test_invalid_utf8_is_one_line_error_naming_the_input(mock_paths, tmp_path, capsys, kind, code, start):
+    corpus, store, _ = mock_paths
+    bad = tmp_path / "bad"
+    first, second = corpus.read_bytes().splitlines(keepends=True)[:2]
+    bad.write_bytes({"input": first + b"\xff" + second,  # the bad byte opens line 2
+                     "store": store.read_bytes()[:-1] + b', "\xff": {"value": 1}}',
+                     "config": b'{"min_delta": 0.1, "\xff": 1}'}[kind])
+    argv = {"input": ["analyze", "--input", str(bad)],
+            "store": ["factcheck", "--input", str(corpus), "--store", str(bad)],
+            "config": ["race", "--input", str(corpus), "--config", str(bad)]}[kind]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start) and "'utf-8' codec" in err and err.count("\n") == 1, err
+
+
+def test_stored_embeddings_at_any_scale_cluster_alike(tmp_path, capsys):
+    """A record's embeddings scaled by 1e200 or 1e-200 give the h_s of the
+    unscaled record, with no overflow warning."""
+    rng = np.random.default_rng(5)
+    directions = rng.normal(size=(3, 8))
+    vectors = [directions[0], directions[0] + 0.01 * rng.normal(size=8),
+               directions[1], directions[2], directions[1]]
+    corpus = tmp_path / "scaled.jsonl"
+    corpus.write_text("".join(json.dumps({
+        "id": f"x{scale}", "prompt": "p",
+        "samples": [{"text": f"t{i}", "embedding": [float(x * scale) for x in v]}
+                    for i, v in enumerate(vectors)],
+    }) + "\n" for scale in (1.0, 1e200, 1e-200)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--input", str(corpus), "--output", str(tmp_path / "a.json")]) == 0
+    assert capsys.readouterr().err == ""
+    h_s = [row["h_s"] for row in json.loads((tmp_path / "a.json").read_text())["records"]]
+    assert h_s == [h_s[0]] * 3 and 0.0 < h_s[0] < math.log(3)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("analyze", "--store"), ("pipeline", "--store"), ("factcheck", "--store"),
+    ("pipeline", "--rules"), ("race", "--config"),
+])
+def test_an_empty_path_is_read_like_any_other(mock_paths, capsys, command, flag):
+    corpus, _, _ = mock_paths
+    assert main([command, "--input", str(corpus), flag, ""]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot access file: ") and err.count("\n") == 1
 
 
 def test_config_file_controls_knobs(mock_paths, tmp_path):

@@ -270,3 +270,11 @@ def test_map_reduce_validation():
         summarize_map_reduce([], lambda t: t)
     with pytest.raises(ValueError):
         summarize_map_reduce(_chunks_of(["a"]), lambda t: t, fan_in=1)
+
+
+def test_small_temperature_does_not_underflow():
+    """0.2 ** 1000 underflows to 0; dividing by the largest probability first
+    keeps the top entry at 1."""
+    cold = SamplingPolicy(temperature=0.001)
+    assert apply_sampling_policy(make_dist([0.2] * 5), cold).probs == [0.2] * 5
+    assert apply_sampling_policy(make_dist([0.9, 0.1]), cold).probs == [1.0, 0.0]

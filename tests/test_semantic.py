@@ -29,11 +29,12 @@ def reference_cluster(vectors, threshold):
     n = len(vs)
 
     def cosine_distance(u, v):
-        nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-        if nu == 0.0 or nv == 0.0:
+        if not u.any() or not v.any():
             return math.inf
         if np.array_equal(u, v):
             return 0.0
+        u, v = u / np.abs(u).max(), v / np.abs(v).max()  # as cluster_embeddings scales
+        nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
         return max(0.0, 1.0 - float(np.dot(u, v) / (nu * nv)))
 
     dist = np.zeros((n, n))
@@ -342,3 +343,31 @@ def test_stored_embeddings_take_precedence():
     record = record.__class__(**{**vars(record), "samples": samples})
     result = semantic_entropy_of_record(record)
     assert len(result.assignment.cluster_masses) == 2
+
+
+def _with_embeddings(vectors):
+    record = make_record(texts=[f"sample {i}" for i in range(len(vectors))])
+    samples = [s.__class__(**{**vars(s), "embedding": [float(x) for x in v]})
+               for s, v in zip(record.samples, vectors)]
+    return record.__class__(**{**vars(record), "samples": samples})
+
+
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+def test_scaling_stored_embeddings_by_a_power_of_two_keeps_h_s(k):
+    """Distances are scale-invariant: 2^k times every stored embedding of a
+    record, a scaling that rounds nothing, leaves h_s bit for bit as it was,
+    far past where an unscaled squared norm overflows or underflows."""
+    rng = np.random.default_rng(17)
+    split = 0
+    for _ in range(60):
+        n, dim = int(rng.integers(2, 13)), int(rng.integers(2, 9))
+        directions = rng.normal(size=(int(rng.integers(1, 5)), dim))
+        vectors = [directions[int(rng.integers(len(directions)))]
+                   + rng.normal(scale=float(rng.uniform(0.0, 0.6)), size=dim) for _ in range(n)]
+        if rng.random() < 0.2:  # one distinct row
+            vectors = [vectors[0]] * n
+        h_s = semantic_entropy_of_record(_with_embeddings(vectors)).entropy
+        scaled = semantic_entropy_of_record(_with_embeddings([np.ldexp(v, k) for v in vectors])).entropy
+        assert scaled == h_s
+        split += h_s > 0.0
+    assert split > 10  # most records hold more than one cluster
