@@ -23,7 +23,11 @@ moves every number off its default, and pipeline with a --rules file that
 reverses and retunes the default rules.  Three runs check the order in which
 inputs are read: pipeline with a bad rules file on an empty corpus, analyze
 on an empty corpus with a bad store, and race with a bad config on an empty
-corpus.  Each command's output files, stdout, stderr and exit code are
+corpus.  The corpus is streamed, so analyze, pipeline and factcheck also run
+on the malformed corpus with the store cut in half: the corpus error must be
+the one reported although the first record is read before the store (and
+pipeline on the malformed corpus with no store, above, must print no
+warning).  Each command's output files, stdout, stderr and exit code are
 compared, with every line that holds a ledger ``"timestamp"`` dropped.  Each
 file that differs is printed, and the exit code is 1 when any does.
 """
@@ -81,6 +85,9 @@ COMMANDS.update({
     "analyze-empty-bad-store": "analyze --input {empty} --store {bad_store}",
     "race-bad-config-empty": "race --input {empty} --config {bad_config}",
 })
+# a bad corpus line beats a bad store that is read before it
+for command in ("analyze", "pipeline", "factcheck"):
+    COMMANDS[f"{command}-malformed-bad-store"] = f"{command} --input {{malformed}} --store {{bad_store}}"
 
 # every number off its default, so each reaches the outputs it can change
 CONFIG = {"cluster_threshold": 0.9, "fact_rel_tol": 0.02, "fact_abs_tol": 6.0, "min_delta": 0.2}

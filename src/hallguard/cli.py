@@ -14,7 +14,10 @@ empty input, insufficient fit data).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 # calibration, mitigation and mockgen are imported by the one command that
@@ -34,7 +37,7 @@ from .pipeline import (
     signal_value,
     write_json,
 )
-from .records import GenerationRecord, parse_records, write_records
+from .records import GenerationRecord, iter_records, parse_records, write_records
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,19 +55,37 @@ class _NoRecords(Exception):
     """An empty corpus; main prints the "no records" line."""
 
 
-def _read_inputs(args) -> tuple[PipelineConfig, list[GenerationRecord], FactStore | None]:
-    """The inputs of a corpus command, read in this order so that the first
-    bad one is the one reported: --config, pipeline --rules, the corpus
-    (raising _NoRecords when it is empty), then --store.  A flag that is
-    given is read, an empty path too."""
+@contextmanager
+def _read_inputs(args) -> Iterator[tuple[PipelineConfig, Iterator[GenerationRecord], FactStore | None]]:
+    """Open the inputs of a corpus command and yield the config, the corpus
+    as records still to be read, and the store.
+
+    The first bad input is the one reported, in this order: --config,
+    pipeline --rules, the corpus, then --store.  The corpus is read up to
+    its first record before the store (an empty one raises _NoRecords); if
+    the store then fails, the rest of the corpus is read first, so a bad
+    corpus line anywhere still wins.  The corpus file stays open for the
+    ``with`` body, which reads the records as it goes, and is closed on
+    every path.  A flag that is given is read, an empty path too."""
     cfg = load_config(args.config)
-    rules, store = getattr(args, "rules", None), getattr(args, "store", None)
+    rules, store_path = getattr(args, "rules", None), getattr(args, "store", None)
     if rules is not None:
         cfg.rules = load_rules(read_json_file(rules))
-    records = parse_records(Path(args.input).read_bytes())
-    if not records:
-        raise _NoRecords
-    return cfg, records, None if store is None else load_fact_store(Path(store).read_bytes())
+    with open(args.input, "rb") as fp:
+        records = iter_records(fp)
+        first = next(records, None)
+        if first is None:
+            raise _NoRecords
+        records = itertools.chain((first,), records)
+        store = None
+        if store_path is not None:
+            try:
+                store = load_fact_store(Path(store_path).read_bytes())
+            except (OSError, ValueError):
+                for _ in records:
+                    pass
+                raise
+        yield cfg, records, store
 
 
 def _emit(write, report, output: str | None) -> None:
@@ -86,8 +107,8 @@ def _write_text(text: str, fp) -> None:
 
 
 def cmd_analyze(args) -> int:
-    cfg, records, store = _read_inputs(args)
-    signals = [detect(rec, cfg, store) for rec in records]
+    with _read_inputs(args) as (cfg, records, store):
+        signals = [detect(rec, cfg, store) for rec in records]
 
     def _present(signal_id):
         return [v for v in (signal_value(s, signal_id) for s in signals) if v is not None]
@@ -167,26 +188,26 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_race(args) -> int:
-    cfg, records, _ = _read_inputs(args)
     rows = []
-    for rec in records:
-        try:
-            report = race_metrics(rec, cluster_threshold=cfg.cluster_threshold)
-            rows.append({"record_id": rec.id, "race": report})
-        except CapabilityError as exc:
-            rows.append({"record_id": rec.id, "race": None, "skipped": str(exc)})
+    with _read_inputs(args) as (cfg, records, _):
+        for rec in records:
+            try:
+                report = race_metrics(rec, cluster_threshold=cfg.cluster_threshold)
+                rows.append({"record_id": rec.id, "race": report})
+            except CapabilityError as exc:
+                rows.append({"record_id": rec.id, "race": None, "skipped": str(exc)})
     _emit(write_json, {"records": rows}, args.output)
     return EXIT_OK
 
 
 def cmd_factcheck(args) -> int:
-    cfg, records, store = _read_inputs(args)
     rows = []
     mismatches = 0
-    for rec in records:
-        verdicts = check_claims(rec.reference_claims or [], store, cfg.fact_rel_tol, cfg.fact_abs_tol)
-        mismatches += sum(1 for v in verdicts if v.status == STATUS_MISMATCH)
-        rows.append({"record_id": rec.id, "verdicts": verdicts})
+    with _read_inputs(args) as (cfg, records, store):
+        for rec in records:
+            verdicts = check_claims(rec.reference_claims or [], store, cfg.fact_rel_tol, cfg.fact_abs_tol)
+            mismatches += sum(1 for v in verdicts if v.status == STATUS_MISMATCH)
+            rows.append({"record_id": rec.id, "verdicts": verdicts})
     _emit(write_json, {"records": rows, "mismatches": mismatches}, args.output)
     return EXIT_OK
 
@@ -196,10 +217,11 @@ def cmd_pipeline(args) -> int:
         print("hallguard pipeline: error: --output must not end in .md; the markdown ledger "
               "is written next to it with that suffix", file=sys.stderr)
         return EXIT_USAGE
-    cfg, records, store = _read_inputs(args)
+    with _read_inputs(args) as (cfg, records, store):
+        ledger = run_cycle(records, cfg, store)
+    # only once the whole corpus has been read, so a bad one prints no warning
     if store is None and any(r.signal == "fact_mismatches" for r in cfg.rules):
         print("warning: no fact store supplied; data-tier fact rules will not fire", file=sys.stderr)
-    ledger = run_cycle(records, cfg, store)
     if args.output is not None:
         _emit(ledger_to_json, ledger, args.output)
         _emit(_write_text, ledger_to_markdown(ledger), str(Path(args.output).with_suffix(".md")))

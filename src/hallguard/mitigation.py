@@ -67,7 +67,8 @@ def apply_sampling_policy(dist: TokenDistribution, policy: SamplingPolicy) -> To
     both filters: top-k keeps its first k entries, and top-p keeps the
     shortest prefix of those whose cumulative mass reaches p (all of them
     when it never does).  Surviving tokens keep their original order and are
-    renormalized to sum to 1.
+    renormalized to sum to 1.  A distribution with no entries, or whose
+    probabilities are all 0, raises ValueError.
     """
     probs = list(dist.probs)
     labels = list(dist.token_labels)
@@ -79,6 +80,8 @@ def apply_sampling_policy(dist: TokenDistribution, policy: SamplingPolicy) -> To
         top = max(probs)
         probs = [(p / top) ** (1.0 / policy.temperature) if p > 0.0 else 0.0 for p in probs]
     total = sum(probs)
+    if not total > 0.0:
+        raise ValueError("token distribution has no probability mass: every probability is 0")
     probs = [p / total for p in probs]
 
     ranked = sorted(range(n), key=lambda i: (-probs[i], i))[: policy.top_k]

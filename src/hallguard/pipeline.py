@@ -15,7 +15,7 @@ import functools
 import json
 import operator
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -256,42 +256,46 @@ def validate(before: DetectionSignals, after: DetectionSignals,
     return Validation(before=before, after=after, improved=all(verdicts))
 
 
-def run_cycle(records: list[GenerationRecord], config: PipelineConfig | None = None,
+def run_cycle(records: Iterable[GenerationRecord], config: PipelineConfig | None = None,
               store: FactStore | None = None, clock=time.time) -> CycleLedger:
     """Run detect -> route -> validate over a corpus and assemble the ledger.
 
-    A record whose id is ``<base>.retry`` (with ``<base>`` present) is treated
-    as the post-mitigation re-generation of its base record: the base is
+    records may be any iterable, read once: each record is detected as it
+    arrives and only its signals are kept.  A record whose id is
+    ``<base>.retry`` (with ``<base>`` anywhere in the corpus) is treated as
+    the post-mitigation re-generation of its base record: the base is
     validated against it instead of being flagged for external mitigation.
+    The other records are routed in input order.
     """
     config = config or PipelineConfig()
 
-    ids = [r.id for r in records]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate record ids in corpus")
-    id_set = set(ids)
+    by_id: dict[str, DetectionSignals] = {}
+    for rec in records:
+        if rec.id in by_id:
+            raise ValueError("duplicate record ids in corpus")
+        by_id[rec.id] = detect(rec, config, store)
     retries, primaries = {}, []
-    for r in records:
-        base = r.id[: -len(RETRY_SUFFIX)]
-        if r.id.endswith(RETRY_SUFFIX) and base in id_set:
-            retries[base] = r
+    for rid, signals in by_id.items():
+        base = rid[: -len(RETRY_SUFFIX)]
+        if rid.endswith(RETRY_SUFFIX) and base in by_id:
+            retries[base] = signals
         else:
-            primaries.append(r)
+            primaries.append(signals)
 
     entries: list[LedgerEntry] = []
     counts = dict.fromkeys(("pass", *FAILURE_CLASSES), 0)
     residuals = 0
-    for rec in primaries:
-        signals = detect(rec, config, store)
+    for signals in primaries:
+        rid = signals.record_id
         verdict = route(signals, config.rules)
         if verdict.tier is None:
             action, outcome = "none", "pass"
         else:
-            retry = retries.get(rec.id)
+            retry = retries.get(rid)
             if retry is None:
                 action, outcome = "flagged_for_external_mitigation", "pending"
             else:
-                after = replace(detect(retry, config, store), record_id=rec.id)
+                after = replace(retry, record_id=rid)
                 validation = validate(signals, after, config)
                 verdict = replace(verdict, validation=validation)
                 action = "validated_retry"
@@ -299,7 +303,7 @@ def run_cycle(records: list[GenerationRecord], config: PipelineConfig | None = N
                 if not validation.improved:
                     residuals += 1
         counts[verdict.tier or "pass"] += 1
-        entries.append(LedgerEntry(rec.id, signals, verdict, action, outcome, clock()))
+        entries.append(LedgerEntry(rid, signals, verdict, action, outcome, clock()))
 
     total = len(primaries)
     summary = {"total": total, **counts, "tiered": total - counts["pass"], "residuals": residuals}

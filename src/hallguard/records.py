@@ -16,13 +16,21 @@ A corpus is UTF-8 JSONL, one record object per line:
 Optional fields are omitted when absent.  Unknown keys are accepted and
 ignored.  Probabilities are stored as plain decimals, log-probabilities in
 nats.  All types are immutable after construction.
+
+A corpus is read one line at a time: ``iter_records`` decodes, parses and
+validates each line as it is reached and yields its record, so a caller
+that keeps only what it computes from each record never holds the corpus.
+``parse_records`` is the same reader collected into a list.  Either way the
+first bad line raises, with its line number.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 # The root-cause tiers: a label's failure_class, a router rule's tier and a
@@ -343,30 +351,30 @@ def _gt_to_json(gt: GroundTruthLabel) -> dict:
 # JSONL I/O
 
 
-def parse_records(stream) -> list[GenerationRecord]:
-    """Parse a UTF-8 JSONL byte stream (bytes, str, or file-like) into records.
+def iter_records(fp) -> Iterator[GenerationRecord]:
+    """Yield the records of a UTF-8 JSONL corpus one line at a time.
 
-    Records are returned in input order and every one is validated; the first
-    malformed line raises RecordParseError with its line number, the first
-    invariant violation raises RecordValidationError naming the field and
-    record id.  Duplicate ids within the stream are rejected.
+    fp is an open binary file, or any iterable of lines as bytes or str
+    split after each ``\n`` only: JSON strings may legally hold a raw
+    U+2028 or U+2029, which str.splitlines would take as record boundaries.
+    One trailing ``\n`` is cut from each line before it is parsed, so a
+    line cut short reads as unterminated JSON.  Blank lines are skipped.
+
+    Every record is validated as it is read, so only the current line and
+    the ids seen so far are held.  The first bad line raises, whatever its
+    fault: RecordParseError with the line number for bytes that are not
+    UTF-8 (the codec message gives the column within the line) or
+    malformed JSON, RecordValidationError naming the record id and field
+    for a broken invariant or an id seen before.
     """
-    if hasattr(stream, "read"):
-        stream = stream.read()
-    if isinstance(stream, bytes):
-        try:
-            text = stream.decode("utf-8")
-        except UnicodeDecodeError as exc:  # name the line of the first bad byte
-            line_no = stream.count(b"\n", 0, exc.start) + 1
-            raise RecordParseError(line_no, f"input is not valid UTF-8: {exc}") from None
-    else:
-        text = stream
-
-    records: list[GenerationRecord] = []
     seen_ids: set[str] = set()
-    # split on \n only: JSON strings may legally contain raw U+2028/U+2029,
-    # which str.splitlines would treat as record boundaries
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    for line_no, line in enumerate(fp, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise RecordParseError(line_no, f"input is not valid UTF-8: {exc}") from None
+        line = line.removesuffix("\n")
         if not line.strip():
             continue
         try:
@@ -382,8 +390,17 @@ def parse_records(stream) -> list[GenerationRecord]:
         if diags:
             raise RecordValidationError(record.id, diags)
         seen_ids.add(record.id)
-        records.append(record)
-    return records
+        yield record
+
+
+def parse_records(stream) -> list[GenerationRecord]:
+    """All the records of a corpus given as bytes, str or an open file, in
+    input order: ``list(iter_records(...))``, with its errors."""
+    if isinstance(stream, bytes):
+        stream = io.BytesIO(stream)
+    elif isinstance(stream, str):
+        stream = io.StringIO(stream)  # splits after "\n" only, as iter_records needs
+    return list(iter_records(stream))
 
 
 def write_records(records: list[GenerationRecord]) -> bytes:

@@ -1,7 +1,10 @@
+import builtins
 import copy
+import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -263,6 +266,107 @@ def test_invalid_utf8_is_one_line_error_naming_the_input(mock_paths, tmp_path, c
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith(start) and "'utf-8' codec" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("case, message", [
+    # the codec's position is the column within the line, not the file offset
+    ("bad byte opens line 2", "line 2: input is not valid UTF-8: 'utf-8' codec can't decode "
+                              "byte 0xff in position 0: invalid start byte"),
+    # the first bad line wins, whatever its fault
+    ("malformed line 2, bad byte on line 3", "line 2: Expecting property name enclosed in double quotes"),
+])
+def test_the_first_bad_corpus_line_is_reported(mock_paths, tmp_path, capsys, case, message):
+    corpus, _, _ = mock_paths
+    first, second, third = corpus.read_bytes().splitlines(keepends=True)[:3]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes({"bad byte opens line 2": first + b"\xff" + second + third,
+                     "malformed line 2, bad byte on line 3": first + b"{not json}\n\xff" + third}[case])
+    assert main(["analyze", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err == f"invalid data: {message}\n"
+
+
+CORPUS_COMMANDS = ("analyze", "race", "factcheck", "pipeline")
+
+
+@pytest.mark.parametrize("command, kind, code", [
+    (command, kind, code) for command in CORPUS_COMMANDS
+    for kind, code in (("valid", 0), ("empty", 2), ("malformed", 2), ("bad store", 2))
+    if (command, kind) != ("race", "bad store")  # race reads no store
+])
+def test_corpus_commands_close_their_input(mock_paths, tmp_path, monkeypatch, command, kind, code):
+    corpus, store, _ = mock_paths
+    first = corpus.read_bytes().splitlines(keepends=True)[0]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes({"empty": b"", "malformed": first + b"{not json}\n"}.get(kind, corpus.read_bytes()))
+    if kind == "bad store":
+        store = tmp_path / "bad-store.json"
+        store.write_text('{"k": ')
+    opened = []
+    real_open = builtins.open
+
+    def tracking_open(file, *args, **kwargs):
+        fp = real_open(file, *args, **kwargs)
+        if str(file) == str(path):
+            opened.append(fp)
+        return fp
+
+    monkeypatch.setattr(builtins, "open", tracking_open)
+    monkeypatch.setattr(io, "open", tracking_open)
+    argv = [command, "--input", str(path), "--output", str(tmp_path / "out.json")]
+    assert main(argv if command == "race" else [*argv, "--store", str(store)]) == code
+    assert opened and all(fp.closed for fp in opened)
+
+
+# The wide-s5 benchmark workload: 5 samples a record, a tenth of the records
+# injected into each tier.
+WIDE_S5 = {"samples_per_record": 5, "inject_rates": {"model": 0.1, "context": 0.1, "data": 0.1},
+           "seed": 7}
+
+
+@pytest.fixture(scope="module")
+def wide_corpora(tmp_path_factory):
+    """The first 400 and all 1,600 records of one wide-s5 draw, and its store."""
+    spec = MockSpec(n_records=1600, **WIDE_S5)
+    d = tmp_path_factory.mktemp("wide")
+    lines = write_records(generate_corpus(spec)).splitlines(keepends=True)
+    corpora = {}
+    for n in (400, 1600):
+        corpora[n] = d / f"corpus-{n}.jsonl"
+        corpora[n].write_bytes(b"".join(lines[:n]))
+    store = d / "store.json"
+    store.write_text(json.dumps(fact_store_to_json(generate_fact_store(spec))))
+    return corpora, store
+
+
+@pytest.mark.parametrize("command", ["analyze", "pipeline"])
+def test_memory_grows_by_signals_not_records(wide_corpora, tmp_path, command):
+    """The traced bytes a command adds per record stay below 4,000 B.
+
+    A command that holds the parsed corpus while it detects adds about
+    13,000 B per wide-s5 record (the record objects, plus the file's bytes,
+    its text and its lines while they are split); one that reads each
+    record as it goes keeps only the record's signals and its report or
+    ledger entry, about 900 B (analyze) or 1,400 B (pipeline).  4,000 B
+    lies well clear of both."""
+    corpora, store = wide_corpora
+
+    def run(n):
+        argv = [command, "--input", str(corpora[n]), "--store", str(store),
+                "--output", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run(n)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    run(400)  # imports and caches are in place before tracing starts
+    per_record = (traced_peak(1600) - traced_peak(400)) / 1200
+    assert per_record < 4000, per_record
 
 
 def test_stored_embeddings_at_any_scale_cluster_alike(tmp_path, capsys):

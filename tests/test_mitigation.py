@@ -278,3 +278,9 @@ def test_small_temperature_does_not_underflow():
     cold = SamplingPolicy(temperature=0.001)
     assert apply_sampling_policy(make_dist([0.2] * 5), cold).probs == [0.2] * 5
     assert apply_sampling_policy(make_dist([0.9, 0.1]), cold).probs == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.5])
+def test_zero_mass_distribution_is_a_value_error(temperature):
+    with pytest.raises(ValueError, match="no probability mass"):
+        apply_sampling_policy(make_dist([0.0, 0.0]), SamplingPolicy(temperature=temperature))

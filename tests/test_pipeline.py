@@ -313,6 +313,39 @@ def test_cycle_conservation_and_determinism():
     assert s["model"] + s["context"] + s["data"] == s["tiered"]
 
 
+def test_cycle_reads_an_iterator_like_a_list():
+    records = [_clean_record("a"), _noisy_record("b"),
+               make_record(answers=["alpha"] * 3, record_id="b.retry"), _noisy_record("c")]
+    from_list = run_cycle(records, clock=lambda: 0.0)
+    assert run_cycle(iter(records), clock=lambda: 0.0) == from_list
+    assert run_cycle((r for r in records), clock=lambda: 0.0) == from_list
+    assert [e.record_id for e in from_list.entries] == ["a", "b", "c"]
+
+
+def test_cycle_validates_a_retry_listed_before_its_base():
+    fixed = make_record(answers=["alpha"] * 3, record_id="n1.retry")
+    ledger = run_cycle([fixed, _clean_record("c1"), _noisy_record("n1")], clock=lambda: 0.0)
+    assert [e.record_id for e in ledger.entries] == ["c1", "n1"]
+    entry = ledger.entries[1]
+    assert entry.action_taken == "validated_retry" and entry.outcome == "improved"
+    assert entry.verdict.validation.after.record_id == "n1"
+    assert ledger == run_cycle([_clean_record("c1"), _noisy_record("n1"), fixed], clock=lambda: 0.0)
+
+
+def test_cycle_keeps_a_retry_without_its_base_as_a_primary():
+    orphan = _noisy_record("gone.retry")
+    ledger = run_cycle([_clean_record("c1"), orphan])
+    assert [e.record_id for e in ledger.entries] == ["c1", "gone.retry"]
+    assert ledger.entries[1].outcome == "pending"
+    assert ledger.summary["total"] == 2
+
+
+@pytest.mark.parametrize("ids", [["x", "x"], ["x", "y", "x"], ["x.retry", "x", "x.retry"]])
+def test_cycle_rejects_duplicate_ids_from_an_iterator(ids):
+    with pytest.raises(ValueError, match="duplicate record ids"):
+        run_cycle(_clean_record(i) for i in ids)
+
+
 def test_cycle_routes_with_config_rules():
     silent = [RouterRule("never", "h_p_mean", ">", 99.0, "model", [])]
     ledger = run_cycle([_noisy_record()], PipelineConfig(rules=silent))

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -13,6 +14,7 @@ from hallguard.records import (
     RecordValidationError,
     Sample,
     TokenDistribution,
+    iter_records,
     parse_records,
     record_from_json,
     record_to_json,
@@ -69,6 +71,34 @@ def test_parse_malformed_json_reports_line_number():
 def test_parse_rejects_duplicate_ids():
     with pytest.raises(RecordValidationError, match="duplicate"):
         parse_records(MINIMAL_LINE + MINIMAL_LINE)
+
+
+def test_iter_records_yields_each_record_before_reading_the_next_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(MINIMAL_LINE + b"{not json}\n")
+    with open(path, "rb") as fp:
+        records = iter_records(fp)
+        assert next(records).id == "r1"
+        with pytest.raises(RecordParseError) as exc:
+            next(records)
+    assert exc.value.line_no == 2
+
+
+def test_a_line_cut_short_is_an_unterminated_string():
+    cut = MINIMAL_LINE[: MINIMAL_LINE.index(b'"q?"') + 2] + b"\n"
+    with pytest.raises(RecordParseError, match="^line 2: Unterminated string"):
+        parse_records(MINIMAL_LINE.replace(b"r1", b"r0") + cut)
+
+
+def test_every_input_kind_reads_the_same_records():
+    raw_separator = MINIMAL_LINE.replace(b"r1", "r\u2028x".encode())  # one line, not two
+    data = write_records([valid_record("r1")]) + b"\n  \n" + raw_separator
+    want = parse_records(data)
+    assert [r.id for r in want] == ["r1", "r\u2028x"]
+    assert parse_records(data.decode()) == want
+    assert parse_records(io.BytesIO(data)) == want
+    assert parse_records(io.StringIO(data.decode())) == want
+    assert list(iter_records(io.BytesIO(data))) == want
 
 
 def test_three_record_round_trip():
