@@ -27,9 +27,13 @@ corpus.  The corpus is streamed, so analyze, pipeline and factcheck also run
 on the malformed corpus with the store cut in half: the corpus error must be
 the one reported although the first record is read before the store (and
 pipeline on the malformed corpus with no store, above, must print no
-warning).  Each command's output files, stdout, stderr and exit code are
-compared, with every line that holds a ledger ``"timestamp"`` dropped.  Each
-file that differs is printed, and the exit code is 1 when any does.
+warning).  calibrate (both kinds) runs on the empty, malformed and invalid
+corpora too, and mockgen on two more specs drawn from the workload's: one
+that injects every record (model 0.3, context 0.3, data 0.4) at
+true_temperature 2.5 with vocab_size 4, and one with 2 samples per record.
+Each command's output files, stdout, stderr and exit code are compared, with
+every line that holds a ledger ``"timestamp"`` dropped.  Each file that
+differs is printed, and the exit code is 1 when any does.
 """
 
 from __future__ import annotations
@@ -46,9 +50,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # name -> CLI arguments; {in}, {tagged}, {escaped}, {store}, {escaped_store},
-# {spec}, {text}, {config}, {rules} and the bad inputs {empty}, {malformed},
-# {invalid}, {bad_store}, {bad_config} and {bad_rules} name the input files and
-# {out} the directory the outputs go to
+# {spec}, {injected_spec}, {two_sample_spec}, {text}, {config}, {rules} and the
+# bad inputs {empty}, {malformed}, {invalid}, {bad_store}, {bad_config} and
+# {bad_rules} name the input files and {out} the directory the outputs go to
 COMMANDS = {
     "analyze-json": "analyze --input {in} --store {store} --output {out}/analyze.json",
     "analyze-md": "analyze --input {in} --store {store} --format md --output {out}/analyze.md",
@@ -88,9 +92,21 @@ COMMANDS.update({
 # a bad corpus line beats a bad store that is read before it
 for command in ("analyze", "pipeline", "factcheck"):
     COMMANDS[f"{command}-malformed-bad-store"] = f"{command} --input {{malformed}} --store {{bad_store}}"
+for bad in ("empty", "malformed", "invalid"):
+    for kind in ("temperature", "isotonic"):
+        COMMANDS[f"calibrate-{kind}-{bad}"] = f"calibrate --input {{{bad}}} --kind {kind}"
+for spec in ("injected", "two_sample"):
+    COMMANDS[f"mockgen-{spec}"] = (f"mockgen --spec {{{spec}_spec}} --out {{out}}/mock-{spec}.jsonl "
+                                   f"--store-out {{out}}/mock-{spec}-store.json")
 
 # every number off its default, so each reaches the outputs it can change
 CONFIG = {"cluster_threshold": 0.9, "fact_rel_tol": 0.02, "fact_abs_tol": 6.0, "min_delta": 0.2}
+# mock specs beside the workload's own: every record injected, at
+# true_temperature 2.5 with the smallest vocabulary a spec admits, and the
+# fewest samples a spec admits
+INJECTED_SPEC = {"inject_rates": {"model": 0.3, "context": 0.3, "data": 0.4},
+                 "true_temperature": 2.5, "vocab_size": 4}
+TWO_SAMPLE_SPEC = {"samples_per_record": 2}
 UNKNOWN_KEY = {"x_unknown": {"note": "carries no meaning", "n": [1, 2.5]}}
 ESCAPED_PREFIX = '"\\\u00e9\t\u2028'
 
@@ -128,6 +144,8 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
         (d / "corpus.jsonl").write_bytes(corpus.corpus_bytes)
         (d / "store.json").write_text(json.dumps(corpus.store))
         (d / "spec.json").write_text(json.dumps(corpus.spec))
+        (d / "injected-spec.json").write_text(json.dumps(dict(corpus.spec, **INJECTED_SPEC)))
+        (d / "two-sample-spec.json").write_text(json.dumps(dict(corpus.spec, **TWO_SAMPLE_SPEC)))
         records = [json.loads(line) for line in corpus.corpus_bytes.splitlines()]
         (d / "prompts.txt").write_text("\n".join(r["prompt"] for r in records) + "\n", encoding="utf-8")
         (d / "tagged.jsonl").write_text("".join(json.dumps(tagged(r)) + "\n" for r in records),
@@ -174,6 +192,8 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
         paths = {"in": corpus / "corpus.jsonl", "tagged": corpus / "tagged.jsonl",
                  "escaped": corpus / "escaped.jsonl", "store": corpus / "store.json",
                  "escaped_store": corpus / "escaped-store.json", "spec": corpus / "spec.json",
+                 "injected_spec": corpus / "injected-spec.json",
+                 "two_sample_spec": corpus / "two-sample-spec.json",
                  "text": corpus / "prompts.txt", "empty": corpus / "empty.jsonl",
                  "malformed": corpus / "malformed.jsonl", "invalid": corpus / "invalid.jsonl",
                  "bad_store": corpus / "bad-store.json", "config": corpus / "config.json",

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .records import GenerationRecord
+from .uncertainty import apply_temperature
 
 TEMPERATURE_MIN = 0.05
 TEMPERATURE_MAX = 20.0
@@ -167,16 +169,6 @@ def fit_temperature(logit_sets, true_labels) -> TemperatureModel:
     return TemperatureModel(T=best_t, fit_nll=best_nll, n_fit=len(labels))
 
 
-def apply_temperature(logits, T: float) -> np.ndarray:
-    """softmax(z / T), computed with max-subtraction for stability."""
-    if T <= 0.0:
-        raise ValueError("temperature must be positive")
-    z = np.asarray(logits, dtype=float) / T
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def mc_calibrated_mean(pass_logits, T: float) -> np.ndarray:
     """Mean of per-pass temperature-scaled softmaxes over M stochastic passes."""
     if len(pass_logits) < 1:
@@ -277,12 +269,13 @@ def _first_labeled_dist(rec: GenerationRecord):
     return dist, gt.correct_answer
 
 
-def logit_label_pairs(records: list[GenerationRecord]):
+def logit_label_pairs(records: Iterable[GenerationRecord]):
     """Extract (logits, correct-class index) fit pairs from labeled records.
 
     Uses the first scored position of the first sample; the stored
     probabilities are mapped back to logits via log, so records with
-    zero-probability entries are skipped.
+    zero-probability entries are skipped.  records is read once, so it may
+    be a stream such as records.iter_records.
     """
     logit_sets, labels = [], []
     for rec in records:
@@ -298,9 +291,10 @@ def logit_label_pairs(records: list[GenerationRecord]):
     return logit_sets, labels
 
 
-def score_outcome_pairs(records: list[GenerationRecord]):
+def score_outcome_pairs(records: Iterable[GenerationRecord]):
     """Extract (confidence, correct) pairs: confidence is the top probability
-    of the first scored position, correctness is argmax against the label."""
+    of the first scored position, correctness is argmax against the label.
+    records is read once, as by logit_label_pairs."""
     pairs = []
     for rec in records:
         found = _first_labeled_dist(rec)

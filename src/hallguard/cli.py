@@ -37,7 +37,7 @@ from .pipeline import (
     signal_value,
     write_json,
 )
-from .records import GenerationRecord, iter_records, parse_records, write_records
+from .records import GenerationRecord, iter_records, write_records
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -167,22 +167,23 @@ def cmd_calibrate(args) -> int:
         score_outcome_pairs,
     )
 
-    records = parse_records(Path(args.input).read_bytes())
-    if args.kind == "temperature":
-        logit_sets, labels = logit_label_pairs(records)
-        if len(logit_sets) < 2:
-            print("insufficient data: need >= 2 labeled records with full distributions", file=sys.stderr)
-            return EXIT_DATA
-        model = fit_temperature(logit_sets, labels)
-        print(f"fitted temperature T={model.T:.4f} nll={model.fit_nll:.5f} n={model.n_fit}")
-    else:  # isotonic
-        pairs = score_outcome_pairs(records)
-        if not pairs:
-            print("insufficient data: need labeled records with full distributions", file=sys.stderr)
-            return EXIT_DATA
-        model = fit_isotonic(pairs)
-        sse = sum((float(y) - apply_isotonic(model, s)) ** 2 for s, y in pairs)
-        print(f"fitted isotonic map with {len(model.breakpoints)} breakpoints sse={sse:.5f} n={len(pairs)}")
+    # streamed: of each labeled record only its one fit pair is kept
+    with Path(args.input).open("rb") as fp:
+        if args.kind == "temperature":
+            logit_sets, labels = logit_label_pairs(iter_records(fp))
+            if len(logit_sets) < 2:
+                print("insufficient data: need >= 2 labeled records with full distributions", file=sys.stderr)
+                return EXIT_DATA
+            model = fit_temperature(logit_sets, labels)
+            print(f"fitted temperature T={model.T:.4f} nll={model.fit_nll:.5f} n={model.n_fit}")
+        else:  # isotonic
+            pairs = score_outcome_pairs(iter_records(fp))
+            if not pairs:
+                print("insufficient data: need labeled records with full distributions", file=sys.stderr)
+                return EXIT_DATA
+            model = fit_isotonic(pairs)
+            sse = sum((float(y) - apply_isotonic(model, s)) ** 2 for s, y in pairs)
+            print(f"fitted isotonic map with {len(model.breakpoints)} breakpoints sse={sse:.5f} n={len(pairs)}")
     _emit(write_json, calibration_map_to_json(model), args.output)
     return EXIT_OK
 

@@ -19,22 +19,35 @@ Construction contract (what the acceptance suite leans on):
 Injection severities sit well clear of the default router thresholds on
 purpose: acceptance needs separation margin, not borderline flakiness.
 Everything is deterministic in the seed; texts are templated, not realistic.
+
+Draw order (the seed -> bytes contract): one ``numpy.random.default_rng(seed)``
+stream gives each record, in turn, the uniform that picks its class, the
+fact value (uniform on [10, 99]), V raw logits (normal, sd 0.02 for the
+model class, 1.5 otherwise), the uniform that picks the correct token, the
+uniform of the self-confidence, and, for the data class only, the claim
+offset (uniform on [5, 15]).  ``_draws`` makes every one of these draws;
+building a record from them draws nothing more, so ``generate_fact_store``
+reads the values alone and builds no record.  The correct token is what
+``rng.choice(V, p=softmax(z / T_true))`` returns for the same uniform: the
+first index whose normalised cumulative probability exceeds it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .calibration import apply_temperature
 from .errors import ConfigError
 from .grounding import FactEntry, FactStore
 from .records import (FAILURE_CLASSES, Claim, GenerationRecord, GroundTruthLabel, Sample,
                       TokenDistribution, finite_number)
-from .uncertainty import entropy_nats
+from .uncertainty import apply_temperature, entropy_nats
 
 CLEAN_ENTROPY_LO = 0.25
 CLEAN_ENTROPY_HI = 0.70
@@ -81,24 +94,47 @@ def _validate_spec(spec: MockSpec) -> None:
         raise ValueError("inject rates must sum to at most 1")
 
 
+def _softmax_entropy(zs: list[float], c: float) -> float:
+    """entropy_nats(apply_temperature(c * z, 1.0)) in Python floats, within
+    1e-12 of it: with x = c*z - max(c*z) and e = exp(x), the entropy of
+    e / sum(e) is ln sum(e) - sum(e * x) / sum(e)."""
+    top = c * max(zs)  # max(c * z) exactly, as c > 0
+    x = [c * v - top for v in zs]
+    e = list(map(math.exp, x))
+    total = sum(e)
+    return math.log(total) - sum(map(operator.mul, e, x)) / total
+
+
 def _scale_into_entropy_band(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Rescale a logit vector so its softmax entropy lands in [lo, hi].
 
     Entropy of softmax(c * z) decreases continuously in c from ln V down to
-    the support minimum, so a bracket-and-bisect always terminates.
+    the support minimum, so a bracket-and-bisect always terminates.  Each
+    step takes the entropy in Python floats; within 1e-9 of lo or hi, where
+    their 1e-12 gap from entropy_nats could flip a comparison, entropy_nats
+    decides, so every step, c and result are those of entropy_nats alone.
     """
-    if np.ptp(z) < 1e-9:  # constant vector cannot be sharpened
+    zs = z.tolist()
+    if max(zs) - min(zs) < 1e-9:  # constant vector cannot be sharpened
         z = z.copy()
         z[0] += 1.0
-    h = entropy_nats(apply_temperature(z, 1.0))
+        zs = z.tolist()
+
+    def entropy(c: float) -> float:
+        h = _softmax_entropy(zs, c)
+        if abs(h - lo) <= 1e-9 or abs(h - hi) <= 1e-9:
+            return entropy_nats(apply_temperature(c * z, 1.0))
+        return h
+
+    h = entropy(1.0)
     if lo <= h <= hi:
         return z
     c_lo, c_hi = 1e-6, 1.0
-    while c_hi < 1e6 and entropy_nats(apply_temperature(c_hi * z, 1.0)) > hi:
+    while c_hi < 1e6 and entropy(c_hi) > hi:
         c_hi *= 2.0
     for _ in range(200):
         c = (c_lo + c_hi) / 2.0
-        h = entropy_nats(apply_temperature(c * z, 1.0))
+        h = entropy(c)
         if lo <= h <= hi:
             return c * z
         if h > hi:
@@ -117,89 +153,94 @@ def _pick_class(u: float, rates: Mapping[str, float]) -> str | None:
     return None
 
 
-def _build(spec: MockSpec) -> tuple[list[GenerationRecord], FactStore]:
+def _draws(spec: MockSpec) -> Iterator[tuple]:
+    """Every random number of each record, drawn in the order of the module
+    docstring: (class, value, raw logits, choice uniform, confidence uniform,
+    data-class offset or None).  An invalid spec raises on the first draw."""
     _validate_spec(spec)
     rng = np.random.default_rng(spec.seed)
-    token_labels = [f"tok{j}" for j in range(spec.vocab_size)]
-    n_samples = spec.samples_per_record
-
-    records: list[GenerationRecord] = []
-    store_entries: dict[str, FactEntry] = {}
-    for i in range(spec.n_records):
+    for _ in range(spec.n_records):
         cls = _pick_class(float(rng.random()), spec.inject_rates)
-        key = f"fact_{i:05d}"
         value = round(float(rng.uniform(10.0, 99.0)), 2)
-        store_entries[key] = FactEntry(value=value)
+        z = rng.normal(0.0, 0.02 if cls == "model" else 1.5, spec.vocab_size)
+        u_correct = float(rng.random())
+        u_confidence = float(rng.random())
+        offset = float(rng.uniform(5.0, 15.0)) if cls == "data" else None
+        yield cls, value, z, u_correct, u_confidence, offset
 
-        if cls == "model":
-            z = rng.normal(0.0, 0.02, spec.vocab_size)  # near-uniform distribution
+
+def _record(i: int, draw: tuple, spec: MockSpec, token_labels: list[str]) -> GenerationRecord:
+    """The i-th record of the corpus, built from its draws; it draws no
+    random number itself."""
+    cls, value, z, u_correct, u_confidence, offset = draw
+    n_samples = spec.samples_per_record
+    key = f"fact_{i:05d}"
+    if cls != "model":  # model-class logits stay near-uniform
+        z = _scale_into_entropy_band(z, CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI)
+    probs = apply_temperature(z, 1.0)
+    probs = np.maximum(probs, 1e-12)  # keep every entry loggable for refits
+    probs = probs / probs.sum()
+    # what rng.choice(V, p=softmax(z / T)) does with the one uniform it draws
+    cdf = apply_temperature(z, spec.true_temperature).cumsum()
+    cdf /= cdf[-1]
+    correct = int(cdf.searchsorted(u_correct, side="right"))
+    dist = TokenDistribution(token_labels=list(token_labels), probs=[float(p) for p in probs])
+
+    if cls == "model":
+        variants = [f"{round(value + k + 1.0, 2)}" for k in range(3)]
+        answers = [variants[j % 3] for j in range(n_samples)]
+        confidence_base = 0.30 + 0.15 * u_confidence
+    else:
+        answers = [f"{value}"] * n_samples
+        if cls is None:
+            confidence_base = 0.75 + 0.20 * u_confidence
         else:
-            z = _scale_into_entropy_band(
-                rng.normal(0.0, 1.5, spec.vocab_size), CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI
-            )
-        probs = apply_temperature(z, 1.0)
-        probs = np.maximum(probs, 1e-12)  # keep every entry loggable for refits
-        probs = probs / probs.sum()
-        correct = int(rng.choice(spec.vocab_size, p=apply_temperature(z, spec.true_temperature)))
-        dist = TokenDistribution(token_labels=list(token_labels), probs=[float(p) for p in probs])
+            confidence_base = 0.55 + 0.20 * u_confidence
 
-        if cls == "model":
-            variants = [f"{round(value + k + 1.0, 2)}" for k in range(3)]
-            answers = [variants[j % 3] for j in range(n_samples)]
-            confidence_base = 0.30 + 0.15 * float(rng.random())
-        else:
-            answers = [f"{value}"] * n_samples
-            if cls is None:
-                confidence_base = 0.75 + 0.20 * float(rng.random())
-            else:
-                confidence_base = 0.55 + 0.20 * float(rng.random())
+    if cls == "context":
+        reasonings = [_REASONING_SPLIT[j % 2] for j in range(n_samples)]
+    else:
+        reasonings = [_REASONING_BASE] * n_samples
 
-        if cls == "context":
-            reasonings = [_REASONING_SPLIT[j % 2] for j in range(n_samples)]
-        else:
-            reasonings = [_REASONING_BASE] * n_samples
+    claim_value = value
+    if cls == "data":
+        claim_value = round(value + offset, 2)
 
-        claim_value = value
-        if cls == "data":
-            claim_value = round(value + float(rng.uniform(5.0, 15.0)), 2)
-
-        samples = [
-            Sample(
-                text=answers[j],
-                token_dists=[dist],
-                reasoning=reasonings[j],
-                answer=answers[j],
-                self_confidence=round(confidence_base, 4),
-            )
-            for j in range(n_samples)
-        ]
-        records.append(
-            GenerationRecord(
-                id=f"rec-{i:05d}",
-                prompt=f"What is the reported value of {key}?",
-                samples=samples,
-                reference_claims=[Claim(key=key, value=claim_value)],
-                ground_truth=GroundTruthLabel(
-                    is_hallucinated=cls is not None,
-                    failure_class=cls,
-                    correct_answer=token_labels[correct],
-                ),
-            )
+    samples = [
+        Sample(
+            text=answers[j],
+            token_dists=[dist],
+            reasoning=reasonings[j],
+            answer=answers[j],
+            self_confidence=round(confidence_base, 4),
         )
-    return records, FactStore(entries=store_entries)
+        for j in range(n_samples)
+    ]
+    return GenerationRecord(
+        id=f"rec-{i:05d}",
+        prompt=f"What is the reported value of {key}?",
+        samples=samples,
+        reference_claims=[Claim(key=key, value=claim_value)],
+        ground_truth=GroundTruthLabel(
+            is_hallucinated=cls is not None,
+            failure_class=cls,
+            correct_answer=token_labels[correct],
+        ),
+    )
 
 
 def generate_corpus(spec: MockSpec) -> list[GenerationRecord]:
     """Deterministic labeled corpus; same seed, same bytes."""
-    records, _ = _build(spec)
-    return records
+    token_labels = [f"tok{j}" for j in range(spec.vocab_size)]
+    return [_record(i, draw, spec, token_labels) for i, draw in enumerate(_draws(spec))]
 
 
 def generate_fact_store(spec: MockSpec) -> FactStore:
     """The reference store matching generate_corpus(spec): consistent with clean
-    records' claims, contradicted by data-class injections."""
-    _, store = _build(spec)
-    return store
+    records' claims, contradicted by data-class injections.  It reads only the
+    values of the draws and builds no record."""
+    return FactStore(entries={f"fact_{i:05d}": FactEntry(value=draw[1])
+                              for i, draw in enumerate(_draws(spec))})
 
 
 def mock_spec_from_json(obj) -> MockSpec:

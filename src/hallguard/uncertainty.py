@@ -52,6 +52,16 @@ def entropy_nats(probs) -> float:
     return float(0.0 - (nz * np.log(nz)).sum())  # 0.0 - 0.0 is +0.0, not -0.0
 
 
+def apply_temperature(logits, T: float) -> np.ndarray:
+    """softmax(z / T), computed with max-subtraction for stability."""
+    if T <= 0.0:
+        raise ValueError("temperature must be positive")
+    z = np.asarray(logits, dtype=float) / T
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
 def token_entropy(dist: TokenDistribution) -> float:
     """Entropy of one next-token distribution, in nats, as token_entropies
     scores it.

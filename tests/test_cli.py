@@ -286,12 +286,14 @@ def test_the_first_bad_corpus_line_is_reported(mock_paths, tmp_path, capsys, cas
 
 
 CORPUS_COMMANDS = ("analyze", "race", "factcheck", "pipeline")
+# the arguments that stand in for --store on the commands that read none
+_STORE_ARGS = {"race": [], "calibrate": ["--kind", "temperature"]}
 
 
 @pytest.mark.parametrize("command, kind, code", [
-    (command, kind, code) for command in CORPUS_COMMANDS
+    (command, kind, code) for command in (*CORPUS_COMMANDS, "calibrate")
     for kind, code in (("valid", 0), ("empty", 2), ("malformed", 2), ("bad store", 2))
-    if (command, kind) != ("race", "bad store")  # race reads no store
+    if kind != "bad store" or command not in ("race", "calibrate")  # they read no store
 ])
 def test_corpus_commands_close_their_input(mock_paths, tmp_path, monkeypatch, command, kind, code):
     corpus, store, _ = mock_paths
@@ -312,8 +314,9 @@ def test_corpus_commands_close_their_input(mock_paths, tmp_path, monkeypatch, co
 
     monkeypatch.setattr(builtins, "open", tracking_open)
     monkeypatch.setattr(io, "open", tracking_open)
-    argv = [command, "--input", str(path), "--output", str(tmp_path / "out.json")]
-    assert main(argv if command == "race" else [*argv, "--store", str(store)]) == code
+    argv = [command, "--input", str(path), "--output", str(tmp_path / "out.json"),
+            *_STORE_ARGS.get(command, ["--store", str(store)])]
+    assert main(argv) == code
     assert opened and all(fp.closed for fp in opened)
 
 
@@ -338,7 +341,7 @@ def wide_corpora(tmp_path_factory):
     return corpora, store
 
 
-@pytest.mark.parametrize("command", ["analyze", "pipeline"])
+@pytest.mark.parametrize("command", ["analyze", "pipeline", "calibrate"])
 def test_memory_grows_by_signals_not_records(wide_corpora, tmp_path, command):
     """The traced bytes a command adds per record stay below 4,000 B.
 
@@ -346,13 +349,13 @@ def test_memory_grows_by_signals_not_records(wide_corpora, tmp_path, command):
     13,000 B per wide-s5 record (the record objects, plus the file's bytes,
     its text and its lines while they are split); one that reads each
     record as it goes keeps only the record's signals and its report or
-    ledger entry, about 900 B (analyze) or 1,400 B (pipeline).  4,000 B
-    lies well clear of both."""
+    ledger entry, about 900 B (analyze) or 1,400 B (pipeline), or its one
+    fit pair, about 400 B (calibrate).  4,000 B lies well clear of both."""
     corpora, store = wide_corpora
 
     def run(n):
-        argv = [command, "--input", str(corpora[n]), "--store", str(store),
-                "--output", str(tmp_path / "out.json")]
+        argv = [command, "--input", str(corpora[n]), "--output", str(tmp_path / "out.json"),
+                *_STORE_ARGS.get(command, ["--store", str(store)])]
         assert main(argv) == 0
 
     def traced_peak(n):

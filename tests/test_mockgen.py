@@ -1,10 +1,125 @@
+import hashlib
+import io
+
+import numpy as np
 import pytest
 
+from hallguard import mockgen
 from hallguard.calibration import fit_temperature, logit_label_pairs
-from hallguard.grounding import check_claims
-from hallguard.mockgen import MockSpec, generate_corpus, generate_fact_store, mock_spec_from_json
-from hallguard.pipeline import PipelineConfig, run_cycle
+from hallguard.grounding import check_claims, fact_store_to_json
+from hallguard.mockgen import (CLEAN_ENTROPY_HI, CLEAN_ENTROPY_LO, MockSpec, generate_corpus,
+                               generate_fact_store, mock_spec_from_json)
+from hallguard.pipeline import PipelineConfig, run_cycle, write_json
 from hallguard.records import validate_record, write_records
+from hallguard.uncertainty import apply_temperature, entropy_nats
+
+# seed -> bytes: sha256 of the written corpus and of the written fact store,
+# as `hallguard mockgen --out --store-out` writes them.  Together the specs
+# draw every failure class and clean records, true_temperature 0.7, 1.5 and
+# 2.5, vocab_size 4, 6 and 11, and 2 to 4 samples per record.
+GOLDEN = [
+    (MockSpec(n_records=60, samples_per_record=3, true_temperature=1.5,
+              inject_rates={"model": 0.2, "context": 0.2, "data": 0.2}, seed=7),
+     "a1ac11954b655f207101f8172672b20a4be52548e7ef2e9bc0d9d1d481996fc3",
+     "dabc56b6f33b9e313f8e71826d3efdfc36a1c89b709cd86b4249c0196a01f1d4"),
+    (MockSpec(n_records=40, samples_per_record=2, true_temperature=2.5,
+              inject_rates={"model": 0.3, "context": 0.3, "data": 0.4}, vocab_size=4, seed=1009),
+     "731c6a50a0efac9f74dcf5c0d670081762388486cb63772189c136d33ea96514",
+     "d5e09cd7d3afa9da6419a6fecc31d683ad7e79d09c23f0e1e8c61e90ce5ca0f0"),
+    (MockSpec(n_records=30, samples_per_record=4, true_temperature=0.7, vocab_size=11, seed=0),
+     "fd9efd7430bfb1a6a6fbca9dbc575864b0f3ab62084a78eb203d7eaecd02cc63",
+     "dfcfedb6f569045022b735f468f83f53859d7d319abf5d9e39010a3e443dd646"),
+]
+GOLDEN_IDS = ["mixed", "all-injected-v4", "clean-v11"]
+
+
+def _store_digest(spec: MockSpec) -> str:
+    out = io.StringIO()
+    write_json(fact_store_to_json(generate_fact_store(spec)), out)
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("spec, corpus_sha, store_sha", GOLDEN, ids=GOLDEN_IDS)
+def test_golden_corpus_and_store_bytes(spec, corpus_sha, store_sha):
+    records = generate_corpus(spec)
+    assert hashlib.sha256(write_records(records)).hexdigest() == corpus_sha
+    assert _store_digest(spec) == store_sha
+
+
+def test_golden_specs_cover_every_class():
+    classes = {r.ground_truth.failure_class for spec, _, _ in GOLDEN for r in generate_corpus(spec)}
+    assert classes == {None, "model", "context", "data"}
+
+
+@pytest.mark.parametrize("spec, corpus_sha, store_sha", GOLDEN, ids=GOLDEN_IDS)
+def test_fact_store_builds_no_record(monkeypatch, spec, corpus_sha, store_sha):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the fact store needs only the draws")
+
+    monkeypatch.setattr(mockgen, "_scale_into_entropy_band", forbidden)
+    monkeypatch.setattr(mockgen, "_record", forbidden)
+    assert _store_digest(spec) == store_sha
+
+
+def _reference_scale(z, lo, hi):
+    """The band search with every entropy taken by entropy_nats."""
+    if np.ptp(z) < 1e-9:
+        z = z.copy()
+        z[0] += 1.0
+    h = entropy_nats(apply_temperature(z, 1.0))
+    if lo <= h <= hi:
+        return z
+    c_lo, c_hi = 1e-6, 1.0
+    while c_hi < 1e6 and entropy_nats(apply_temperature(c_hi * z, 1.0)) > hi:
+        c_hi *= 2.0
+    for _ in range(200):
+        c = (c_lo + c_hi) / 2.0
+        h = entropy_nats(apply_temperature(c * z, 1.0))
+        if lo <= h <= hi:
+            return c * z
+        if h > hi:
+            c_lo = c
+        else:
+            c_hi = c
+    return c * z
+
+
+def test_python_entropy_matches_entropy_nats():
+    rng = np.random.default_rng(14)
+    underflowed = 0
+    for _ in range(3000):
+        z = rng.normal(0.0, float(rng.choice([0.02, 1.5, 10.0])), int(rng.integers(4, 51)))
+        c = float(10.0 ** rng.uniform(-6.0, 6.0))
+        x = c * z - (c * z).max()
+        underflowed += bool((np.exp(x) == 0.0).any())
+        expected = entropy_nats(apply_temperature(c * z, 1.0))
+        assert abs(mockgen._softmax_entropy(z.tolist(), c) - expected) <= 1e-12
+    assert underflowed > 100
+
+
+def test_band_search_matches_the_entropy_nats_reference():
+    rng = np.random.default_rng(15)
+    bands = [(CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI), (0.01, 0.011), (1.0, 1.0 + 1e-9)]
+    for _ in range(500):
+        z = rng.normal(0.0, float(rng.choice([0.02, 1.5, 10.0])), int(rng.integers(4, 51)))
+        for lo, hi in bands:
+            got, want = mockgen._scale_into_entropy_band(z, lo, hi), _reference_scale(z, lo, hi)
+            assert got.tobytes() == want.tobytes()
+    constant = np.full(6, 0.5)
+    assert (mockgen._scale_into_entropy_band(constant, CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI).tobytes()
+            == _reference_scale(constant, CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI).tobytes())
+
+
+@pytest.mark.parametrize("error", [-5e-10, 5e-10])
+def test_entropy_nats_decides_at_a_band_edge(monkeypatch, error):
+    """A Python entropy that misses by less than 1e-9 cannot move a value
+    that entropy_nats puts exactly on lo or hi out of the band."""
+    z = np.random.default_rng(16).normal(0.0, 1.5, 6)
+    h = entropy_nats(apply_temperature(z, 1.0))
+    exact = mockgen._softmax_entropy
+    monkeypatch.setattr(mockgen, "_softmax_entropy", lambda zs, c: exact(zs, c) + error)
+    assert mockgen._scale_into_entropy_band(z, h, h + 0.1) is z
+    assert mockgen._scale_into_entropy_band(z, h - 0.1, h) is z
 
 
 def test_same_seed_is_byte_identical():
