@@ -14,8 +14,11 @@ again on a tagged copy of the corpus, which adds one unknown key to every
 record, sample, token distribution, claim and ground truth.  Then analyze,
 pipeline, race and factcheck run on an escaped copy, whose record ids, claim
 keys and store keys start with characters that JSON escapes (a quote, a
-backslash, a tab and U+2028) and a non-ASCII letter.  Last come the error
-paths: analyze, pipeline, race and factcheck on an empty corpus, on the
+backslash, a tab and U+2028) and a non-ASCII letter.  On a corpus whose
+samples carry stored embeddings, analyze and pipeline also run on a signs
+copy, in which every embedding entry is replaced by its sign (-1.0, 0.0 or
+1.0), so that records hold duplicate vectors and tied distances.  Last come
+the error paths: analyze, pipeline, race and factcheck on an empty corpus, on the
 corpus's first two lines with the second cut in half, and on its first record
 with no samples, and analyze, pipeline and factcheck with the store cut in
 half.  analyze, race, factcheck and pipeline run again with a --config that
@@ -49,10 +52,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# name -> CLI arguments; {in}, {tagged}, {escaped}, {store}, {escaped_store},
-# {spec}, {injected_spec}, {two_sample_spec}, {text}, {config}, {rules} and the
-# bad inputs {empty}, {malformed}, {invalid}, {bad_store}, {bad_config} and
-# {bad_rules} name the input files and {out} the directory the outputs go to
+# name -> CLI arguments; {in}, {tagged}, {escaped}, {signs}, {store},
+# {escaped_store}, {spec}, {injected_spec}, {two_sample_spec}, {text}, {config},
+# {rules} and the bad inputs {empty}, {malformed}, {invalid}, {bad_store},
+# {bad_config} and {bad_rules} name the input files and {out} the directory the
+# outputs go to
 COMMANDS = {
     "analyze-json": "analyze --input {in} --store {store} --output {out}/analyze.json",
     "analyze-md": "analyze --input {in} --store {store} --format md --output {out}/analyze.md",
@@ -71,6 +75,9 @@ COMMANDS = {
     "pipeline-escaped": "pipeline --input {escaped} --store {escaped_store} --output {out}/ledger-escaped.json",
     "race-escaped": "race --input {escaped} --output {out}/race-escaped.json",
     "factcheck-escaped": "factcheck --input {escaped} --store {escaped_store} --output {out}/factcheck-escaped.json",
+    # run only on a corpus with stored embeddings, the one that has a signs copy
+    "analyze-signs": "analyze --input {signs} --store {store} --output {out}/analyze-signs.json",
+    "pipeline-signs": "pipeline --input {signs} --store {store} --output {out}/ledger-signs.json",
 }
 for bad in ("empty", "malformed", "invalid"):
     for command in ("analyze", "pipeline", "race"):
@@ -132,6 +139,14 @@ def escaped(record: dict) -> dict:
     return record
 
 
+def signs(record: dict) -> dict:
+    """The record with each stored embedding entry replaced by its sign."""
+    for sample in record["samples"]:
+        if sample.get("embedding") is not None:
+            sample["embedding"] = [float((x > 0) - (x < 0)) for x in sample["embedding"]]
+    return record
+
+
 def write_corpora(src: Path, seed: int, into: Path) -> None:
     """Build every benchmark corpus under src; one directory per workload."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
@@ -153,6 +168,10 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
         records = [json.loads(line) for line in corpus.corpus_bytes.splitlines()]  # untagged
         (d / "escaped.jsonl").write_text("".join(json.dumps(escaped(r)) + "\n" for r in records),
                                          encoding="utf-8")
+        records = [json.loads(line) for line in corpus.corpus_bytes.splitlines()]
+        if any(s.get("embedding") is not None for r in records for s in r["samples"]):
+            (d / "signs.jsonl").write_text("".join(json.dumps(signs(r)) + "\n" for r in records),
+                                           encoding="utf-8")
         store = {ESCAPED_PREFIX + key: entry for key, entry in corpus.store.items()}
         (d / "escaped-store.json").write_text(json.dumps(store))
         lines = corpus.corpus_bytes.splitlines(keepends=True)
@@ -190,7 +209,8 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
         out = outputs / corpus.name
         out.mkdir(parents=True)
         paths = {"in": corpus / "corpus.jsonl", "tagged": corpus / "tagged.jsonl",
-                 "escaped": corpus / "escaped.jsonl", "store": corpus / "store.json",
+                 "escaped": corpus / "escaped.jsonl", "signs": corpus / "signs.jsonl",
+                 "store": corpus / "store.json",
                  "escaped_store": corpus / "escaped-store.json", "spec": corpus / "spec.json",
                  "injected_spec": corpus / "injected-spec.json",
                  "two_sample_spec": corpus / "two-sample-spec.json",
@@ -200,6 +220,8 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
                  "rules": corpus / "rules.json", "bad_config": corpus / "bad-config.json",
                  "bad_rules": corpus / "bad-rules.json", "out": out}
         for name, template in COMMANDS.items():
+            if "{signs}" in template and not paths["signs"].exists():
+                continue
             argv = [arg.format(**paths) for arg in template.split()]
             proc = subprocess.run([sys.executable, "-m", "hallguard.cli", *argv],
                                   capture_output=True, env=env)

@@ -96,14 +96,13 @@ def fact_store_to_json(store: FactStore) -> dict:
 
 
 def _as_number(value) -> float | None:
-    if finite_number(value):
-        return float(value)
+    """The finite number a claim or store value states, else None."""
     if isinstance(value, str):
         try:
-            return float(value.strip())
+            value = float(value.strip())
         except ValueError:
             return None
-    return None
+    return float(value) if finite_number(value) else None
 
 
 def _normalize_text(value) -> str:
@@ -114,8 +113,9 @@ def check_claims(claims, store: FactStore, rel_tol: float = 0.0, abs_tol: float 
     """Check each claim against the store, one verdict per claim in order.
 
     Numeric claims match when |claimed - ref| <= max(abs_tol, rel_tol * |ref|)
-    and the units are equal (case-sensitive; absent matches absent).  String
-    claims match on case-insensitive, whitespace-normalized equality.  Keys
+    and the units are equal (case-sensitive; absent matches absent); a string
+    stating a finite number counts as one.  Other claims ("nan" and "inf" too)
+    match on case-insensitive, whitespace-normalized equality.  Keys
     missing from the store yield an "unknown" verdict.
     """
     if rel_tol < 0.0 or abs_tol < 0.0:

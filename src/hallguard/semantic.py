@@ -6,45 +6,39 @@ cluster's mass as its share of the samples, then score the mass distribution
 with Shannon entropy.  Zero entropy means all samples landed in one semantic
 cluster; ln K is the maximum over K clusters.
 
-Clustering.  All pairwise cosine distances 1 - cos(u, v), clamped at 0, come
-from one Gram matrix of the unit-normalised vectors.  Each vector is divided
-by its largest |entry| before it is normalised, so distances are
-scale-invariant: no norm overflows or underflows, and scaling a vector by a
-power of two leaves every distance bit for bit as it was while its entries
-stay normal floats.  The merge loop keeps the summed pairwise distance
-between every two clusters and each cluster's size, so the average linkage
-of clusters a and b is sum(a, b) / (|a| |b|), and a merge adds b's row and
-column into a's (the Lance-Williams update for average linkage; Muellner,
-arXiv:1109.2378).  Each merge is one numpy pass over the n x n matrix, so a
-clustering of n vectors costs O(n^2) numpy work per merge and at most n - 1
-merges.  Merging stops once the smallest linkage exceeds the threshold.
+Clustering.  Every clustering runs ``_cluster_rows`` over the row of each
+sample.  All-zero rows have no direction, so each is a singleton cluster.
+The nonzero rows are grouped by their bytes (after + 0.0, so -0.0 matches
+0.0) into k distinct rows with their counts, taken in the sorted order of
+their bytes, so the merges depend only on the multiset of rows, not on the
+order of the samples.  All pairwise cosine distances 1 - cos(u, v) of the
+distinct rows, clamped at 0, come from one Gram matrix of the
+unit-normalised rows.  Each row is divided by its largest |entry| before it
+is normalised, so distances are scale-invariant: no norm overflows or
+underflows, and scaling a vector by a power of two leaves every distance bit
+for bit as it was while its entries stay normal floats.  The merge loop
+keeps the summed pairwise distance between every two clusters, starting at
+count_i * count_j * d_ij, and each cluster's size, starting at its count, so
+the average linkage of clusters a and b is sum(a, b) / (|a| |b|), and a
+merge adds b's row and column into a's (the Lance-Williams update for
+average linkage; Muellner, arXiv:1109.2378).  Each of at most k - 1 merges
+is one numpy pass over the k x k matrix.  Merging stops once the smallest
+linkage exceeds the threshold, which must be nonnegative (a negative or NaN
+one is a ValueError; ``load_config`` admits [0, 2]).  Each sample then joins
+the cluster of its row.
 
-Tie rule.  Among equal computed linkages the lowest (a, b) pair merges, where
-a cluster is indexed by its lowest member.  Exact duplicates (equal rows,
-found by their bytes) are at distance 0, so threshold 0 groups them despite
-float rounding.  All-zero vectors have no direction: their distance to
-anything, themselves included, is infinite, so they stay singletons.  A tie
-that holds only mathematically, such as two merges at 1 - 1/sqrt(2), can be
-split by rounding, and then may break otherwise than in a plain pair loop
-that sums in another order (tests/test_semantic.py keeps one as the
-reference).
+Tie rule.  Among equal computed linkages the lowest (a, b) pair of distinct
+rows in byte order merges.  Equal rows are one row, so their samples share a
+cluster at any threshold, 0 included.  A tie that holds only mathematically,
+such as two merges at 1 - 1/sqrt(2), can be split by rounding, and then may
+break otherwise than in a plain pair loop that sums in another order
+(tests/test_semantic.py keeps one as the reference).
 
-One distinct row.  Every clustering runs ``_cluster_rows`` over the
-distinct rows and the row of each sample; ``cluster_embeddings`` finds the
-distinct rows by their bytes (after + 0.0, so -0.0 matches 0.0), and
-``cluster_texts`` hands it the one vector of a list whose texts are all one
-string without stacking or checking it (a ``default_embed`` vector is
-bucket counts divided by their finite norm, so it is finite).  When there is
-one distinct row and the threshold is nonnegative, ``_cluster_rows`` knows
-the outcome without a distance matrix: one cluster when the row is nonzero
-(every distance is 0, so every merge is taken), n singletons when it is
-zero.  It is the common case, since confident answers agree.  With more
-distinct rows, when the largest distance lies below the threshold by more
-than the rounding of a computed linkage (n^2 * 2^-52 relative), every merge
-is taken too, so the answer is one cluster without the merge loop.  A zero
-row makes the largest distance infinite and takes the loop.  A negative
-threshold, under which nothing merges, takes the general path, as does a
-NaN one.
+Shortcuts.  One distinct nonzero row, the common case since confident
+answers agree, needs no distance matrix: its samples form one cluster.  With
+more, when the largest distance lies below the threshold by more than the
+rounding of a computed linkage (m^2 * 2^-52 relative for m nonzero samples),
+every merge is taken, so they form one cluster without the merge loop.
 
 Embedding sources.  A sample's stored ``embedding`` embeds its ``text`` and
 feeds semantic entropy only.  A valid record carries an embedding on every
@@ -123,17 +117,13 @@ def default_embed(text: str) -> np.ndarray:
 
 
 def _distances(distinct: np.ndarray) -> np.ndarray:
-    """Pairwise cosine distances of pairwise unequal rows: inf on every row
-    and column of a zero row.  Each row is divided by its largest |entry|
-    before it is normalised, so no norm overflows or underflows."""
-    largest = np.abs(distinct).max(axis=1)
-    zero = largest == 0.0
-    scaled = distinct / np.where(zero, 1.0, largest)[:, None]
-    unit = scaled / np.where(zero, 1.0, np.linalg.norm(scaled, axis=1))[:, None]
+    """Pairwise cosine distances of nonzero rows.  Each row is divided by its
+    largest |entry| before it is normalised, so no norm overflows or
+    underflows."""
+    scaled = distinct / np.abs(distinct).max(axis=1)[:, None]
+    unit = scaled / np.linalg.norm(scaled, axis=1)[:, None]
     d = np.triu(np.maximum(0.0, 1.0 - unit @ unit.T), 1)
     d += d.T  # exactly symmetric, with 0 on the diagonal
-    d[zero] = math.inf
-    d[:, zero] = math.inf
     return d
 
 
@@ -141,8 +131,8 @@ def cluster_embeddings(vectors, threshold: float) -> ClusterAssignment:
     """Average-linkage agglomerative clustering under cosine distance.
 
     Merging stops once the minimum inter-cluster distance exceeds the
-    threshold.  Cluster masses are sample counts divided by N.  See the
-    module docstring for the algorithm and its tie rule.
+    threshold (nonnegative).  Cluster masses are sample counts divided by N.
+    See the module docstring for the algorithm and its tie rule.
     """
     vs = [np.asarray(v, dtype=float) for v in vectors]
     if not vs:
@@ -152,40 +142,59 @@ def cluster_embeddings(vectors, threshold: float) -> ClusterAssignment:
     x = np.stack(vs)
     if not np.isfinite(x).all():
         raise ValueError("vectors must be finite")
-    slot: dict[bytes, int] = {}
-    # equal rows share one key; + 0.0 maps -0.0 to 0.0
-    of_sample = [slot.setdefault(row.tobytes(), len(slot)) for row in x + 0.0]
-    distinct = np.empty((len(slot), x.shape[1]))
-    distinct[of_sample] = x
-    return _cluster_rows(distinct, of_sample, threshold)
+    return _cluster_rows(x + 0.0, range(len(x)), threshold)  # + 0.0 maps -0.0 to 0.0
 
 
-def _cluster_rows(distinct: np.ndarray, of_sample: list[int], threshold: float) -> ClusterAssignment:
-    """cluster_embeddings of the samples whose vectors are the finite, pairwise
-    unequal rows of ``distinct``: sample i has row of_sample[i]."""
+def _cluster_rows(rows, of_sample, threshold: float) -> ClusterAssignment:
+    """cluster_embeddings of the samples whose vectors are finite float rows
+    of one length with no -0.0 entry, so that equal rows have equal bytes:
+    sample i has rows[of_sample[i]]."""
+    if not threshold >= 0.0:
+        raise ValueError("threshold must be a nonnegative number")
+    keys = [row.tobytes() for row in rows]
+    samples_of: dict[bytes, list[int]] = {}
+    for i, r in enumerate(of_sample):
+        samples_of.setdefault(keys[r], []).append(i)
+    zero = samples_of.pop(bytes(len(keys[0])), [])  # each zero row is a singleton
+    distinct = sorted(samples_of)  # a canonical order: by bytes
+    groups = [samples_of[key] for key in distinct]
+    parts: list[list[int]] = [[] for _ in groups]
+    for owner, samples in zip(_merge(distinct, [len(g) for g in groups], threshold), groups):
+        parts[owner] += samples
+    parts = sorted([part for part in parts if part] + [[i] for i in zero], key=min)
     n = len(of_sample)
-    if threshold >= 0.0 and len(distinct) == 1:  # one distinct row
-        if distinct[0].any():  # every distance is 0, so every merge is taken
-            return ClusterAssignment([0] * n, [1.0], [0])
-        return ClusterAssignment(list(range(n)), [1 / n] * n, list(range(n)))
+    cluster_of_sample = [0] * n
+    for k, part in enumerate(parts):
+        for i in part:
+            cluster_of_sample[i] = k
+    return ClusterAssignment(cluster_of_sample, [len(part) / n for part in parts],
+                             [min(part) for part in parts])
 
-    d = _distances(distinct)
-    # a computed linkage is a sum of at most n^2 of these distances over a
-    # size product, so it exceeds the largest by less than n^2 * 2^-52
+
+def _merge(distinct: list[bytes], counts: list[int], threshold: float) -> list[int]:
+    """Average linkage over pairwise unequal nonzero rows, given as their
+    bytes, row r standing for counts[r] samples: the lowest row of the
+    cluster each row ends in."""
+    k = len(distinct)
+    if k <= 1:  # one distinct row needs no distance matrix
+        return [0] * k
+    d = _distances(np.frombuffer(b"".join(distinct)).reshape(k, -1))
+    # a computed linkage is a sum of at most m^2 of these distances over a
+    # size product, so it exceeds the largest by less than m^2 * 2^-52
     # relative; the largest that far under the threshold takes every merge
-    if threshold >= 0.0 and d.max() <= threshold * (1.0 - n * n * 2.0**-52):
-        return ClusterAssignment([0] * n, [1.0], [0])
-    sums = d[np.ix_(of_sample, of_sample)]  # summed pairwise distance between clusters
-    size = np.ones(n, dtype=int)
+    m = sum(counts)
+    if d.max() <= threshold * (1.0 - m * m * 2.0**-52):
+        return [0] * k
+    size = np.array(counts)
+    sums = d * np.outer(size, size)  # summed pairwise distance between clusters
     # a pair (a, b) is a candidate while a < b and both clusters are alive
-    barred = np.tri(n, dtype=bool)
-    owner = np.arange(n)  # cluster of each sample, named by its lowest member
-    while True:
+    barred = np.tri(k, dtype=bool)
+    owner = np.arange(k)  # cluster of each row, named by its lowest row
+    for _ in range(k - 1):
         linkage = sums / np.outer(size, size)
         linkage[barred] = math.inf
-        a, b = divmod(int(np.argmin(linkage)), n)  # first minimum: lowest (a, b)
-        best = linkage[a, b]
-        if best == math.inf or best > threshold:
+        a, b = divmod(int(np.argmin(linkage)), k)  # first minimum: lowest (a, b)
+        if linkage[a, b] > threshold:
             break
         sums[a] += sums[b]
         sums[:, a] += sums[:, b]
@@ -193,24 +202,13 @@ def _cluster_rows(distinct: np.ndarray, of_sample: list[int], threshold: float) 
         barred[b] = True
         barred[:, b] = True
         owner[owner == b] = a
-
-    owners = owner.tolist()
-    representatives = sorted(set(owners))
-    index = {rep: k for k, rep in enumerate(representatives)}
-    return ClusterAssignment(
-        cluster_of_sample=[index[c] for c in owners],
-        cluster_masses=[int(size[rep]) / n for rep in representatives],
-        representatives=representatives,
-    )
+    return owner.tolist()
 
 
 @functools.lru_cache(maxsize=8)
 def _cluster_texts(texts: tuple[str, ...], threshold: float) -> ClusterAssignment:
-    distinct = dict.fromkeys(texts)
-    if len(distinct) == 1:
-        return _cluster_rows(default_embed(texts[0])[None], [0] * len(texts), threshold)
-    vectors = {text: default_embed(text) for text in distinct}
-    return cluster_embeddings([vectors[text] for text in texts], threshold)
+    row = {text: r for r, text in enumerate(dict.fromkeys(texts))}
+    return _cluster_rows([default_embed(text) for text in row], [row[text] for text in texts], threshold)
 
 
 def cluster_texts(texts, threshold: float = DEFAULT_CLUSTER_THRESHOLD) -> ClusterAssignment:

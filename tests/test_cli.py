@@ -48,6 +48,29 @@ def test_analyze_reports_every_record(mock_paths, tmp_path, capsys):
         }
 
 
+def test_shuffling_records_permutes_analyze_entries(mock_paths, tmp_path):
+    """Each record's entry is the same text wherever the record stands; half
+    the records carry sign vectors from {-1, 0, 1}^3, whose distances tie."""
+    corpus, store, _ = mock_paths
+    rng = np.random.default_rng(31)
+    records = [json.loads(line) for line in corpus.read_bytes().splitlines()]
+    for record in records[::2]:
+        for sample in record["samples"]:
+            sample["embedding"] = rng.integers(-1, 2, size=3).astype(float).tolist()
+    shuffled = [records[i] for i in rng.permutation(len(records))]
+    entries = []
+    for name, rows in (("ordered", records), ("shuffled", shuffled)):
+        (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / f"{name}.json"
+        assert main(["analyze", "--input", str(tmp_path / f"{name}.jsonl"), "--store", str(store),
+                     "--output", str(out)]) == 0
+        # numbers kept as their text, so equal entries are equal to the digit
+        entries.append(json.loads(out.read_text(), parse_float=str)["records"])
+    assert [e["record_id"] for e in entries[1]] == [r["id"] for r in shuffled]
+    by_id = {e["record_id"]: e for e in entries[0]}
+    assert all(e == by_id[e["record_id"]] for e in entries[1])
+
+
 def test_analyze_markdown_format(mock_paths, capsys):
     corpus, store, _ = mock_paths
     assert main(["analyze", "--input", str(corpus), "--format", "md"]) == 0

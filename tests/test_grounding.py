@@ -100,6 +100,19 @@ def test_numeric_strings_compare_numerically():
     assert check_claims([make_claim("rate", 5.0)], store)[0].status == "match"
 
 
+@pytest.mark.parametrize("claimed, reference, status", [
+    ("nan", "nan", "match"),
+    ("inf", "inf", "match"),
+    (" -Infinity", "-infinity", "match"),
+    ("1e400", "1e400", "match"),
+    ("inf", "1e400", "mismatch"),  # no number is stated, so the texts decide
+    ("nan", 5.0, "mismatch"),
+])
+def test_non_finite_strings_compare_as_text(claimed, reference, status):
+    store = FactStore(entries={"rate": FactEntry(value=reference)})
+    assert check_claims([make_claim("rate", claimed)], store)[0].status == status
+
+
 def test_verdicts_preserve_claim_order():
     claims = [make_claim("boc_policy_rate", 5.0, unit="%"), make_claim("other", 2.0)]
     verdicts = check_claims(claims, RATE_STORE)

@@ -11,7 +11,7 @@ from hallguard.mockgen import (CLEAN_ENTROPY_HI, CLEAN_ENTROPY_LO, MockSpec, gen
                                generate_fact_store, mock_spec_from_json)
 from hallguard.pipeline import PipelineConfig, run_cycle, write_json
 from hallguard.records import validate_record, write_records
-from hallguard.uncertainty import apply_temperature, entropy_nats
+from hallguard.uncertainty import apply_temperature, entropy_nats, token_entropies
 
 # seed -> bytes: sha256 of the written corpus and of the written fact store,
 # as `hallguard mockgen --out --store-out` writes them.  Together the specs
@@ -213,11 +213,8 @@ def test_injected_records_fire_their_rule_family():
 def test_injected_entropy_separation_margins():
     spec = MockSpec(n_records=120, samples_per_record=5,
                     inject_rates={"model": 0.3}, seed=55)
-    records = generate_corpus(spec)
-    from hallguard.uncertainty import sequence_entropy_profile
-
-    for rec in records:
-        h = sequence_entropy_profile(rec.samples[0]).mean
+    for rec in generate_corpus(spec):
+        h = float(np.mean(token_entropies(rec.samples[0].token_dists)))
         if rec.ground_truth.failure_class == "model":
             assert h >= 1.2
         else:

@@ -1,7 +1,7 @@
 import io
 import json
 import math
-from dataclasses import is_dataclass
+from dataclasses import is_dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -34,6 +34,7 @@ from hallguard.pipeline import (
     write_json,
 )
 from hallguard.records import GenerationRecord, Sample
+from hallguard.semantic import semantic_entropy_of_record
 
 from conftest import decoded, make_claim, make_dist, make_record
 
@@ -93,6 +94,53 @@ def test_detect_bare_single_sample_yields_all_absent():
     assert signals == DetectionSignals(record_id="rec")
     # all-absent bundles still route, to a pass verdict
     assert route(signals, default_rules()).tier is None
+
+
+# Lexically overlapping texts: pairs of these lie at equal cosine
+# distances, so average linkage meets exact ties.
+TIE_TEXTS = ["alpha beta", "beta gamma", "alpha gamma", "delta", "alpha beta gamma"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_shuffling_samples_keeps_the_partition_signals(data):
+    """Signals depend on the set of samples, not their order.  h_s and the
+    RACE entropies sum the same masses in another cluster order, so they may
+    move in the last bits."""
+    n = data.draw(st.integers(2, 8))
+    texts = st.lists(st.sampled_from(TIE_TEXTS), min_size=n, max_size=n)
+    record = make_record(answers=data.draw(texts), reasonings=data.draw(texts))
+    if data.draw(st.booleans()):  # stored vectors from {-1, 0, 1}^3, zero rows included
+        row = st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=3, max_size=3)
+        vectors = data.draw(st.lists(row, min_size=n, max_size=n))
+        record = replace(record, samples=[replace(s, embedding=v) for s, v in zip(record.samples, vectors)])
+    config = PipelineConfig(cluster_threshold=data.draw(st.sampled_from([0.35, 0.6, 1.0, 1.2])))
+    perm = data.draw(st.permutations(range(n)))
+    shuffled = replace(record, samples=[record.samples[i] for i in perm])
+
+    first, second = detect(record, config), detect(shuffled, config)
+    assert second.consensus_support == first.consensus_support
+    masses = [sorted(semantic_entropy_of_record(r, config.cluster_threshold).assignment.cluster_masses)
+              for r in (record, shuffled)]
+    assert masses[0] == masses[1]
+    assert second.h_s == pytest.approx(first.h_s, rel=0.0, abs=1e-12)
+    for name in ("h_reasoning", "h_answer", "h_joint", "mutual_information", "mutual_information_raw"):
+        assert getattr(second.race, name) == pytest.approx(getattr(first.race, name), rel=0.0, abs=1e-12)
+    assert second.race.flag_right_answer_wrong_reasoning == first.race.flag_right_answer_wrong_reasoning
+
+
+def test_permuting_token_labels_with_their_probs_keeps_h_p_mean():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        dists = [make_dist(rng.dirichlet(np.ones(int(rng.integers(2, 12)))).tolist())
+                 for _ in range(int(rng.integers(1, 6)))]
+        permuted = []
+        for dist in dists:
+            order = rng.permutation(len(dist.probs))
+            permuted.append(make_dist([dist.probs[i] for i in order], [dist.token_labels[i] for i in order]))
+        h = detect(make_record(texts=["a", "b"], token_dists=dists)).h_p_mean
+        assert detect(make_record(texts=["a", "b"], token_dists=permuted)).h_p_mean == pytest.approx(
+            h, rel=0.0, abs=1e-12)
 
 
 # --- signal_value / route ---

@@ -178,7 +178,7 @@ def test_matches_reference_loop_on_random_inputs():
     inputs.append([np.full(3, 1e200)] * 3)  # finite, but its squared norm overflows
     with np.errstate(over="ignore"):
         for vectors in inputs:
-            for threshold in (0.0, 0.35, 2.0, -0.1):
+            for threshold in (0.0, 0.35, 2.0):
                 assert cluster_embeddings(vectors, threshold) == reference_cluster(vectors, threshold)
 
 
@@ -252,9 +252,27 @@ def test_cluster_texts_embeds_each_distinct_string_once(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_one_distinct_text_matches_the_general_path(text, embed, threshold, n):
     vectors = [embed(text)] * n
+    if not threshold >= 0.0:  # both reject it
+        with pytest.raises(ValueError, match="threshold"):
+            cluster_embeddings(vectors, threshold)
+        with pytest.raises(ValueError, match="threshold"):
+            cluster_texts([text] * n, threshold)
+        return
     expected = cluster_embeddings(vectors, threshold)
     assert cluster_texts([text] * n, threshold) == expected
     assert expected == reference_cluster(vectors, threshold)
+
+
+@pytest.mark.parametrize("threshold", [-0.1, -5e-324, -math.inf, math.nan])
+def test_negative_or_nan_threshold_rejected(threshold):
+    """On every path: distinct rows, duplicates, zero rows, one text, many."""
+    vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.zeros(2)]
+    for inputs in (vectors, vectors[:1], vectors[3:]):
+        with pytest.raises(ValueError, match="threshold"):
+            cluster_embeddings(inputs, threshold)
+    for texts in (["rates up", "rates down", "rates up", ""], ["rates up"] * 3):
+        with pytest.raises(ValueError, match="threshold"):
+            cluster_texts(texts, threshold)
 
 
 def test_detect_clusters_each_distinct_input_once(monkeypatch):
@@ -264,9 +282,9 @@ def test_detect_clusters_each_distinct_input_once(monkeypatch):
     calls = []
     clustering = semantic._cluster_rows  # every clustering, by text or by vector, runs it
 
-    def counting(distinct, of_sample, threshold):
+    def counting(rows, of_sample, threshold):
         calls.append(len(of_sample))
-        return clustering(distinct, of_sample, threshold)
+        return clustering(rows, of_sample, threshold)
 
     monkeypatch.setattr(semantic, "_cluster_rows", counting)
     semantic._cluster_texts.cache_clear()
@@ -275,6 +293,33 @@ def test_detect_clusters_each_distinct_input_once(monkeypatch):
     # reasoning traces are the other
     assert calls == [5, 5]
     assert signals.h_s is not None and signals.race is not None
+
+
+# --- order of the samples ---
+
+
+def test_roadmap_tie_example_is_order_independent():
+    """Two merges tie at linkage 1.0; the lowest sample pair used to pick one,
+    so swapping the first two rows moved the masses from [0.75, 0.25] to
+    [0.5, 0.5]."""
+    rows = [np.array(r, dtype=float) for r in ([-1, 1, -1], [1, 0, -1], [1, 1, 1], [-1, 1, 1])]
+    first = cluster_embeddings(rows, 1.0)
+    swapped = cluster_embeddings([rows[1], rows[0], *rows[2:]], 1.0)
+    assert sorted(first.cluster_masses) == sorted(swapped.cluster_masses)
+
+
+def test_tie_sweep_masses_depend_only_on_the_multiset():
+    """Rows from {-1, 0, 1}^3 (zero rows included) tie often; every
+    permutation gives exactly the same sorted masses."""
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        n = int(rng.integers(3, 7))
+        rows = rng.integers(-1, 2, size=(n, 3)).astype(float)
+        threshold = float(rng.choice([0.3, 0.5, 0.7, 1.0, 1.2, 1.5]))
+        expected = sorted(cluster_embeddings(rows, threshold).cluster_masses)
+        for _ in range(3):
+            shuffled = rows[rng.permutation(n)]
+            assert sorted(cluster_embeddings(shuffled, threshold).cluster_masses) == expected
 
 
 # --- semantic_entropy ---
