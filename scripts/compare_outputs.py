@@ -34,6 +34,8 @@ warning).  calibrate (both kinds) runs on the empty, malformed and invalid
 corpora too, and mockgen on two more specs drawn from the workload's: one
 that injects every record (model 0.3, context 0.3, data 0.4) at
 true_temperature 2.5 with vocab_size 4, and one with 2 samples per record.
+analyze also runs on five corpora of one record each, the first record with
+one fault (FAULTS), so that both trees must print the same message.
 Each command's output files, stdout, stderr and exit code are compared, with
 every line that holds a ledger ``"timestamp"`` dropped.  Each file that
 differs is printed, and the exit code is 1 when any does.
@@ -55,8 +57,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # name -> CLI arguments; {in}, {tagged}, {escaped}, {signs}, {store},
 # {escaped_store}, {spec}, {injected_spec}, {two_sample_spec}, {text}, {config},
 # {rules} and the bad inputs {empty}, {malformed}, {invalid}, {bad_store},
-# {bad_config} and {bad_rules} name the input files and {out} the directory the
-# outputs go to
+# {bad_config}, {bad_rules} and {fault_<name>} name the input files and {out}
+# the directory the outputs go to
 COMMANDS = {
     "analyze-json": "analyze --input {in} --store {store} --output {out}/analyze.json",
     "analyze-md": "analyze --input {in} --store {store} --format md --output {out}/analyze.md",
@@ -106,6 +108,12 @@ for spec in ("injected", "two_sample"):
     COMMANDS[f"mockgen-{spec}"] = (f"mockgen --spec {{{spec}_spec}} --out {{out}}/mock-{spec}.jsonl "
                                    f"--store-out {{out}}/mock-{spec}-store.json")
 
+# one fault each, made from a corpus's first record
+FAULTS = ("sample_string", "probs_halved", "claim_without_value", "label_without_is_hallucinated",
+          "dist_without_probs")
+for fault in FAULTS:
+    COMMANDS[f"analyze-fault-{fault}"] = f"analyze --input {{fault_{fault}}}"
+
 # every number off its default, so each reaches the outputs it can change
 CONFIG = {"cluster_threshold": 0.9, "fact_rel_tol": 0.02, "fact_abs_tol": 6.0, "min_delta": 0.2}
 # mock specs beside the workload's own: every record injected, at
@@ -147,6 +155,25 @@ def signs(record: dict) -> dict:
     return record
 
 
+def faulty(record: dict, fault: str) -> dict:
+    """The record with one fault of FAULTS: its second sample replaced by a
+    string, the first token distribution's probs halved, the first claim
+    without its value, the ground truth without is_hallucinated, or the first
+    token distribution without probs."""
+    dist = record["samples"][0]["token_dists"][0]
+    if fault == "sample_string":
+        record["samples"][1] = "x"
+    elif fault == "probs_halved":
+        dist["probs"] = [p / 2 for p in dist["probs"]]
+    elif fault == "claim_without_value":
+        del record["reference_claims"][0]["value"]
+    elif fault == "label_without_is_hallucinated":
+        del record["ground_truth"]["is_hallucinated"]
+    else:
+        del dist["probs"]
+    return record
+
+
 def write_corpora(src: Path, seed: int, into: Path) -> None:
     """Build every benchmark corpus under src; one directory per workload."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
@@ -178,6 +205,8 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
         (d / "empty.jsonl").write_bytes(b"")
         (d / "malformed.jsonl").write_bytes(lines[0] + lines[1][: len(lines[1]) // 2] + b"\n")
         (d / "invalid.jsonl").write_text(json.dumps(dict(json.loads(lines[0]), samples=[])) + "\n")
+        for fault in FAULTS:
+            (d / f"fault-{fault}.jsonl").write_text(json.dumps(faulty(json.loads(lines[0]), fault)) + "\n")
         store_text = json.dumps(corpus.store)
         (d / "bad-store.json").write_text(store_text[: len(store_text) // 2])
         (d / "config.json").write_text(json.dumps(CONFIG))
@@ -218,7 +247,8 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
                  "malformed": corpus / "malformed.jsonl", "invalid": corpus / "invalid.jsonl",
                  "bad_store": corpus / "bad-store.json", "config": corpus / "config.json",
                  "rules": corpus / "rules.json", "bad_config": corpus / "bad-config.json",
-                 "bad_rules": corpus / "bad-rules.json", "out": out}
+                 "bad_rules": corpus / "bad-rules.json", "out": out,
+                 **{f"fault_{fault}": corpus / f"fault-{fault}.jsonl" for fault in FAULTS}}
         for name, template in COMMANDS.items():
             if "{signs}" in template and not paths["signs"].exists():
                 continue

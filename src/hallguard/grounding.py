@@ -57,8 +57,8 @@ def _reject_duplicate_keys(pairs):
 
 
 def load_fact_store(data) -> FactStore:
-    """Load a store from JSON bytes or text; duplicate keys and values that
-    are neither strings nor finite numbers are load errors."""
+    """Load a store from JSON bytes or text; duplicate keys, a value neither a string
+    nor a finite number, and a unit or as_of given but not a string are load errors."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
@@ -79,6 +79,9 @@ def load_fact_store(data) -> FactStore:
             raise FactStoreError(f"entry for {key!r} must be an object with a value")
         if not (isinstance(raw["value"], str) or finite_number(raw["value"])):
             raise FactStoreError(f"value for {key!r} must be a finite number or a string")
+        for name in ("unit", "as_of"):
+            if raw.get(name) is not None and not isinstance(raw[name], str):
+                raise FactStoreError(f"{name} for {key!r} must be a string")
         entries[key] = FactEntry(value=raw["value"], unit=raw.get("unit"), as_of=raw.get("as_of"))
     return FactStore(entries=entries)
 

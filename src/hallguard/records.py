@@ -17,8 +17,8 @@ Optional fields are omitted when absent.  Unknown keys are accepted and
 ignored.  Probabilities are stored as plain decimals, log-probabilities in
 nats.  All types are immutable after construction.
 
-A corpus is read one line at a time: ``iter_records`` decodes, parses and
-validates each line as it is reached and yields its record, so a caller
+A corpus is read one line at a time: ``iter_records`` decodes each line as
+it is reached and builds and checks its record in one walk, so a caller
 that keeps only what it computes from each record never holds the corpus.
 ``parse_records`` is the same reader collected into a list.  Either way the
 first bad line raises, with its line number.
@@ -116,7 +116,7 @@ class GenerationRecord:
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Reading and validation
 
 
 def _is_number(v) -> bool:
@@ -129,178 +129,178 @@ def finite_number(value) -> bool:
     return _is_number(value) and abs(value) <= sys.float_info.max
 
 
-def _validate_dist(dist: TokenDistribution, path: str, diags: list[Diagnostic]) -> None:
-    if not dist.probs:
-        diags.append(Diagnostic(f"{path}.probs", "must be nonempty"))
-    if len(dist.token_labels) != len(dist.probs):
-        diags.append(Diagnostic(f"{path}.probs", "length differs from token_labels"))
-    n_diags = len(diags)
-    for j, p in enumerate(dist.probs):
-        if not _is_number(p) or not (0.0 <= p <= 1.0):
-            diags.append(Diagnostic(f"{path}.probs[{j}]", "probability must lie in [0, 1]"))
-    if dist.probs and len(diags) == n_diags:  # a bad entry has no sum
-        total = sum(dist.probs)
-        if not (1.0 - PROB_SUM_TOL <= total <= 1.0 + PROB_SUM_TOL):
-            diags.append(Diagnostic(f"{path}.probs", f"probs sum to {total:.6g}, expected 1"))
-    if not all(isinstance(label, str) for label in dist.token_labels):
-        diags.append(Diagnostic(f"{path}.token_labels", "token labels must be strings"))
-    elif len(set(dist.token_labels)) != len(dist.token_labels):
-        diags.append(Diagnostic(f"{path}.token_labels", "token labels must be unique"))
+def _is_str(v) -> bool:
+    return isinstance(v, str)
 
 
-def _validate_sample(sample: Sample, path: str, diags: list[Diagnostic]) -> None:
-    if sample.token_dists is not None:
-        if len(sample.token_dists) < 1:
-            diags.append(Diagnostic(f"{path}.token_dists", "present but empty"))
-        for j, dist in enumerate(sample.token_dists):
-            _validate_dist(dist, f"{path}.token_dists[{j}]", diags)
-    if sample.token_logprobs is not None:
-        for j, lp in enumerate(sample.token_logprobs):
-            if not _is_number(lp) or not lp <= 0.0:  # NaN fails <= too
-                diags.append(Diagnostic(f"{path}.token_logprobs[{j}]", "log-probability must be <= 0"))
-    emb = sample.embedding
-    if emb is not None and not emb:
-        diags.append(Diagnostic(f"{path}.embedding", "must be nonempty"))
-    # plain JSON floats pass in two C-level passes; anything else gets the
-    # exact check, which names the first bad entry
-    if emb is not None and not (set(map(type, emb)) <= {float} and all(map(math.isfinite, emb))):
-        for j, x in enumerate(emb):
-            if not finite_number(x):
-                diags.append(Diagnostic(f"{path}.embedding[{j}]", "must be a finite number"))
+def _is_probability(v) -> bool:
+    return _is_number(v) and 0.0 <= v <= 1.0
+
+
+class _Walk:
+    """One walk over a decoded record: builds it and collects every
+    diagnostic in field order (a distribution's probs before its labels).
+    Each list of numbers names only its first bad entry.  A field that fails
+    its check keeps its JSON value in the record built, which is dropped."""
+
+    def __init__(self, seen_ids=()):
+        self.seen_ids = seen_ids
+        self.rid = "<unknown>"
+        self.diags: list[Diagnostic] = []
+
+    def read(self, obj) -> GenerationRecord:
+        """The record obj encodes; raises RecordValidationError with every diagnostic."""
+        record = self.record(obj)
+        if self.diags:
+            raise RecordValidationError(self.rid, self.diags)
+        return record
+
+    def fault(self, path: str, reason: str) -> None:
+        self.diags.append(Diagnostic(path, reason))
+
+    def field(self, obj: dict, key: str, at: str, ok, reason: str, required: bool = False):
+        """obj[key], a fault unless ok; an optional field may be absent or null."""
+        value = obj.get(key)
+        if (required or value is not None) and not ok(value):
+            self.fault(at + key, reason)
+        return value
+
+    def numbers(self, values, path: str, ok, reason: str) -> list | None:
+        """values if a list, else None; a fault for the first entry that fails ok."""
+        if not isinstance(values, list):
+            return self.fault(path, "must be a list")
+        for j, x in enumerate(values):
+            if not ok(x):
+                self.fault(f"{path}[{j}]", reason)
                 break
-    for name in ("reasoning", "answer"):
-        if not isinstance(getattr(sample, name), (str, type(None))):
-            diags.append(Diagnostic(f"{path}.{name}", "must be a string"))
-    if sample.self_confidence is not None:
-        sc = sample.self_confidence
-        if not _is_number(sc) or not (0.0 <= sc <= 1.0):
-            diags.append(Diagnostic(f"{path}.self_confidence", "must lie in [0, 1]"))
+        return values
+
+    def objects(self, obj: dict, key: str, at: str, read) -> list | None:
+        """obj[key]: absent, or a list whose entries read(entry, its path) builds."""
+        items = obj.get(key)
+        if not isinstance(items, list):
+            return None if items is None else self.fault(at + key, "must be a list")
+        return [read(item, f"{at}{key}[{j}]") for j, item in enumerate(items)]
+
+    def record(self, obj) -> GenerationRecord | None:
+        if not isinstance(obj, dict):
+            return self.fault("", "record must be a JSON object")
+        rid = self.field(obj, "id", "", _is_str, "must be a string", required=True)
+        if isinstance(rid, str):
+            self.rid = rid
+            if not rid:
+                self.fault("id", "must be nonempty")
+            elif rid in self.seen_ids:
+                self.fault("id", "duplicate id in corpus")
+        prompt = self.field(obj, "prompt", "", _is_str, "must be a string", required=True)
+        samples = obj.get("samples")
+        if not isinstance(samples, list):
+            self.fault("samples", "must be a list")
+        elif not samples:
+            self.fault("samples", "must contain at least one sample")
+        else:
+            samples = [self.sample(s, f"samples[{i}]", samples[0]) for i, s in enumerate(samples)]
+        claims = self.objects(obj, "reference_claims", "", self.claim)
+        gt = obj.get("ground_truth")
+        return GenerationRecord(rid, prompt, samples, claims, None if gt is None else self.ground_truth(gt))
+
+    def sample(self, obj, at: str, first) -> Sample | None:
+        """obj, checked against the record's first sample where that is an object."""
+        if not isinstance(obj, dict):
+            return self.fault(at, "sample must be a JSON object")
+        at += "."
+        text = self.field(obj, "text", at, _is_str, "must be a string", required=True)
+        dists = self.objects(obj, "token_dists", at, self.dist)
+        if dists == []:
+            self.fault(at + "token_dists", "present but empty")
+        logprobs = obj.get("token_logprobs")
+        if logprobs is not None:
+            logprobs = self.numbers(logprobs, at + "token_logprobs", lambda x: _is_number(x) and x <= 0.0,
+                                    "log-probability must be <= 0")  # NaN fails <= too
+        emb = obj.get("embedding")
+        if emb == []:
+            self.fault(at + "embedding", "must be nonempty")
+        # plain JSON floats pass in two C-level passes, the rest in the exact check
+        elif emb is not None and not (isinstance(emb, list) and set(map(type, emb)) <= {float}
+                                      and all(map(math.isfinite, emb))):
+            emb = self.numbers(emb, at + "embedding", finite_number, "must be a finite number")
+        ref = first.get("embedding") if isinstance(first, dict) else obj.get("embedding")
+        if (ref is None) != (obj.get("embedding") is None):
+            self.fault(at + "embedding", "must be set on every sample or on none")
+        elif isinstance(emb, list) and isinstance(ref, list) and len(emb) != len(ref):
+            self.fault(at + "embedding", f"length {len(emb)} differs from samples[0].embedding ({len(ref)})")
+        return Sample(
+            text=text,
+            token_dists=dists,
+            token_logprobs=None if logprobs is None else list(logprobs),
+            embedding=None if emb is None else list(emb),
+            reasoning=self.field(obj, "reasoning", at, _is_str, "must be a string"),
+            answer=self.field(obj, "answer", at, _is_str, "must be a string"),
+            self_confidence=self.field(obj, "self_confidence", at, _is_probability, "must lie in [0, 1]"),
+        )
+
+    def dist(self, obj, at: str) -> TokenDistribution | None:
+        labels, probs = (obj.get("labels"), obj.get("probs")) if isinstance(obj, dict) else (None, None)
+        if not (isinstance(labels, list) and isinstance(probs, list)):
+            return self.fault(at, "must be an object with labels[] and probs[]")
+        if not probs:
+            self.fault(f"{at}.probs", "must be nonempty")
+        if len(labels) != len(probs):
+            self.fault(f"{at}.probs", "length differs from token_labels")
+        n_diags = len(self.diags)
+        # plain floats in [0, 1] pass in C-level passes (a NaN makes the sum NaN)
+        if not (probs and set(map(type, probs)) <= {float} and 0.0 <= min(probs) and max(probs) <= 1.0
+                and math.isfinite(sum(probs))):
+            self.numbers(probs, f"{at}.probs", _is_probability, "probability must lie in [0, 1]")
+        if probs and len(self.diags) == n_diags:  # a bad entry has no sum
+            total = sum(probs)
+            if not (1.0 - PROB_SUM_TOL <= total <= 1.0 + PROB_SUM_TOL):
+                self.fault(f"{at}.probs", f"probs sum to {total:.6g}, expected 1")
+        if not all(isinstance(label, str) for label in labels):
+            self.fault(f"{at}.token_labels", "token labels must be strings")
+        elif len(set(labels)) != len(labels):
+            self.fault(f"{at}.token_labels", "token labels must be unique")
+        return TokenDistribution(token_labels=list(labels), probs=list(probs))
+
+    def claim(self, obj, at: str) -> Claim | None:
+        if not isinstance(obj, dict) or "key" not in obj or "value" not in obj:
+            return self.fault(at, "claim must be an object with key and value")
+        at += "."
+        return Claim(
+            key=self.field(obj, "key", at, lambda k: k and isinstance(k, str), "must be a nonempty string", True),
+            value=self.field(obj, "value", at, lambda v: isinstance(v, str) or finite_number(v),
+                             "must be a finite number or a string", True),
+            unit=self.field(obj, "unit", at, _is_str, "must be a string"),
+        )
+
+    def ground_truth(self, obj) -> GroundTruthLabel | None:
+        if not isinstance(obj, dict) or not isinstance(obj.get("is_hallucinated"), bool):
+            return self.fault("ground_truth", "must be an object with boolean is_hallucinated")
+        if obj.get("failure_class") is not None and not obj["is_hallucinated"]:
+            self.fault("ground_truth.failure_class", "only allowed when is_hallucinated")
+        return GroundTruthLabel(
+            is_hallucinated=obj["is_hallucinated"],
+            failure_class=self.field(obj, "failure_class", "ground_truth.", FAILURE_CLASSES.__contains__,
+                                     f"must be one of {FAILURE_CLASSES}"),
+            correct_answer=self.field(obj, "correct_answer", "ground_truth.", _is_str, "must be a string"),
+        )
 
 
 def validate_record(record: GenerationRecord) -> list[Diagnostic]:
-    """Return the (possibly empty) list of invariant violations for one record.
-
-    Empty result means the record is valid.
-    """
-    diags: list[Diagnostic] = []
-    if not record.id:
-        diags.append(Diagnostic("id", "must be nonempty"))
-    if not record.samples:
-        diags.append(Diagnostic("samples", "must contain at least one sample"))
-    for i, sample in enumerate(record.samples):
-        _validate_sample(sample, f"samples[{i}]", diags)
-        first, emb = record.samples[0].embedding, sample.embedding
-        if (first is None) != (emb is None):
-            diags.append(Diagnostic(f"samples[{i}].embedding", "must be set on every sample or on none"))
-        elif emb is not None and len(emb) != len(first):
-            diags.append(Diagnostic(
-                f"samples[{i}].embedding",
-                f"length {len(emb)} differs from samples[0].embedding ({len(first)})",
-            ))
-    for i, claim in enumerate(record.reference_claims or []):
-        if not isinstance(claim.key, str) or not claim.key:
-            diags.append(Diagnostic(f"reference_claims[{i}].key", "must be a nonempty string"))
-        if not (isinstance(claim.value, str) or finite_number(claim.value)):
-            diags.append(Diagnostic(f"reference_claims[{i}].value", "must be a finite number or a string"))
-    gt = record.ground_truth
-    if gt is not None:
-        if gt.failure_class is not None and not gt.is_hallucinated:
-            diags.append(Diagnostic("ground_truth.failure_class", "only allowed when is_hallucinated"))
-        if gt.failure_class is not None and gt.failure_class not in FAILURE_CLASSES:
-            diags.append(
-                Diagnostic("ground_truth.failure_class", f"must be one of {FAILURE_CLASSES}")
-            )
-    return diags
+    """Every invariant violation of one record, in field order: the walk that
+    reads a record, over ``record_to_json(record)``.  Empty means valid."""
+    walk = _Walk()
+    walk.record(record_to_json(record))
+    return walk.diags
 
 
 # ---------------------------------------------------------------------------
 # JSON conversion
 
-def _shape_error(record_id: str, path: str, reason: str) -> RecordValidationError:
-    return RecordValidationError(record_id, [Diagnostic(path, reason)])
 
-
-def record_from_json(obj: dict) -> GenerationRecord:
-    """Build a record from a decoded JSON object; raises on structural problems."""
-    if not isinstance(obj, dict):
-        raise _shape_error("<unknown>", "", "record must be a JSON object")
-    rid = obj.get("id")
-    rid_str = rid if isinstance(rid, str) else "<unknown>"
-    if not isinstance(rid, str):
-        raise _shape_error(rid_str, "id", "must be a string")
-    prompt = obj.get("prompt")
-    if not isinstance(prompt, str):
-        raise _shape_error(rid_str, "prompt", "must be a string")
-    raw_samples = obj.get("samples")
-    if not isinstance(raw_samples, list):
-        raise _shape_error(rid_str, "samples", "must be a list")
-
-    samples = [_sample_from_json(s, f"samples[{i}]", rid_str) for i, s in enumerate(raw_samples)]
-
-    claims = None
-    if obj.get("reference_claims") is not None:
-        raw = obj["reference_claims"]
-        if not isinstance(raw, list):
-            raise _shape_error(rid_str, "reference_claims", "must be a list")
-        claims = [_claim_from_json(c, f"reference_claims[{i}]", rid_str) for i, c in enumerate(raw)]
-
-    gt = None
-    if obj.get("ground_truth") is not None:
-        gt = _gt_from_json(obj["ground_truth"], rid_str)
-
-    return GenerationRecord(
-        id=rid,
-        prompt=prompt,
-        samples=samples,
-        reference_claims=claims,
-        ground_truth=gt,
-    )
-
-
-def _sample_from_json(obj, path: str, rid: str) -> Sample:
-    if not isinstance(obj, dict):
-        raise _shape_error(rid, path, "sample must be a JSON object")
-    text = obj.get("text")
-    if not isinstance(text, str):
-        raise _shape_error(rid, f"{path}.text", "must be a string")
-    for key in ("token_logprobs", "embedding"):
-        if obj.get(key) is not None and not isinstance(obj[key], list):
-            raise _shape_error(rid, f"{path}.{key}", "must be a list")
-    dists = None
-    if obj.get("token_dists") is not None:
-        raw = obj["token_dists"]
-        if not isinstance(raw, list):
-            raise _shape_error(rid, f"{path}.token_dists", "must be a list")
-        dists = []
-        for j, d in enumerate(raw):
-            if not isinstance(d, dict) or not isinstance(d.get("labels"), list) or not isinstance(d.get("probs"), list):
-                raise _shape_error(rid, f"{path}.token_dists[{j}]", "must be an object with labels[] and probs[]")
-            dists.append(TokenDistribution(token_labels=list(d["labels"]), probs=list(d["probs"])))
-    return Sample(
-        text=text,
-        token_dists=dists,
-        token_logprobs=list(obj["token_logprobs"]) if obj.get("token_logprobs") is not None else None,
-        embedding=list(obj["embedding"]) if obj.get("embedding") is not None else None,
-        reasoning=obj.get("reasoning"),
-        answer=obj.get("answer"),
-        self_confidence=obj.get("self_confidence"),
-    )
-
-
-def _claim_from_json(obj, path: str, rid: str) -> Claim:
-    if not isinstance(obj, dict) or "key" not in obj or "value" not in obj:
-        raise _shape_error(rid, path, "claim must be an object with key and value")
-    return Claim(key=obj["key"], value=obj["value"], unit=obj.get("unit"))
-
-
-def _gt_from_json(obj, rid: str) -> GroundTruthLabel:
-    if not isinstance(obj, dict) or not isinstance(obj.get("is_hallucinated"), bool):
-        raise _shape_error(rid, "ground_truth", "must be an object with boolean is_hallucinated")
-    return GroundTruthLabel(
-        is_hallucinated=obj["is_hallucinated"],
-        failure_class=obj.get("failure_class"),
-        correct_answer=obj.get("correct_answer"),
-    )
+def record_from_json(obj) -> GenerationRecord:
+    """The record a decoded JSON object encodes, read in one walk; raises with every diagnostic."""
+    return _Walk().read(obj)
 
 
 def record_to_json(record: GenerationRecord) -> dict:
@@ -360,12 +360,12 @@ def iter_records(fp) -> Iterator[GenerationRecord]:
     One trailing ``\n`` is cut from each line before it is parsed, so a
     line cut short reads as unterminated JSON.  Blank lines are skipped.
 
-    Every record is validated as it is read, so only the current line and
-    the ids seen so far are held.  The first bad line raises, whatever its
-    fault: RecordParseError with the line number for bytes that are not
-    UTF-8 (the codec message gives the column within the line) or
-    malformed JSON, RecordValidationError naming the record id and field
-    for a broken invariant or an id seen before.
+    Every record is built and checked in one walk as it is read, so only the
+    current line and the ids seen so far are held.  The first bad line
+    raises, whatever its fault: RecordParseError with the line number for
+    bytes that are not UTF-8 (the codec message gives the column within the
+    line) or malformed JSON, RecordValidationError naming the record id and
+    carrying every fault of the record, an id seen before first.
     """
     seen_ids: set[str] = set()
     for line_no, line in enumerate(fp, start=1):
@@ -383,12 +383,7 @@ def iter_records(fp) -> Iterator[GenerationRecord]:
             raise RecordParseError(line_no, exc.msg) from exc
         except RecursionError:
             raise RecordParseError(line_no, "JSON nested too deeply") from None
-        record = record_from_json(obj)
-        diags = validate_record(record)
-        if record.id in seen_ids:
-            diags.insert(0, Diagnostic("id", "duplicate id in corpus"))
-        if diags:
-            raise RecordValidationError(record.id, diags)
+        record = _Walk(seen_ids).read(obj)
         seen_ids.add(record.id)
         yield record
 

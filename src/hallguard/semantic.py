@@ -29,7 +29,8 @@ the cluster of its row.
 
 Tie rule.  Among equal computed linkages the lowest (a, b) pair of distinct
 rows in byte order merges.  Equal rows are one row, so their samples share a
-cluster at any threshold, 0 included.  A tie that holds only mathematically,
+cluster at any threshold; threshold 0 is sure to merge only those (u and 2u
+split when their distance rounds above 0).  A tie that holds only mathematically,
 such as two merges at 1 - 1/sqrt(2), can be split by rounding, and then may
 break otherwise than in a plain pair loop that sums in another order
 (tests/test_semantic.py keeps one as the reference).

@@ -85,6 +85,31 @@ def test_analyze_empty_corpus_exits_2(tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
+def test_the_first_diagnostic_in_field_order_is_printed(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "r1", "prompt": "q", "samples": [{"text": "a", "self_confidence": 2}, "x"]}\n')
+    assert main(["analyze", "--input", str(corpus)]) == 2
+    assert capsys.readouterr().err == \
+        "invalid data: record 'r1': samples[0].self_confidence: must lie in [0, 1]\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "factcheck", "pipeline"])
+def test_a_unit_or_as_of_that_is_not_a_string_is_one_line_error(tmp_path, capsys, command):
+    record = {"id": "r1", "prompt": "q", "samples": [{"text": "a"}],
+              "reference_claims": [{"key": "k", "value": 5.0, "unit": {"x": [1]}}]}
+    corpus, store = tmp_path / "corpus.jsonl", tmp_path / "store.json"
+    store.write_text(json.dumps({"k": {"value": 5.0, "unit": ["%"], "as_of": 3}}))
+    argv = [command, "--input", str(corpus), "--store", str(store), "--output", str(tmp_path / "out.json")]
+    corpus.write_text(json.dumps(record) + "\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "invalid data: record 'r1': reference_claims[0].unit: must be a string\n"
+    record["reference_claims"][0]["unit"] = "%"
+    corpus.write_text(json.dumps(record) + "\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "invalid data: unit for 'k' must be a string\n"
+
+
 def test_analyze_missing_file_exits_1(mock_paths, tmp_path, capsys):
     corpus, _, _ = mock_paths
     for argv in (["--input", str(tmp_path / "nope.jsonl")],  # unreadable input

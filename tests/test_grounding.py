@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from hallguard.grounding import (
@@ -37,6 +39,17 @@ def test_load_rejects_malformed_json_and_shapes():
     for value in ("NaN", "-Infinity", "9" * 400, "null", "true", "[1]", '{"a": 1}', "[" * 500 + "]" * 500):
         with pytest.raises(FactStoreError, match="'k'"):
             load_fact_store('{"k": {"value": %s}}' % value)
+
+
+@pytest.mark.parametrize("field, value", [("unit", ["%"]), ("unit", 5), ("as_of", 3), ("as_of", {"d": 1})])
+def test_load_rejects_a_unit_or_as_of_that_is_not_a_string(field, value):
+    with pytest.raises(FactStoreError, match=f"^{field} for 'k' must be a string$"):
+        load_fact_store(json.dumps({"k": {"value": 1.0, field: value}}))
+
+
+def test_load_reads_a_null_unit_or_as_of_as_absent():
+    entry = load_fact_store('{"k": {"value": 1.0, "unit": null, "as_of": null}}').entries["k"]
+    assert entry == FactEntry(value=1.0)
 
 
 def test_store_round_trips_through_json():

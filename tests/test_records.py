@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,14 @@ def test_validate_accepts_valid_record():
             "reference_claims[0].key",
         ),
         (
+            lambda r: r.__class__(**{**vars(r), "reference_claims": [Claim(key="k", value=1.0, unit=5)]}),
+            "reference_claims[0].unit",
+        ),
+        (
+            lambda r: r.__class__(**{**vars(r), "ground_truth": GroundTruthLabel(True, correct_answer=3)}),
+            "ground_truth.correct_answer",
+        ),
+        (
             lambda r: _with_sample(r, token_dists=[TokenDistribution([], [])]),
             "samples[0].token_dists[0].probs",
         ),
@@ -326,3 +335,114 @@ def _records(draw, record_id):
 def test_random_corpus_round_trips(data, n):
     corpus = [data.draw(_records(record_id=f"r{i}")) for i in range(n)]
     assert parse_records(write_records(corpus)) == corpus
+
+
+# --- one walk: every diagnostic of a record, in field order ---
+
+# one fault for a sample and the diagnostic path it gives under samples[i]
+_SAMPLE_FAULTS = [
+    ({"answer": 4}, ".answer"),
+    ({"text": 5}, ".text"),
+    ({"self_confidence": 2}, ".self_confidence"),
+    ({"token_logprobs": [0.5]}, ".token_logprobs[0]"),
+    ({"reasoning": ["r"]}, ".reasoning"),
+    ("x", ""),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_samples=st.integers(2, 8),
+    data=st.data(),
+)
+def test_every_faulty_sample_is_named_in_sample_order(n_samples, data):
+    bad = data.draw(st.lists(st.integers(0, n_samples - 1), min_size=2, max_size=n_samples, unique=True))
+    faults = {i: data.draw(st.sampled_from(_SAMPLE_FAULTS)) for i in bad}
+    samples = []
+    for i in range(n_samples):
+        sample = {"text": f"s{i}", "answer": "a", "reasoning": "r", "self_confidence": 0.5,
+                  "token_logprobs": [-0.1]}
+        if i in faults:
+            fault = faults[i][0]
+            sample = fault if isinstance(fault, str) else {**sample, **fault}
+        samples.append(sample)
+    obj = {"id": "r1", "prompt": "q", "samples": samples}
+    want = [f"samples[{i}]{faults[i][1]}" for i in sorted(bad)]
+    with pytest.raises(RecordValidationError) as exc:
+        record_from_json(obj)
+    assert [d.path for d in exc.value.diagnostics] == want
+    with pytest.raises(RecordValidationError) as exc:
+        parse_records(json.dumps(obj))
+    assert [d.path for d in exc.value.diagnostics] == want
+    assert str(exc.value).startswith(f"record 'r1': {want[0]}: ")
+
+
+def test_duplicate_id_diagnostic_comes_first():
+    line = MINIMAL_LINE.replace(b'"a"}', b'"a", "answer": 4}')
+    with pytest.raises(RecordValidationError) as exc:
+        parse_records(MINIMAL_LINE + line)
+    assert [d.path for d in exc.value.diagnostics] == ["id", "samples[0].answer"]
+    assert exc.value.diagnostics[0].reason == "duplicate id in corpus"
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda r: r["samples"].__setitem__(0, "x"), "samples[0]: sample must be a JSON object"),
+    (lambda r: r["samples"][0]["token_dists"][0].__setitem__("probs", [0.3, 0.15, 0.05]),
+     "samples[0].token_dists[0].probs: probs sum to 0.5, expected 1"),
+    (lambda r: r["reference_claims"][0].pop("value"),
+     "reference_claims[0]: claim must be an object with key and value"),
+    (lambda r: r["ground_truth"].pop("is_hallucinated"),
+     "ground_truth: must be an object with boolean is_hallucinated"),
+    (lambda r: r["samples"][0]["token_dists"][0].pop("probs"),
+     "samples[0].token_dists[0]: must be an object with labels[] and probs[]"),
+    (lambda r: r["samples"][0].__setitem__("embedding", 3), "samples[0].embedding: must be a list"),
+    (lambda r: r.__setitem__("reference_claims", {}), "reference_claims: must be a list"),
+    (lambda r: r.__setitem__("samples", "s"), "samples: must be a list"),
+    (lambda r: r.__setitem__("id", 7), "id: must be a string"),
+], ids=["sample-string", "probs-halved", "claim-without-value", "label-without-is-hallucinated",
+        "dist-without-probs", "embedding-not-list", "claims-not-list", "samples-not-list", "id-not-string"])
+def test_whole_object_and_shape_messages(mutate, message):
+    obj = record_to_json(valid_record())
+    mutate(obj)
+    with pytest.raises(RecordValidationError) as exc:
+        parse_records(json.dumps(obj))
+    assert str(exc.value).split(": ", 1)[1] == message
+    assert len(exc.value.diagnostics) == 1
+
+
+def test_a_record_that_is_not_an_object_is_one_diagnostic():
+    with pytest.raises(RecordValidationError) as exc:
+        parse_records(b"[1, 2]\n")
+    assert str(exc.value) == "record '<unknown>': : record must be a JSON object"
+
+
+def test_each_list_of_numbers_names_its_first_bad_entry():
+    obj = record_to_json(valid_record())
+    obj["samples"][0]["token_logprobs"] = [-0.1, 0.5, 0.7]
+    obj["samples"][0]["token_dists"][0]["probs"] = [0.6, "s", -1]
+    with pytest.raises(RecordValidationError) as exc:
+        record_from_json(obj)
+    assert [d.path for d in exc.value.diagnostics] == [
+        "samples[0].token_dists[0].probs[1]", "samples[0].token_logprobs[1]"]
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda r: r["reference_claims"][0].__setitem__("unit", {"x": [1]}), "reference_claims[0].unit"),
+    (lambda r: r["reference_claims"][0].__setitem__("unit", 5), "reference_claims[0].unit"),
+    (lambda r: r["ground_truth"].__setitem__("correct_answer", 3), "ground_truth.correct_answer"),
+    (lambda r: r["ground_truth"].__setitem__("correct_answer", ["hold"]), "ground_truth.correct_answer"),
+], ids=["object-unit", "number-unit", "number-correct-answer", "list-correct-answer"])
+def test_unit_and_correct_answer_must_be_strings(mutate, path):
+    obj = record_to_json(valid_record())
+    mutate(obj)
+    with pytest.raises(RecordValidationError) as exc:
+        record_from_json(obj)
+    assert [(d.path, d.reason) for d in exc.value.diagnostics] == [(path, "must be a string")]
+
+
+def test_readme_corpus_example_is_a_valid_record():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Corpus format\n", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    [record] = list(iter_records([example.replace("\n", " ") + "\n"]))
+    assert record_to_json(record) == json.loads(example)
