@@ -31,9 +31,11 @@ on the malformed corpus with the store cut in half: the corpus error must be
 the one reported although the first record is read before the store (and
 pipeline on the malformed corpus with no store, above, must print no
 warning).  calibrate (both kinds) runs on the empty, malformed and invalid
-corpora too, and mockgen on two more specs drawn from the workload's: one
+corpora too, and mockgen on three more specs drawn from the workload's: one
 that injects every record (model 0.3, context 0.3, data 0.4) at
-true_temperature 2.5 with vocab_size 4, and one with 2 samples per record.
+true_temperature 2.5 with vocab_size 4, one with 2 samples per record, and
+one with vocab_size 11 at true_temperature 0.7, past the length (8) at which
+numpy's row sums turn pairwise.
 analyze also runs on five corpora of one record each, the first record with
 one fault (FAULTS), so that both trees must print the same message.
 Each command's output files, stdout, stderr and exit code are compared, with
@@ -55,10 +57,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # name -> CLI arguments; {in}, {tagged}, {escaped}, {signs}, {store},
-# {escaped_store}, {spec}, {injected_spec}, {two_sample_spec}, {text}, {config},
-# {rules} and the bad inputs {empty}, {malformed}, {invalid}, {bad_store},
-# {bad_config}, {bad_rules} and {fault_<name>} name the input files and {out}
-# the directory the outputs go to
+# {escaped_store}, {spec}, {injected_spec}, {two_sample_spec}, {wide_vocab_spec},
+# {text}, {config}, {rules} and the bad inputs {empty}, {malformed}, {invalid},
+# {bad_store}, {bad_config}, {bad_rules} and {fault_<name>} name the input
+# files and {out} the directory the outputs go to
 COMMANDS = {
     "analyze-json": "analyze --input {in} --store {store} --output {out}/analyze.json",
     "analyze-md": "analyze --input {in} --store {store} --format md --output {out}/analyze.md",
@@ -104,7 +106,7 @@ for command in ("analyze", "pipeline", "factcheck"):
 for bad in ("empty", "malformed", "invalid"):
     for kind in ("temperature", "isotonic"):
         COMMANDS[f"calibrate-{kind}-{bad}"] = f"calibrate --input {{{bad}}} --kind {kind}"
-for spec in ("injected", "two_sample"):
+for spec in ("injected", "two_sample", "wide_vocab"):
     COMMANDS[f"mockgen-{spec}"] = (f"mockgen --spec {{{spec}_spec}} --out {{out}}/mock-{spec}.jsonl "
                                    f"--store-out {{out}}/mock-{spec}-store.json")
 
@@ -117,11 +119,12 @@ for fault in FAULTS:
 # every number off its default, so each reaches the outputs it can change
 CONFIG = {"cluster_threshold": 0.9, "fact_rel_tol": 0.02, "fact_abs_tol": 6.0, "min_delta": 0.2}
 # mock specs beside the workload's own: every record injected, at
-# true_temperature 2.5 with the smallest vocabulary a spec admits, and the
-# fewest samples a spec admits
+# true_temperature 2.5 with the smallest vocabulary a spec admits, the
+# fewest samples a spec admits, and a vocabulary whose row sums are pairwise
 INJECTED_SPEC = {"inject_rates": {"model": 0.3, "context": 0.3, "data": 0.4},
                  "true_temperature": 2.5, "vocab_size": 4}
 TWO_SAMPLE_SPEC = {"samples_per_record": 2}
+WIDE_VOCAB_SPEC = {"vocab_size": 11, "true_temperature": 0.7}
 UNKNOWN_KEY = {"x_unknown": {"note": "carries no meaning", "n": [1, 2.5]}}
 ESCAPED_PREFIX = '"\\\u00e9\t\u2028'
 
@@ -188,6 +191,7 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
         (d / "spec.json").write_text(json.dumps(corpus.spec))
         (d / "injected-spec.json").write_text(json.dumps(dict(corpus.spec, **INJECTED_SPEC)))
         (d / "two-sample-spec.json").write_text(json.dumps(dict(corpus.spec, **TWO_SAMPLE_SPEC)))
+        (d / "wide-vocab-spec.json").write_text(json.dumps(dict(corpus.spec, **WIDE_VOCAB_SPEC)))
         records = [json.loads(line) for line in corpus.corpus_bytes.splitlines()]
         (d / "prompts.txt").write_text("\n".join(r["prompt"] for r in records) + "\n", encoding="utf-8")
         (d / "tagged.jsonl").write_text("".join(json.dumps(tagged(r)) + "\n" for r in records),
@@ -243,6 +247,7 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
                  "escaped_store": corpus / "escaped-store.json", "spec": corpus / "spec.json",
                  "injected_spec": corpus / "injected-spec.json",
                  "two_sample_spec": corpus / "two-sample-spec.json",
+                 "wide_vocab_spec": corpus / "wide-vocab-spec.json",
                  "text": corpus / "prompts.txt", "empty": corpus / "empty.jsonl",
                  "malformed": corpus / "malformed.jsonl", "invalid": corpus / "invalid.jsonl",
                  "bad_store": corpus / "bad-store.json", "config": corpus / "config.json",

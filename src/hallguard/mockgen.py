@@ -30,6 +30,15 @@ building a record from them draws nothing more, so ``generate_fact_store``
 reads the values alone and builds no record.  The correct token is what
 ``rng.choice(V, p=softmax(z / T_true))`` returns for the same uniform: the
 first index whose normalised cumulative probability exceeds it.
+
+Building: ``generate_corpus`` draws every record and moves its logits into
+the entropy band one record at a time, then scores the corpus's (N, V) logit
+matrix in one pass, the stored probabilities and the correct-token CDFs
+alike; each row comes out bit for bit as it would on its own.  A record's
+repeated samples are one object: a clean or data record holds one Sample
+n times, a model record three in turn and a context record two, and all
+of them share the record's one TokenDistribution.  ``write_records``
+encodes each such object once.
 """
 
 from __future__ import annotations
@@ -169,70 +178,78 @@ def _draws(spec: MockSpec) -> Iterator[tuple]:
         yield cls, value, z, u_correct, u_confidence, offset
 
 
-def _record(i: int, draw: tuple, spec: MockSpec, token_labels: list[str]) -> GenerationRecord:
-    """The i-th record of the corpus, built from its draws; it draws no
-    random number itself."""
-    cls, value, z, u_correct, u_confidence, offset = draw
-    n_samples = spec.samples_per_record
-    key = f"fact_{i:05d}"
-    if cls != "model":  # model-class logits stay near-uniform
-        z = _scale_into_entropy_band(z, CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI)
+def _scaled_logits(draw: tuple) -> np.ndarray:
+    """The record's logits z: its raw draw, moved into the clean entropy band
+    unless it is a model-class record, whose logits stay near-uniform."""
+    cls, z = draw[0], draw[2]
+    return z if cls == "model" else _scale_into_entropy_band(z, CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI)
+
+
+def _score(z: np.ndarray, u_correct: np.ndarray, true_temperature: float) -> tuple[list, list]:
+    """The stored probabilities and the correct-token index of every row of
+    the corpus's (N, V) logit matrix, in one pass; each row is what the same
+    arithmetic gives on that row alone (see ``apply_temperature``)."""
     probs = apply_temperature(z, 1.0)
     probs = np.maximum(probs, 1e-12)  # keep every entry loggable for refits
-    probs = probs / probs.sum()
-    # what rng.choice(V, p=softmax(z / T)) does with the one uniform it draws
-    cdf = apply_temperature(z, spec.true_temperature).cumsum()
-    cdf /= cdf[-1]
-    correct = int(cdf.searchsorted(u_correct, side="right"))
-    dist = TokenDistribution(token_labels=list(token_labels), probs=[float(p) for p in probs])
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    # what rng.choice(V, p=softmax(z / T)) does with the one uniform it draws:
+    # the first index whose normalised cumulative probability exceeds it,
+    # which is the count of entries of the nondecreasing CDF at or below it
+    cdf = apply_temperature(z, true_temperature).cumsum(axis=-1)
+    cdf /= cdf[:, -1:]
+    correct = (cdf <= u_correct[:, None]).sum(axis=-1)
+    return probs.tolist(), correct.tolist()
 
-    if cls == "model":
-        variants = [f"{round(value + k + 1.0, 2)}" for k in range(3)]
-        answers = [variants[j % 3] for j in range(n_samples)]
+
+def _record(i: int, draw: tuple, probs: list[float], correct_answer: str, spec: MockSpec,
+            token_labels: list[str]) -> GenerationRecord:
+    """The i-th record of the corpus, built from its draws and its scored
+    probabilities; it draws no random number itself.  Its samples repeat
+    one Sample object per distinct (answer, reasoning) pair."""
+    cls, value, _, _, u_confidence, offset = draw
+    key = f"fact_{i:05d}"
+    dist = TokenDistribution(token_labels=list(token_labels), probs=probs)
+
+    if cls == "model":  # three lexically disjoint answers, round-robin
+        pairs = [(f"{round(value + k + 1.0, 2)}", _REASONING_BASE) for k in range(3)]
         confidence_base = 0.30 + 0.15 * u_confidence
+    elif cls == "context":  # one answer, two vocabulary-disjoint reasonings in turn
+        pairs = [(f"{value}", reasoning) for reasoning in _REASONING_SPLIT]
+        confidence_base = 0.55 + 0.20 * u_confidence
     else:
-        answers = [f"{value}"] * n_samples
-        if cls is None:
-            confidence_base = 0.75 + 0.20 * u_confidence
-        else:
-            confidence_base = 0.55 + 0.20 * u_confidence
-
-    if cls == "context":
-        reasonings = [_REASONING_SPLIT[j % 2] for j in range(n_samples)]
-    else:
-        reasonings = [_REASONING_BASE] * n_samples
+        pairs = [(f"{value}", _REASONING_BASE)]
+        confidence_base = (0.75 if cls is None else 0.55) + 0.20 * u_confidence
 
     claim_value = value
     if cls == "data":
         claim_value = round(value + offset, 2)
 
-    samples = [
-        Sample(
-            text=answers[j],
-            token_dists=[dist],
-            reasoning=reasonings[j],
-            answer=answers[j],
-            self_confidence=round(confidence_base, 4),
-        )
-        for j in range(n_samples)
-    ]
+    distinct = [Sample(text=answer, token_dists=[dist], reasoning=reasoning, answer=answer,
+                       self_confidence=round(confidence_base, 4))
+                for answer, reasoning in pairs[:spec.samples_per_record]]
     return GenerationRecord(
         id=f"rec-{i:05d}",
         prompt=f"What is the reported value of {key}?",
-        samples=samples,
+        samples=[distinct[j % len(distinct)] for j in range(spec.samples_per_record)],
         reference_claims=[Claim(key=key, value=claim_value)],
         ground_truth=GroundTruthLabel(
             is_hallucinated=cls is not None,
             failure_class=cls,
-            correct_answer=token_labels[correct],
+            correct_answer=correct_answer,
         ),
     )
 
 
 def generate_corpus(spec: MockSpec) -> list[GenerationRecord]:
-    """Deterministic labeled corpus; same seed, same bytes."""
+    """Deterministic labeled corpus; same seed, same bytes.  Every record's
+    logits are drawn and band-scaled first, then the corpus is scored in one
+    pass, then each record is built."""
     token_labels = [f"tok{j}" for j in range(spec.vocab_size)]
-    return [_record(i, draw, spec, token_labels) for i, draw in enumerate(_draws(spec))]
+    draws = list(_draws(spec))
+    probs, correct = _score(np.array([_scaled_logits(draw) for draw in draws]),
+                            np.array([draw[3] for draw in draws]), spec.true_temperature)
+    return [_record(i, draw, probs[i], token_labels[correct[i]], spec, token_labels)
+            for i, draw in enumerate(draws)]
 
 
 def generate_fact_store(spec: MockSpec) -> FactStore:

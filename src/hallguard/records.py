@@ -398,6 +398,30 @@ def parse_records(stream) -> list[GenerationRecord]:
     return list(iter_records(stream))
 
 
+def _record_line(record: GenerationRecord) -> str:
+    """json.dumps(record_to_json(record)) + "\\n".  A record that holds a
+    Sample object more than once has each distinct object, told apart by
+    identity, encoded once and spliced into the line; one that does not is
+    encoded whole, as one json.dumps call costs less than one per sample."""
+    distinct = {id(sample): sample for sample in record.samples}
+    if len(distinct) == len(record.samples):
+        return json.dumps(record_to_json(record)) + "\n"
+    encoded = {key: json.dumps(_sample_to_json(sample)) for key, sample in distinct.items()}
+    head = json.dumps({"id": record.id, "prompt": record.prompt})[:-1]
+    tail = {}
+    if record.reference_claims is not None:
+        tail["reference_claims"] = [_claim_to_json(c) for c in record.reference_claims]
+    if record.ground_truth is not None:
+        tail["ground_truth"] = _gt_to_json(record.ground_truth)
+    samples = ", ".join([encoded[id(sample)] for sample in record.samples])
+    rest = ", " + json.dumps(tail)[1:] if tail else "}"
+    return f'{head}, "samples": [{samples}]{rest}\n'
+
+
 def write_records(records: list[GenerationRecord]) -> bytes:
-    """Serialize records to JSONL bytes; parse_records(write_records(x)) == x."""
-    return "".join(json.dumps(record_to_json(r)) + "\n" for r in records).encode("utf-8")
+    """Serialize records to JSONL bytes; parse_records(write_records(x)) == x.
+
+    Each line is ``json.dumps(record_to_json(r)) + "\\n"``, but a Sample
+    object that a record holds more than once (mock corpora repeat theirs)
+    is encoded once per record."""
+    return "".join(map(_record_line, records)).encode("utf-8")

@@ -53,13 +53,28 @@ def entropy_nats(probs) -> float:
 
 
 def apply_temperature(logits, T: float) -> np.ndarray:
-    """softmax(z / T), computed with max-subtraction for stability."""
+    """softmax(z / T) along the last axis, computed with max-subtraction for
+    stability.
+
+    An (N, V) array is N softmaxes in one pass, each row equal bit for bit
+    to the call on that row alone: a row's max, exp and sum are those of the
+    1-D call (see the module docstring on row sums).  A row in which a finite
+    z / T overflows, as with a tiny T, is taken as softmax((z - max z) / T),
+    the same softmax shifted before the division so that nothing overflows
+    to NaN: for a tiny T that is the exact T -> 0 limit, one-hot on the
+    argmax with tied maxima sharing the mass equally.
+    """
     if T <= 0.0:
         raise ValueError("temperature must be positive")
-    z = np.asarray(logits, dtype=float) / T
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    z = np.asarray(logits, dtype=float)
+    with np.errstate(over="ignore"):
+        x = z / T
+        overflowed = (np.isinf(x) & np.isfinite(z)).any(axis=-1)
+        if overflowed.any():
+            x[overflowed] = (z[overflowed] - z[overflowed].max(axis=-1, keepdims=True)) / T
+    x = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(x)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def token_entropy(dist: TokenDistribution) -> float:

@@ -221,6 +221,58 @@ def test_apply_temperature_sums_to_one(z, t):
     assert float(apply_temperature(z, t).sum()) == pytest.approx(1.0, abs=1e-12)
 
 
+
+def _softmax_1d(z, t):
+    """apply_temperature's 1-D arithmetic for a finite z / t."""
+    x = np.asarray(z, dtype=float) / t
+    x = x - x.max()
+    e = np.exp(x)
+    return e / e.sum()
+
+
+@pytest.mark.parametrize("V", [1, 2, 4, 6, 7, 8, 9, 11, 16, 17, 33, 50, 130])
+def test_apply_temperature_rows_equal_the_1d_calls_bit_for_bit(V):
+    rng = np.random.default_rng(V)
+    z = rng.normal(0.0, float(rng.choice([0.02, 1.5, 10.0])), (37, V))
+    for t in (0.05, 0.7, 1.0, 1.5, 2.5, 20.0):
+        rows = apply_temperature(z, t)
+        assert rows.shape == z.shape
+        for row, zi in zip(rows, z):
+            assert row.tobytes() == apply_temperature(zi, t).tobytes() == _softmax_1d(zi, t).tobytes()
+
+
+def test_a_tiny_temperature_gives_the_one_hot_limit(recwarn):
+    assert apply_temperature([0.3, -1.2, 2.0, 0.5], 5e-324).tolist() == [0.0, 0.0, 1.0, 0.0]
+    # tied maxima share the mass
+    assert apply_temperature([2.0, -1.2, 2.0, 0.5], 5e-324).tolist() == [0.5, 0.0, 0.5, 0.0]
+    assert apply_temperature([[1.0, 1.0, 1.0, 1.0]], 5e-324).tolist() == [[0.25] * 4]
+    assert not recwarn.list
+
+
+def test_overflowing_rows_beside_finite_ones_equal_the_row_by_row_calls(recwarn):
+    t = 1e-307  # z / t overflows where |z| > about 18
+    z = np.array([
+        [0.3, -1.2, 2.0, 0.5],  # finite
+        [30.0, 1.0, 200.0, -50.0],  # overflows
+        [300.0, 300.0, -1.0, 0.0],  # overflows, tied
+        [1.0, 1.5, -0.25, 0.0],  # finite
+        [-400.0, -1.0, -2.0, -3.0],  # overflows below; the max is finite
+    ])
+    rows = apply_temperature(z, t)
+    for row, zi in zip(rows, z):
+        assert row.tobytes() == apply_temperature(zi, t).tobytes()
+    assert rows[0].tobytes() == _softmax_1d(z[0], t).tobytes()
+    assert rows[1].tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert rows[2].tolist() == [0.5, 0.5, 0.0, 0.0]
+    assert rows[4].tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert not recwarn.list
+
+
+def test_a_minus_infinity_logit_keeps_the_finite_arithmetic():
+    z = [-math.inf, 1.0, 2.0]
+    assert apply_temperature(z, 1.5).tobytes() == _softmax_1d(z, 1.5).tobytes()
+
+
 # --- mc_calibrated_mean ---
 
 

@@ -1,5 +1,10 @@
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,3 +251,74 @@ def test_spec_from_json():
         mock_spec_from_json({"n_records": 7, "bogus": 1})
     with pytest.raises(ValueError):
         mock_spec_from_json({})
+
+
+def _reference_scores(spec: MockSpec):
+    """The stored probabilities and correct-token index of each record, with
+    the per-record arithmetic of the one-record-at-a-time generator: softmax
+    of the one logit vector, floored and renormalised, and a searchsorted on
+    its own temperature-scaled CDF."""
+    def softmax(z, t):
+        x = z / t
+        x = x - x.max()
+        e = np.exp(x)
+        return e / e.sum()
+
+    for cls, _, z, u_correct, _, _ in mockgen._draws(spec):
+        if cls != "model":
+            z = mockgen._scale_into_entropy_band(z, CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI)
+        probs = np.maximum(softmax(z, 1.0), 1e-12)
+        probs = probs / probs.sum()
+        cdf = softmax(z, spec.true_temperature).cumsum()
+        cdf /= cdf[-1]
+        yield [float(p) for p in probs], int(cdf.searchsorted(u_correct, side="right"))
+
+
+@pytest.mark.parametrize("vocab_size", [4, 6, 8, 9, 11, 17, 50])
+@pytest.mark.parametrize("true_temperature", [0.7, 1.0, 1.5, 2.5])
+def test_corpus_pass_matches_the_per_record_reference(vocab_size, true_temperature):
+    spec = MockSpec(n_records=60, samples_per_record=2, true_temperature=true_temperature,
+                    inject_rates={"model": 0.3, "context": 0.1, "data": 0.1},
+                    vocab_size=vocab_size, seed=vocab_size)
+    records = generate_corpus(spec)
+    reference = list(_reference_scores(spec))
+    assert len(records) == len(reference)
+    for record, (probs, correct) in zip(records, reference):
+        got = record.samples[0].token_dists[0].probs
+        assert np.array(got).tobytes() == np.array(probs).tobytes()
+        assert record.ground_truth.correct_answer == f"tok{correct}"
+
+
+@pytest.mark.parametrize("n_samples", [2, 3, 4, 5, 7])
+def test_each_distinct_sample_is_one_object(n_samples):
+    spec = MockSpec(n_records=80, samples_per_record=n_samples,
+                    inject_rates={"model": 0.25, "context": 0.25, "data": 0.25}, seed=n_samples)
+    expected = {None: 1, "data": 1, "model": min(3, n_samples), "context": min(2, n_samples)}
+    seen = set()
+    for record in generate_corpus(spec):
+        cls = record.ground_truth.failure_class
+        seen.add(cls)
+        objects = {id(s) for s in record.samples}
+        pairs = {(s.answer, s.reasoning) for s in record.samples}
+        assert len(objects) == len(pairs) == expected[cls]
+        assert len({id(s.token_dists[0]) for s in record.samples}) == 1
+    assert seen == set(expected)
+
+
+def test_a_tiny_true_temperature_labels_each_record_with_its_argmax(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_records": 3, "vocab_size": 4, "samples_per_record": 2,
+                                "true_temperature": 5e-324, "seed": 2}))
+    out = tmp_path / "mock.jsonl"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hallguard.cli", "mockgen", "--spec", str(spec),
+                           "--out", str(out), "--store-out", str(tmp_path / "store.json")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    labels = [r["ground_truth"]["correct_answer"] for r in records]
+    argmax = [f"tok{int(np.argmax(r['samples'][0]['token_dists'][0]['probs']))}" for r in records]
+    assert labels == argmax
+    assert labels != ["tok0"] * 3

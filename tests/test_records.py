@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -446,3 +447,82 @@ def test_readme_corpus_example_is_a_valid_record():
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
     [record] = list(iter_records([example.replace("\n", " ") + "\n"]))
     assert record_to_json(record) == json.loads(example)
+
+
+# --- write_records encodes each distinct sample object once ---
+
+_ESCAPED = ['plain', 'quote " inside', 'back\\slash', 'tab\there', 'line\u2028sep', 'café 漢']
+
+
+def _one_liner(records):
+    """The reference encoder: one json.dumps per record."""
+    return "".join(json.dumps(record_to_json(r)) + "\n" for r in records).encode("utf-8")
+
+
+def _seeded_corpus(seed):
+    """Records whose samples are one shared object, equal but distinct copies,
+    all distinct, or a mix; with and without claims, units and labels; ids and
+    texts drawn from strings that JSON escapes.  Not every record is valid:
+    the encoder does not check."""
+    rng = np.random.default_rng(seed)
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def sample(k):
+        probs = rng.dirichlet(np.ones(3)).tolist()
+        return Sample(
+            text=pick(_ESCAPED) + str(k),
+            token_dists=[TokenDistribution(["a", "b\t", " "], probs)] if rng.random() < 0.7 else None,
+            token_logprobs=[-float(rng.random())] if rng.random() < 0.3 else None,
+            embedding=rng.normal(size=4).tolist() if rng.random() < 0.3 else None,
+            reasoning=pick(_ESCAPED) if rng.random() < 0.5 else None,
+            answer=pick(_ESCAPED) if rng.random() < 0.5 else None,
+            self_confidence=float(rng.random()) if rng.random() < 0.5 else None,
+        )
+
+    records = []
+    for i in range(40):
+        n = int(rng.integers(1, 7))
+        mode = i % 4
+        if mode == 0:  # one object, repeated
+            samples = [sample(0)] * n
+        elif mode == 1:  # equal but distinct objects
+            first = sample(0)
+            samples = [Sample(**vars(first)) for _ in range(n)]
+        elif mode == 2:  # all distinct
+            samples = [sample(k) for k in range(n)]
+        else:  # a few objects, repeated in turn
+            distinct = [sample(k) for k in range(int(rng.integers(1, 4)))]
+            samples = [distinct[j % len(distinct)] for j in range(n)]
+        claims = None
+        if rng.random() < 0.6:
+            claims = [Claim(key=pick(_ESCAPED) + "k", value=pick([1.5, -2.0, 7, pick(_ESCAPED)]),
+                            unit=pick([None, "%", "°C\t"])) for _ in range(int(rng.integers(0, 3)))]
+        gt = None
+        if rng.random() < 0.6:
+            hallucinated = bool(rng.random() < 0.5)
+            gt = GroundTruthLabel(is_hallucinated=hallucinated,
+                                  failure_class=pick(["model", "data", None]) if hallucinated else None,
+                                  correct_answer=pick([None, *_ESCAPED]))
+        records.append(GenerationRecord(id=f"{pick(_ESCAPED)}-{i}", prompt=pick(_ESCAPED),
+                                        samples=samples, reference_claims=claims, ground_truth=gt))
+    return records
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 1009])
+def test_write_records_matches_the_one_liner(seed):
+    records = _seeded_corpus(seed)
+    assert sum(len({id(s) for s in r.samples}) < len(r.samples) for r in records) >= 10
+    assert write_records(records) == _one_liner(records)
+
+
+def test_write_records_matches_the_one_liner_on_edge_records():
+    shared = Sample(text='"\\\t é')
+    records = [
+        GenerationRecord(id="empty", prompt="", samples=[]),
+        GenerationRecord(id="claims-empty", prompt="p", samples=[shared, shared], reference_claims=[]),
+        GenerationRecord(id='"\\', prompt=" ", samples=[shared, Sample(text="x"), shared],
+                         ground_truth=GroundTruthLabel(is_hallucinated=False)),
+    ]
+    assert write_records(records) == _one_liner(records)
