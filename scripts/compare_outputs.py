@@ -38,9 +38,9 @@ one with vocab_size 11 at true_temperature 0.7, past the length (8) at which
 numpy's row sums turn pairwise.
 analyze also runs on five corpora of one record each, the first record with
 one fault (FAULTS), so that both trees must print the same message.
-Each command's output files, stdout, stderr and exit code are compared, with
-every line that holds a ledger ``"timestamp"`` dropped.  Each file that
-differs is printed, and the exit code is 1 when any does.
+Each command's output files, stdout, stderr and exit code are compared byte
+for byte.  Each file that differs is printed, and the exit code is 1 when any
+does.
 """
 
 from __future__ import annotations
@@ -267,16 +267,12 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
             (out / f"{name}.exit").write_text(f"{proc.returncode}\n")
 
 
-def _without_timestamps(path: Path) -> list[bytes]:
-    return [line for line in path.read_bytes().splitlines() if b'"timestamp"' not in line]
-
-
 def differing_files(a: Path, b: Path) -> list[str]:
     names = sorted({p.relative_to(a) for p in a.rglob("*") if p.is_file()}
                    | {p.relative_to(b) for p in b.rglob("*") if p.is_file()})
     return [str(name) for name in names
             if not ((a / name).is_file() and (b / name).is_file())
-            or _without_timestamps(a / name) != _without_timestamps(b / name)]
+            or (a / name).read_bytes() != (b / name).read_bytes()]
 
 
 def main() -> int:

@@ -7,8 +7,9 @@ inference-time distribution filters and chunking, and routes detection
 signals through a tier-based detect/mitigate/validate/refine cycle.
 
 Names are imported from their modules, e.g. ``from hallguard.pipeline import
-detect``; importing the package loads none of them, so each CLI command
-loads only the modules it runs.
+detect``; importing the package loads none of them.  ``import hallguard.cli``
+loads the modules that analyze, race, factcheck and pipeline run;
+calibration, mitigation and mockgen load only with their own command.
 """
 
 __version__ = "0.1.0"

@@ -214,7 +214,8 @@ def cmd_factcheck(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.output is not None and Path(args.output).suffix == ".md":
+    # .MD too: on a case-insensitive file system it names the ledger.md written beside it
+    if args.output is not None and Path(args.output).suffix.lower() == ".md":
         print("hallguard pipeline: error: --output must not end in .md; the markdown ledger "
               "is written next to it with that suffix", file=sys.stderr)
         return EXIT_USAGE

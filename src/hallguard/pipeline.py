@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import json
 import operator
-import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
@@ -77,10 +76,9 @@ class RouterRule:
 
 @dataclass(frozen=True)
 class Validation:
-    """A flagged record's signals before and after mitigation; improved when
-    every signal that fired before now passes or moved by min_delta."""
+    """A flagged record's signals after mitigation; improved when every
+    signal that fired before now passes or moved by min_delta."""
 
-    before: DetectionSignals
     after: DetectionSignals
     improved: bool
 
@@ -89,7 +87,6 @@ class Validation:
 class TierVerdict:
     """Routed outcome; tier is None when no rule fired (a pass)."""
 
-    record_id: str
     fired_rules: list[str]
     tier: str | None
     recommendations: list[str]
@@ -103,7 +100,6 @@ class LedgerEntry:
     verdict: TierVerdict
     action_taken: str
     outcome: str
-    timestamp: float
 
 
 @dataclass(frozen=True)
@@ -222,7 +218,6 @@ def route(signals: DetectionSignals, rules: list[RouterRule]) -> TierVerdict:
             if mitigation not in recommendations:
                 recommendations.append(mitigation)
     return TierVerdict(
-        record_id=signals.record_id,
         fired_rules=[rule.name for rule in fired],
         tier=fired[0].tier if fired else None,
         recommendations=recommendations,
@@ -253,11 +248,11 @@ def validate(before: DetectionSignals, after: DetectionSignals,
             continue
         gain = b - a if rule.comparator in (">", ">=") else a - b
         verdicts.append(not _fires(rule, after) or (gain > 0.0 and gain >= config.min_delta))
-    return Validation(before=before, after=after, improved=all(verdicts))
+    return Validation(after=after, improved=all(verdicts))
 
 
 def run_cycle(records: Iterable[GenerationRecord], config: PipelineConfig | None = None,
-              store: FactStore | None = None, clock=time.time) -> CycleLedger:
+              store: FactStore | None = None) -> CycleLedger:
     """Run detect -> route -> validate over a corpus and assemble the ledger.
 
     records may be any iterable, read once: each record is detected as it
@@ -303,7 +298,7 @@ def run_cycle(records: Iterable[GenerationRecord], config: PipelineConfig | None
                 if not validation.improved:
                     residuals += 1
         counts[verdict.tier or "pass"] += 1
-        entries.append(LedgerEntry(rid, signals, verdict, action, outcome, clock()))
+        entries.append(LedgerEntry(rid, signals, verdict, action, outcome))
 
     total = len(primaries)
     summary = {"total": total, **counts, "tiered": total - counts["pass"], "residuals": residuals}

@@ -3,17 +3,22 @@ import copy
 import io
 import json
 import math
-import re
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hallguard
 from hallguard.cli import main
 from hallguard.mockgen import MockSpec, generate_corpus, generate_fact_store
 from hallguard.grounding import fact_store_to_json
-from hallguard.pipeline import default_rules
+from hallguard.pipeline import RETRY_SUFFIX, default_rules
 from hallguard.records import write_records
 
 from conftest import decoded
@@ -209,6 +214,18 @@ def test_pipeline_markdown_output_path_is_usage_error(mock_paths, tmp_path, caps
     assert err.startswith("hallguard pipeline: error: ") and err.count("\n") == 1
     assert main(["pipeline", "--input", str(corpus), "--output", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["ledger.MD", "ledger.Md"])
+def test_pipeline_markdown_output_path_is_usage_error_in_any_case(mock_paths, tmp_path, capsys, name):
+    # where case is ignored, the markdown ledger.md would overwrite ledger.MD
+    corpus, _, _ = mock_paths
+    out = tmp_path / name
+    assert main(["pipeline", "--input", str(corpus), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hallguard pipeline: error: --output must not end in .md")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "store.json"]
 
 
 def test_pipeline_all_clean_corpus(tmp_path):
@@ -520,13 +537,6 @@ def test_no_command_prints_help(capsys):
     assert main([]) == 1
 
 
-_TIMESTAMP = re.compile(rb'"timestamp": [0-9.e+-]+')
-
-
-def _strip_timestamps(data: bytes) -> bytes:
-    return _TIMESTAMP.sub(b'"timestamp": 0', data)
-
-
 def test_repeated_runs_are_byte_identical(mock_paths, tmp_path):
     corpus, store, _ = mock_paths
     for command in (
@@ -537,8 +547,51 @@ def test_repeated_runs_are_byte_identical(mock_paths, tmp_path):
         for i in range(2):
             out = tmp_path / f"out{i}.json"
             assert main(command + ["--output", str(out)]) == 0
-            outputs.append(_strip_timestamps(out.read_bytes()))
+            outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def test_module_state_never_changes_an_output(tmp_path):
+    """Each command writes the same bytes whether it runs in this interpreter
+    before or after the others, which warm the module caches
+    (``semantic._cluster_texts``, ``pipeline._field_prefixes``), or in a
+    fresh one."""
+    spec = MockSpec(n_records=30, samples_per_record=4, true_temperature=1.5,
+                    inject_rates={"model": 0.2, "context": 0.2, "data": 0.2}, seed=11)
+    records = generate_corpus(spec)
+    flagged = next(r for r in records if r.ground_truth.failure_class == "model")
+    clean = next(r for r in records if r.ground_truth.failure_class is None)
+    corpus = tmp_path / "corpus.jsonl"  # one validated retry among the records
+    corpus.write_bytes(write_records([*records, replace(clean, id=flagged.id + RETRY_SUFFIX)]))
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps(fact_store_to_json(generate_fact_store(spec))))
+    commands = {
+        "analyze": ["analyze", "--input", str(corpus), "--store", str(store)],
+        "race": ["race", "--input", str(corpus)],
+        "factcheck": ["factcheck", "--input", str(corpus), "--store", str(store)],
+        "pipeline": ["pipeline", "--input", str(corpus), "--store", str(store)],
+        "calibrate": ["calibrate", "--input", str(corpus), "--kind", "temperature"],
+    }
+    src = Path(hallguard.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+    def run_all(order, tag, fresh=False) -> dict:
+        out = tmp_path / tag
+        out.mkdir()
+        for name in order:
+            argv = commands[name] + ["--output", str(out / f"{name}.json")]
+            if fresh:
+                code = subprocess.run([sys.executable, "-m", "hallguard.cli", *argv],
+                                      capture_output=True, env=env).returncode
+            else:
+                code = main(argv)
+            assert code == 0, (tag, name)
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    forward = run_all(list(commands), "forward")
+    assert sorted(forward) == sorted([f"{name}.json" for name in commands] + ["pipeline.md"])
+    assert run_all(reversed(commands), "reversed") == forward
+    assert run_all(commands, "fresh", fresh=True) == forward
 
 
 @pytest.mark.parametrize(

@@ -259,13 +259,18 @@ def test_validate_crossing_threshold_improves():
     after = _signals(h_p_mean=0.4)
     result = validate(before, after, config)
     assert result.improved
-    assert (result.before, result.after) == (before, after)
+    assert result.after == after
 
 
 def test_validate_identical_signals_never_improve():
     config = PipelineConfig(min_delta=0.0)
     before = _signals(h_p_mean=1.2)
     assert not validate(before, before, config).improved
+
+
+def test_validate_rejects_signals_of_another_record():
+    with pytest.raises(ValueError, match="record id mismatch: 'a' vs 'b'"):
+        validate(_signals(record_id="a", h_p_mean=1.2), _signals(record_id="b"), PipelineConfig())
 
 
 def test_validate_requires_all_fired_signals_to_improve():
@@ -353,8 +358,8 @@ def test_cycle_rejects_duplicate_ids():
 
 def test_cycle_conservation_and_determinism():
     records = [_clean_record("a"), _noisy_record("b"), _clean_record("c")]
-    first = run_cycle(records, clock=lambda: 0.0)
-    second = run_cycle(records, clock=lambda: 0.0)
+    first = run_cycle(records)
+    second = run_cycle(records)
     assert first == second
     s = first.summary
     assert s["pass"] + s["tiered"] == s["total"]
@@ -364,20 +369,20 @@ def test_cycle_conservation_and_determinism():
 def test_cycle_reads_an_iterator_like_a_list():
     records = [_clean_record("a"), _noisy_record("b"),
                make_record(answers=["alpha"] * 3, record_id="b.retry"), _noisy_record("c")]
-    from_list = run_cycle(records, clock=lambda: 0.0)
-    assert run_cycle(iter(records), clock=lambda: 0.0) == from_list
-    assert run_cycle((r for r in records), clock=lambda: 0.0) == from_list
+    from_list = run_cycle(records)
+    assert run_cycle(iter(records)) == from_list
+    assert run_cycle((r for r in records)) == from_list
     assert [e.record_id for e in from_list.entries] == ["a", "b", "c"]
 
 
 def test_cycle_validates_a_retry_listed_before_its_base():
     fixed = make_record(answers=["alpha"] * 3, record_id="n1.retry")
-    ledger = run_cycle([fixed, _clean_record("c1"), _noisy_record("n1")], clock=lambda: 0.0)
+    ledger = run_cycle([fixed, _clean_record("c1"), _noisy_record("n1")])
     assert [e.record_id for e in ledger.entries] == ["c1", "n1"]
     entry = ledger.entries[1]
     assert entry.action_taken == "validated_retry" and entry.outcome == "improved"
     assert entry.verdict.validation.after.record_id == "n1"
-    assert ledger == run_cycle([_clean_record("c1"), _noisy_record("n1"), fixed], clock=lambda: 0.0)
+    assert ledger == run_cycle([_clean_record("c1"), _noisy_record("n1"), fixed])
 
 
 def test_cycle_keeps_a_retry_without_its_base_as_a_primary():
@@ -404,13 +409,13 @@ def test_cycle_routes_with_config_rules():
 
 
 def test_ledger_json_shape():
-    ledger = run_cycle([_clean_record(), _noisy_record()], clock=lambda: 123.0)
+    ledger = run_cycle([_clean_record(), _noisy_record()])
     out = io.StringIO()
     ledger_to_json(ledger, out)
     payload = json.loads(out.getvalue())
     assert {e["record_id"] for e in payload["entries"]} == {"c1", "n1"}
     entry = payload["entries"][0]
-    assert set(entry) == {"record_id", "signals", "verdict", "action_taken", "outcome", "timestamp"}
+    assert set(entry) == {"record_id", "signals", "verdict", "action_taken", "outcome"}
     assert payload["summary"]["total"] == 2
     md = ledger_to_markdown(ledger)
     assert "Residual errors" in md
@@ -485,15 +490,16 @@ def _report_values():
                 ClaimVerdict("n", 3, 3, "match")]
     before = DetectionSignals("r1", h_p_mean=np.float64(1.25), h_s=0.0, consensus_support=0.4,
                               self_confidence=None, race=race, fact_verdicts=verdicts)
-    after = DetectionSignals("r1", h_p_mean=0.5, fact_verdicts=[])
-    validated = TierVerdict("r1", ["high_token_entropy", "fact_mismatch"], "model",
-                            ["temperature_calibration"], Validation(before, after, improved=False))
-    pending = TierVerdict("r2", ["low_consensus"], "model", [])
-    passed = TierVerdict("r3", [], None, [])
+    after = DetectionSignals("r1", h_p_mean=0.5, self_confidence=1.5, fact_verdicts=[])
+    validated = TierVerdict(["high_token_entropy", "fact_mismatch"], "model",
+                            ["temperature_calibration"], Validation(after, improved=False))
+    pending = TierVerdict(["low_consensus"], "model", [])
+    passed = TierVerdict([], None, [])
     ledger = CycleLedger(
-        entries=[LedgerEntry("r1", before, validated, "validated_retry", "not_improved", 1.5),
-                 LedgerEntry("r2", after, pending, "flagged_for_external_mitigation", "pending", 2.0),
-                 LedgerEntry("r3", DetectionSignals("r3"), passed, "none", "pass", 1e9)],
+        entries=[LedgerEntry("r1", before, validated, "validated_retry", "not_improved"),
+                 LedgerEntry("r2", DetectionSignals("r2", consensus_support=2.0), pending,
+                             "flagged_for_external_mitigation", "pending"),
+                 LedgerEntry("r3", DetectionSignals("r3", h_s=1e9), passed, "none", "pass")],
         summary={"total": 3, "pass": 1, "model": 2, "context": 0, "data": 0, "tiered": 2, "residuals": 1},
     )
     return [before, after, race, verdicts, validated, pending, ledger, CycleLedger([], {}),
@@ -514,8 +520,8 @@ def test_write_json_leaves_out_only_a_verdicts_absent_validation():
 
 
 def test_ledger_to_json_streams_in_chunks():
-    entries = [LedgerEntry(f"r{i}", DetectionSignals(f"r{i}", h_p_mean=i / 7), TierVerdict(f"r{i}", [], None, []),
-                           "none", "pass", float(i)) for i in range(3000)]
+    entries = [LedgerEntry(f"r{i}", DetectionSignals(f"r{i}", h_p_mean=i / 7, h_s=float(i)),
+                           TierVerdict([], None, []), "none", "pass") for i in range(3000)]
     ledger = CycleLedger(entries, {"total": 3000})
     chunks = []
     writer = mock.Mock(write=chunks.append)
