@@ -37,7 +37,10 @@ true_temperature 2.5 with vocab_size 4, one with 2 samples per record, and
 one with vocab_size 11 at true_temperature 0.7, past the length (8) at which
 numpy's row sums turn pairwise.
 analyze also runs on five corpora of one record each, the first record with
-one fault (FAULTS), so that both trees must print the same message.
+one fault (FAULTS), so that both trees must print the same message.  Last
+come the usage paths, most of which load no numpy: --help, no command,
+analyze with no --input, chunk with an overlap out of range, mockgen on a
+spec it rejects, and pipeline with an --output that ends in .md.
 Each command's output files, stdout, stderr and exit code are compared byte
 for byte.  Each file that differs is printed, and the exit code is 1 when any
 does.
@@ -115,6 +118,14 @@ FAULTS = ("sample_string", "probs_halved", "claim_without_value", "label_without
           "dist_without_probs")
 for fault in FAULTS:
     COMMANDS[f"analyze-fault-{fault}"] = f"analyze --input {{fault_{fault}}}"
+COMMANDS.update({
+    "help": "--help",
+    "no-command": "",
+    "analyze-no-input": "analyze",
+    "chunk-bad-overlap": "chunk --input {text} --target-size 200 --overlap 0.7",
+    "mockgen-bad-spec": "mockgen --spec {bad_config} --out {out}/mock-bad.jsonl",
+    "pipeline-md-output": "pipeline --input {in} --output {out}/x.md",
+})
 
 # every number off its default, so each reaches the outputs it can change
 CONFIG = {"cluster_threshold": 0.9, "fact_rel_tol": 0.02, "fact_abs_tol": 6.0, "min_delta": 0.2}

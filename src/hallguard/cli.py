@@ -20,24 +20,10 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
-# calibration, mitigation and mockgen are imported by the one command that
-# runs each, so analyze, pipeline, race and factcheck never load them
-from .consistency import race_metrics
+# each command imports what it runs, so --help, a usage error and chunk load
+# no numpy, and analyze, pipeline, race and factcheck load no calibration,
+# mitigation or mockgen
 from .errors import CapabilityError, ConfigError
-from .grounding import STATUS_MISMATCH, FactStore, check_claims, fact_store_to_json, load_fact_store
-from .pipeline import (
-    PipelineConfig,
-    detect,
-    ledger_to_json,
-    ledger_to_markdown,
-    load_config,
-    load_rules,
-    read_json_file,
-    run_cycle,
-    signal_value,
-    write_json,
-)
-from .records import GenerationRecord, iter_records, write_records
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,6 +53,10 @@ def _read_inputs(args) -> Iterator[tuple[PipelineConfig, Iterator[GenerationReco
     corpus line anywhere still wins.  The corpus file stays open for the
     ``with`` body, which reads the records as it goes, and is closed on
     every path.  A flag that is given is read, an empty path too."""
+    from .grounding import load_fact_store
+    from .pipeline import load_config, load_rules
+    from .records import iter_records, read_json_file
+
     cfg = load_config(args.config)
     rules, store_path = getattr(args, "rules", None), getattr(args, "store", None)
     if rules is not None:
@@ -107,6 +97,9 @@ def _write_text(text: str, fp) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from .pipeline import detect, signal_value
+    from .records import write_json
+
     with _read_inputs(args) as (cfg, records, store):
         signals = [detect(rec, cfg, store) for rec in records]
 
@@ -130,6 +123,8 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze_markdown(signals: list, agg: dict) -> str:
+    from .pipeline import signal_value
+
     lines = [
         "# Detection report",
         "",
@@ -166,6 +161,7 @@ def cmd_calibrate(args) -> int:
         logit_label_pairs,
         score_outcome_pairs,
     )
+    from .records import iter_records, write_json
 
     # streamed: of each labeled record only its one fit pair is kept
     with Path(args.input).open("rb") as fp:
@@ -189,6 +185,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_race(args) -> int:
+    from .consistency import race_metrics
+    from .records import write_json
+
     rows = []
     with _read_inputs(args) as (cfg, records, _):
         for rec in records:
@@ -202,6 +201,9 @@ def cmd_race(args) -> int:
 
 
 def cmd_factcheck(args) -> int:
+    from .grounding import STATUS_MISMATCH, check_claims
+    from .records import write_json
+
     rows = []
     mismatches = 0
     with _read_inputs(args) as (cfg, records, store):
@@ -219,6 +221,8 @@ def cmd_pipeline(args) -> int:
         print("hallguard pipeline: error: --output must not end in .md; the markdown ledger "
               "is written next to it with that suffix", file=sys.stderr)
         return EXIT_USAGE
+    from .pipeline import ledger_to_json, ledger_to_markdown, run_cycle
+
     with _read_inputs(args) as (cfg, records, store):
         ledger = run_cycle(records, cfg, store)
     # only once the whole corpus has been read, so a bad one prints no warning
@@ -235,7 +239,9 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_mockgen(args) -> int:
+    from .grounding import fact_store_to_json
     from .mockgen import generate_corpus, generate_fact_store, mock_spec_from_json
+    from .records import read_json_file, write_json, write_records
 
     raw = read_json_file(args.spec)
     if args.seed is not None and isinstance(raw, dict):
@@ -252,6 +258,7 @@ def cmd_mockgen(args) -> int:
 
 def cmd_chunk(args) -> int:
     from .mitigation import DEFAULT_CHUNK_OVERLAP, chunk_document
+    from .records import write_json
 
     overlap = DEFAULT_CHUNK_OVERLAP if args.overlap is None else args.overlap
     if args.target_size < 1 or not 0.0 <= overlap < 0.5:
@@ -355,6 +362,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid data: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # e.g. the k x k distances of a record with very many distinct vectors
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:  # console-script shim

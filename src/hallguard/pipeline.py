@@ -11,20 +11,16 @@ per-tier counts and residual errors are the refinement artifact.
 
 from __future__ import annotations
 
-import functools
-import json
 import operator
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, fields, replace
-from json.encoder import encode_basestring_ascii
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .consistency import RaceReport, race_metrics, self_consistency_consensus
 from .errors import CapabilityError, ConfigError
 from .grounding import STATUS_MISMATCH, ClaimVerdict, FactStore, check_claims
-from .records import FAILURE_CLASSES, GenerationRecord, finite_number
+from .records import FAILURE_CLASSES, GenerationRecord, finite_number, read_json_file, write_json
 from .semantic import DEFAULT_CLUSTER_THRESHOLD, semantic_entropy_of_record
 from .uncertainty import parse_self_declared_confidence, sample_mean_entropies
 
@@ -90,7 +86,7 @@ class TierVerdict:
     fired_rules: list[str]
     tier: str | None
     recommendations: list[str]
-    validation: Validation | None = None
+    validation: Validation | None = field(default=None, metadata={"omit_none": True})
 
 
 @dataclass(frozen=True)
@@ -311,17 +307,6 @@ def run_cycle(records: Iterable[GenerationRecord], config: PipelineConfig | None
 _CONFIG_KEYS = tuple(k for k in PipelineConfig.__dataclass_fields__ if k != "rules")
 
 
-def read_json_file(path: str):
-    """Decode a config, rules or mock spec file; malformed JSON or UTF-8, or
-    JSON nested too deeply to decode, is a ConfigError."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from None
-    except RecursionError:
-        raise ConfigError(f"malformed JSON in {path}: nested too deeply") from None
-
-
 def load_config(path: str | None) -> PipelineConfig:
     """Load a ``--config`` JSON file; defaults when no path is given.
 
@@ -382,98 +367,6 @@ def load_rules(obj) -> list[RouterRule]:
 
 # ---------------------------------------------------------------------------
 # Report serialization
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_float_repr = float.__repr__  # what json writes for a finite float
-_FLUSH_PIECES = 4096  # pieces gathered before they are written out
-
-
-def write_json(obj, fp) -> None:
-    """Write to the text stream fp what ``json.dumps(obj, indent=2)`` gives,
-    and a newline.
-
-    Dataclasses become objects keyed in field order (a TierVerdict's absent
-    validation is left out); dicts with string keys, lists, tuples, strings,
-    numbers, bools and None are encoded as json encodes them, float and int
-    subclasses included.  Any other value, or a key that is not a string,
-    raises TypeError.  The text goes out in chunks, once _FLUSH_PIECES
-    pieces have gathered after an array or object element that is itself an
-    array or object, so neither a tree of dicts nor the whole text of a
-    report is held.
-    """
-    parts: list[str] = []
-    _put(obj, "\n", parts, fp.write)
-    parts.append("\n")
-    fp.write("".join(parts))
-
-
-def _put(obj, nl: str, parts: list[str], write) -> None:
-    """Append the JSON text of obj to parts; nl is a newline and the indent
-    of obj's own line.  The elements of an array or object that are exact
-    str, float, bool or None values, the bulk of a report, are encoded in
-    place, each after its prefix: a separator, the indent and the key."""
-    kind = type(obj)
-    omit = None  # the prefix of a member left out when it is None
-    inner = nl + "  "
-    if hasattr(kind, "__dataclass_fields__"):
-        brackets, values = "{}", vars(obj).values()
-        prefixes = _field_prefixes(kind, inner)
-        if kind is TierVerdict:  # its last field, validation, is left out when absent
-            omit = prefixes[-1]
-    elif isinstance(obj, (list, tuple)):
-        brackets, values = "[]", obj
-        prefixes = ["[" + inner] + ["," + inner] * (len(obj) - 1)
-    elif isinstance(obj, dict):
-        brackets, values = "{}", obj.values()
-        prefixes = [f",{inner}{encode_basestring_ascii(k)}: " for k in obj]
-        if prefixes:
-            prefixes[0] = "{" + prefixes[0][1:]
-    else:
-        parts.append(_scalar_text(obj))
-        return
-    if not values:
-        parts.append(brackets)
-        return
-    for prefix, value in zip(prefixes, values):
-        kind = type(value)
-        if kind is float:
-            text = _float_repr(value)
-            parts.append(prefix + (text if value - value == 0.0 else _NON_FINITE[text]))
-        elif kind is str:
-            parts.append(prefix + encode_basestring_ascii(value))
-        elif kind is bool:
-            parts.append(prefix + ("true" if value else "false"))
-        elif value is None:
-            if prefix is not omit:
-                parts.append(prefix + "null")
-        else:
-            parts.append(prefix)
-            _put(value, inner, parts, write)
-            if len(parts) >= _FLUSH_PIECES:
-                write("".join(parts))
-                parts.clear()
-    parts.append(nl + brackets[1])
-
-
-@functools.lru_cache(maxsize=128)  # a report has a few dataclasses at a few depths
-def _field_prefixes(kind: type, inner: str) -> tuple[str, ...]:
-    """The member prefixes of a dataclass whose members are indented by
-    inner: "{" or ",", inner, then each field name encoded and ": "."""
-    return tuple(f"{',' if i else '{'}{inner}{encode_basestring_ascii(f.name)}: "
-                 for i, f in enumerate(fields(kind)))
-
-
-def _scalar_text(obj) -> str:
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _NON_FINITE.get(text, text)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def ledger_to_json(ledger: CycleLedger, fp) -> None:

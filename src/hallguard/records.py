@@ -22,16 +22,24 @@ it is reached and builds and checks its record in one walk, so a caller
 that keeps only what it computes from each record never holds the corpus.
 ``parse_records`` is the same reader collected into a list.  Either way the
 first bad line raises, with its line number.
+
+``read_json_file`` reads a config, rules or spec file and ``write_json``
+writes every JSON report, so a command that needs no more loads no numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
+from pathlib import Path
+
+from .errors import ConfigError
 
 # The root-cause tiers: a label's failure_class, a router rule's tier and a
 # mock injection are each one of these.  The order is the ledger's and the
@@ -425,3 +433,113 @@ def write_records(records: list[GenerationRecord]) -> bytes:
     object that a record holds more than once (mock corpora repeat theirs)
     is encoded once per record."""
     return "".join(map(_record_line, records)).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Other JSON files: configs, rules and specs in, reports out
+
+
+def read_json_file(path: str):
+    """Decode a config, rules or mock spec file; malformed JSON or UTF-8, or
+    JSON nested too deeply to decode, is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"malformed JSON in {path}: nested too deeply") from None
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_float_repr = float.__repr__  # what json writes for a finite float
+_FLUSH_PIECES = 4096  # pieces gathered before they are written out
+
+
+def write_json(obj, fp) -> None:
+    """Write to the text stream fp what ``json.dumps(obj, indent=2)`` gives,
+    and a newline.
+
+    Dataclasses become objects keyed in field order, less each field declared
+    with ``metadata={"omit_none": True}`` whose value is None (never a
+    dataclass's first field); dicts with string keys, lists, tuples,
+    strings, numbers, bools and None are encoded as json encodes them, float
+    and int subclasses included.  Any other value, or a key that is not a
+    string, raises TypeError.  The text goes out in chunks, once
+    _FLUSH_PIECES pieces have gathered after an array or object element that
+    is itself an array or object, so neither a tree of dicts nor the whole
+    text of a report is held.
+    """
+    parts: list[str] = []
+    _put(obj, "\n", parts, fp.write)
+    parts.append("\n")
+    fp.write("".join(parts))
+
+
+def _put(obj, nl: str, parts: list[str], write) -> None:
+    """Append the JSON text of obj to parts; nl is a newline and the indent
+    of obj's own line.  The elements of an array or object that are exact
+    str, float, bool or None values, the bulk of a report, are encoded in
+    place, each after its prefix: a separator, the indent and the key."""
+    kind = type(obj)
+    omitted = ()  # the prefixes of members left out when they are None
+    inner = nl + "  "
+    if hasattr(kind, "__dataclass_fields__"):
+        brackets, values = "{}", vars(obj).values()
+        prefixes, omitted = _field_prefixes(kind, inner)
+    elif isinstance(obj, (list, tuple)):
+        brackets, values = "[]", obj
+        prefixes = ["[" + inner] + ["," + inner] * (len(obj) - 1)
+    elif isinstance(obj, dict):
+        brackets, values = "{}", obj.values()
+        prefixes = [f",{inner}{encode_basestring_ascii(k)}: " for k in obj]
+        if prefixes:
+            prefixes[0] = "{" + prefixes[0][1:]
+    else:
+        parts.append(_scalar_text(obj))
+        return
+    if not values:
+        parts.append(brackets)
+        return
+    for prefix, value in zip(prefixes, values):
+        kind = type(value)
+        if kind is float:
+            text = _float_repr(value)
+            parts.append(prefix + (text if value - value == 0.0 else _NON_FINITE[text]))
+        elif kind is str:
+            parts.append(prefix + encode_basestring_ascii(value))
+        elif kind is bool:
+            parts.append(prefix + ("true" if value else "false"))
+        elif value is None:
+            if prefix not in omitted:
+                parts.append(prefix + "null")
+        else:
+            parts.append(prefix)
+            _put(value, inner, parts, write)
+            if len(parts) >= _FLUSH_PIECES:
+                write("".join(parts))
+                parts.clear()
+    parts.append(nl + brackets[1])
+
+
+@functools.lru_cache(maxsize=128)  # a report has a few dataclasses at a few depths
+def _field_prefixes(kind: type, inner: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The member prefixes of a dataclass whose members are indented by
+    inner: "{" or ",", inner, then each field name encoded and ": "; and
+    the prefixes of its fields declared omit_none."""
+    members = fields(kind)
+    prefixes = tuple(f"{',' if i else '{'}{inner}{encode_basestring_ascii(f.name)}: "
+                     for i, f in enumerate(members))
+    return prefixes, tuple(p for p, f in zip(prefixes, members) if f.metadata.get("omit_none"))
+
+
+def _scalar_text(obj) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -5,8 +5,7 @@ from __future__ import annotations
 import io
 import json
 
-from hallguard.pipeline import write_json
-from hallguard.records import Claim, GenerationRecord, GroundTruthLabel, Sample, TokenDistribution
+from hallguard.records import Claim, GenerationRecord, GroundTruthLabel, Sample, TokenDistribution, write_json
 
 
 def make_dist(probs, labels=None) -> TokenDistribution:

@@ -124,6 +124,26 @@ def test_analyze_missing_file_exits_1(mock_paths, tmp_path, capsys):
         assert err.startswith("cannot access file: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "pipeline"])
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 2.98 GiB for an array with shape (20000, 20000)"),
+     "out of memory: Unable to allocate 2.98 GiB for an array with shape (20000, 20000)\n"),
+    (MemoryError(), "out of memory: an allocation failed\n"),
+], ids=["numpy-message", "no-message"])
+def test_out_of_memory_is_one_line_and_exits_1(mock_paths, monkeypatch, capsys, command, error, line):
+    """A record too large to cluster (its k x k distances) ends in one line,
+    not a traceback; the failed allocation is simulated, never made."""
+    from hallguard import pipeline
+
+    def allocate(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(pipeline, "semantic_entropy_of_record", allocate)
+    corpus, _, _ = mock_paths
+    assert main([command, "--input", str(corpus)]) == 1
+    assert capsys.readouterr().err == line
+
+
 def test_analyze_corrupt_corpus_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "r1"}\n')  # missing prompt/samples
@@ -554,7 +574,7 @@ def test_repeated_runs_are_byte_identical(mock_paths, tmp_path):
 def test_module_state_never_changes_an_output(tmp_path):
     """Each command writes the same bytes whether it runs in this interpreter
     before or after the others, which warm the module caches
-    (``semantic._cluster_texts``, ``pipeline._field_prefixes``), or in a
+    (``semantic._cluster_texts``, ``records._field_prefixes``), or in a
     fresh one."""
     spec = MockSpec(n_records=30, samples_per_record=4, true_temperature=1.5,
                     inject_rates={"model": 0.2, "context": 0.2, "data": 0.2}, seed=11)

@@ -14,8 +14,8 @@ from hallguard.calibration import fit_temperature, logit_label_pairs
 from hallguard.grounding import check_claims, fact_store_to_json
 from hallguard.mockgen import (CLEAN_ENTROPY_HI, CLEAN_ENTROPY_LO, MockSpec, generate_corpus,
                                generate_fact_store, mock_spec_from_json)
-from hallguard.pipeline import PipelineConfig, run_cycle, write_json
-from hallguard.records import validate_record, write_records
+from hallguard.pipeline import PipelineConfig, run_cycle
+from hallguard.records import validate_record, write_json, write_records
 from hallguard.uncertainty import apply_temperature, entropy_nats, token_entropies
 
 # seed -> bytes: sha256 of the written corpus and of the written fact store,

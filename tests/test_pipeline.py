@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hallguard import pipeline
 from hallguard.consistency import RaceReport
 from hallguard.errors import ConfigError
 from hallguard.grounding import ClaimVerdict, FactEntry, FactStore
@@ -31,9 +30,8 @@ from hallguard.pipeline import (
     run_cycle,
     signal_value,
     validate,
-    write_json,
 )
-from hallguard.records import GenerationRecord, Sample
+from hallguard.records import GenerationRecord, Sample, write_json
 from hallguard.semantic import semantic_entropy_of_record
 
 from conftest import decoded, make_claim, make_dist, make_record
@@ -466,7 +464,7 @@ _VALUES = st.recursive(
 def test_write_json_matches_json_dumps(value):
     expected = json.dumps(value, indent=2) + "\n"
     assert _written(value) == expected
-    with mock.patch.object(pipeline, "_FLUSH_PIECES", 1):  # a write after every nested element
+    with mock.patch("hallguard.records._FLUSH_PIECES", 1):  # a write after every nested element
         assert _written(value) == expected
 
 

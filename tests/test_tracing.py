@@ -41,9 +41,44 @@ def _run(argv, cwd):
     return proc.stdout
 
 
-def test_cli_import_loads_no_calibration_mitigation_or_mockgen(tmp_path):
-    loaded = _run(["-c", "import sys, hallguard.cli; print(' '.join(sys.modules))"], tmp_path)
-    assert not {"hallguard.calibration", "hallguard.mitigation", "hallguard.mockgen"} & set(loaded.split())
+# run in a fresh interpreter: import the CLI, run the command given after
+# "--" if any, then print its exit code, the hallguard modules loaded and
+# whether numpy is
+_FOOTPRINT = """
+import json, sys
+from hallguard import cli
+code = cli.main(sys.argv[2:]) if sys.argv[1:] else None
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("hallguard.")), "numpy" in sys.modules]))
+"""
+
+_NO_NUMPY = {"cli", "errors"}
+_CORPUS_COMMAND = {"cli", "consistency", "errors", "grounding", "pipeline", "records", "semantic",
+                   "uncertainty"}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """The benchmark's start-up, ``import hallguard.cli``, loads no numpy, and
+    each command loads only what it runs."""
+    spec = {"n_records": 4, "samples_per_record": 2, "true_temperature": 1.5,
+            "inject_rates": {"model": 0.25}, "seed": 1}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "doc.txt").write_text("One sentence. And another one.\n")
+    for argv, code, modules, numpy in (
+        (None, None, _NO_NUMPY, False),
+        ([], 1, _NO_NUMPY, False),
+        (["--help"], 0, _NO_NUMPY, False),
+        (["analyze"], 1, _NO_NUMPY, False),  # a usage error: no --input
+        (["chunk", "--input", "doc.txt", "--target-size", "8", "--output", "chunks.json"], 0,
+         {"cli", "errors", "mitigation", "records"}, False),
+        (["mockgen", "--spec", "spec.json", "--out", "corpus.jsonl", "--store-out", "store.json"], 0,
+         {"cli", "errors", "grounding", "mockgen", "records", "uncertainty"}, True),
+        (["calibrate", "--input", "corpus.jsonl", "--kind", "isotonic", "--output", "map.json"], 0,
+         {"calibration", "cli", "errors", "records", "uncertainty"}, True),
+        (["analyze", "--input", "corpus.jsonl", "--output", "report.json"], 0, _CORPUS_COMMAND, True),
+    ):
+        command = [] if argv is None else ["--", *argv]
+        seen = json.loads(_run(["-c", _FOOTPRINT, *command], tmp_path).splitlines()[-1])
+        assert seen == [code, [f"hallguard.{m}" for m in sorted(modules)], numpy], argv
 
 
 def test_traced_mockgen_and_calibrate_record_their_spans(tmp_path):
@@ -63,6 +98,9 @@ def test_traced_mockgen_and_calibrate_record_their_spans(tmp_path):
         # ledger is written through the name the benchmark times
         (["pipeline", "--input", "corpus.jsonl", "--store", "store.json", "--output", "ledger.json"],
          {"pipeline.detect": 12, "semantic.default_embed": 19, "pipeline.ledger_to_json": 1}),
+        # analyze imports detect when it runs, after the tracer has wrapped it
+        (["analyze", "--input", "corpus.jsonl", "--store", "store.json", "--output", "report.json"],
+         {"pipeline.detect": 12}),
     ):
         _run([str(TRACING_PY), "spans.json", "--", *argv], tmp_path)
         stats = tracing.summarize(json.loads((tmp_path / "spans.json").read_text())["spans"])
