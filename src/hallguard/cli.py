@@ -14,10 +14,12 @@ empty input, insufficient fit data).
 from __future__ import annotations
 
 import argparse
+import atexit
 import itertools
+import os
 import sys
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 # each command imports what it runs, so --help, a usage error and chunk load
@@ -78,11 +80,18 @@ def _read_inputs(args) -> Iterator[tuple[PipelineConfig, Iterator[GenerationReco
         yield cfg, records, store
 
 
+def _stdout():
+    """sys.stdout, which is None in a process started with it closed."""
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
+    return sys.stdout
+
+
 def _emit(write, report, output: str | None) -> None:
     """Write a report with write(report, fp) to output, or to stdout when it
     is None; the file is opened only now."""
     if output is None:
-        write(report, sys.stdout)
+        write(report, _stdout())
     else:
         with open(output, "w", encoding="utf-8") as fp:
             write(report, fp)
@@ -171,7 +180,8 @@ def cmd_calibrate(args) -> int:
                 print("insufficient data: need >= 2 labeled records with full distributions", file=sys.stderr)
                 return EXIT_DATA
             model = fit_temperature(logit_sets, labels)
-            print(f"fitted temperature T={model.T:.4f} nll={model.fit_nll:.5f} n={model.n_fit}")
+            print(f"fitted temperature T={model.T:.4f} nll={model.fit_nll:.5f} n={model.n_fit}",
+                  file=_stdout())
         else:  # isotonic
             pairs = score_outcome_pairs(iter_records(fp))
             if not pairs:
@@ -179,7 +189,8 @@ def cmd_calibrate(args) -> int:
                 return EXIT_DATA
             model = fit_isotonic(pairs)
             sse = sum((float(y) - apply_isotonic(model, s)) ** 2 for s, y in pairs)
-            print(f"fitted isotonic map with {len(model.breakpoints)} breakpoints sse={sse:.5f} n={len(pairs)}")
+            print(f"fitted isotonic map with {len(model.breakpoints)} breakpoints sse={sse:.5f} n={len(pairs)}",
+                  file=_stdout())
     _emit(write_json, calibration_map_to_json(model), args.output)
     return EXIT_OK
 
@@ -252,7 +263,7 @@ def cmd_mockgen(args) -> int:
     if args.store_out:
         store = generate_fact_store(spec)
         _emit(write_json, fact_store_to_json(store), args.store_out)
-    print(f"wrote {len(records)} records to {args.out}")
+    print(f"wrote {len(records)} records to {args.out}", file=_stdout())
     return EXIT_OK
 
 
@@ -339,7 +350,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -348,8 +359,19 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help(sys.stderr)
         return EXIT_USAGE
+    return args.func(args)
+
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code.  Stdout is flushed before
+    the code is chosen, so a stdout that cannot be written, or is closed
+    (sys.stdout None), ends in one ``cannot access file:`` line and 1."""
     try:
-        return args.func(args)
+        try:
+            return _run(argv)
+        finally:  # on every path, so that a failed write to stdout is reported here
+            if sys.stdout is not None:
+                sys.stdout.flush()
     except _NoRecords:
         print("no records", file=sys.stderr)
         return EXIT_DATA
@@ -367,8 +389,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def entry() -> None:  # console-script shim
-    sys.exit(main())
+def entry() -> None:
+    """The ``hallguard`` console script and ``python -m hallguard.cli``: the
+    process exits right after main has flushed its outputs.  The ``atexit``
+    callbacks run, but the interpreter's teardown (module clean-up and the
+    last garbage collections) is skipped, so the ``__del__`` finalizers of
+    objects still alive never run and no command may rely on them."""
+    code = main()
+    atexit._run_exitfuncs()  # e.g. coverage's data file
+    if sys.stderr is not None:  # after the callbacks, which may write there too
+        with suppress(OSError):  # a message about it would have nowhere to go
+            sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

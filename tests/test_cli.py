@@ -144,6 +144,100 @@ def test_out_of_memory_is_one_line_and_exits_1(mock_paths, monkeypatch, capsys, 
     assert capsys.readouterr().err == line
 
 
+CLI = [sys.executable, "-m", "hallguard.cli"]
+
+
+def _block_buffered_env() -> dict:
+    """The environment of a fresh hallguard process: src on its path, and
+    stdout block-buffered, as it is when PYTHONUNBUFFERED is not set."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(hallguard.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["chunk", "--input", "doc.txt", "--target-size", "400"], ["--help"]],
+                         ids=["chunk", "help"])
+def test_a_stdout_that_cannot_be_flushed_is_one_line_and_exits_1(tmp_path, argv):
+    """The output fits in stdout's buffer, so nothing fails until the flush."""
+    (tmp_path / "doc.txt").write_text("x" * 1000)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([*CLI, *argv], cwd=tmp_path, stdout=full, stderr=subprocess.PIPE,
+                              env=_block_buffered_env())
+    assert (proc.returncode, proc.stderr) == (1, b"cannot access file: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("command, code", [
+    ("chunk", 1), ("analyze", 1), ("pipeline", 1), ("calibrate", 1), ("mockgen", 1), ("analyze-to-file", 0),
+])
+def test_a_closed_stdout_is_one_line_and_exits_1(mock_paths, tmp_path, monkeypatch, capsys, command, code):
+    """A process started with stdout closed has sys.stdout None: a command
+    that writes there fails with one line, one that writes only files runs."""
+    corpus, store, _ = mock_paths
+    doc, spec = tmp_path / "doc.txt", tmp_path / "spec.json"
+    doc.write_text("x" * 1000)
+    spec.write_text(json.dumps({"n_records": 5, "seed": 1}))
+    argv = {
+        "chunk": ["chunk", "--input", str(doc), "--target-size", "400"],
+        "analyze": ["analyze", "--input", str(corpus)],
+        "pipeline": ["pipeline", "--input", str(corpus), "--store", str(store), "--format", "md"],
+        "calibrate": ["calibrate", "--input", str(corpus), "--kind", "temperature",
+                      "--output", str(tmp_path / "map.json")],
+        "mockgen": ["mockgen", "--spec", str(spec), "--out", str(tmp_path / "mock.jsonl")],
+        "analyze-to-file": ["analyze", "--input", str(corpus), "--output", str(tmp_path / "a.json")],
+    }[command]
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == code
+    assert capsys.readouterr().err == ("cannot access file: stdout is closed\n" if code else "")
+
+
+def test_a_process_started_with_stdout_closed_exits_1(tmp_path):
+    (tmp_path / "doc.txt").write_text("x" * 1000)
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *CLI, "chunk", "--input", "doc.txt",
+                           "--target-size", "400"], cwd=tmp_path, capture_output=True, env=_block_buffered_env())
+    assert (proc.returncode, proc.stderr) == (1, b"cannot access file: stdout is closed\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "{corpus}", "--store", "{store}"],
+    ["analyze", "--input", "{corpus}", "--store", "{store}", "--format", "md"],
+    ["pipeline", "--input", "{corpus}", "--store", "{store}", "--format", "md"],
+    ["mockgen", "--spec", "{spec}", "--out", "{tmp}/mock.jsonl"],
+    ["analyze", "--input", "{corpus}", "--format", "csv"],
+    ["analyze", "--input", "{empty}"],
+], ids=["analyze-json", "analyze-md", "pipeline-md", "mockgen", "usage-error", "no-records"])
+def test_a_fresh_process_writes_what_main_writes(mock_paths, tmp_path, capsys, argv):
+    """``python -m hallguard.cli`` with a block-buffered stdout writes the same
+    stdout and stderr bytes and exits with the same code as ``main`` in this
+    interpreter: the process skips the interpreter's teardown, and nothing
+    written is lost."""
+    corpus, store, _ = mock_paths
+    empty, spec = tmp_path / "empty.jsonl", tmp_path / "spec.json"
+    empty.write_text("")
+    spec.write_text(json.dumps({"n_records": 5, "seed": 1}))
+    argv = [a.format(corpus=corpus, store=store, spec=spec, empty=empty, tmp=tmp_path) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    proc = subprocess.run([*CLI, *argv], capture_output=True, env=_block_buffered_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out.encode(), captured.err.encode())
+
+
+def test_entry_runs_atexit_callbacks_and_keeps_the_exit_code(tmp_path):
+    """The callback's line has no newline, so it stays in stderr's buffer
+    until the flush that follows the callbacks."""
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    script = ("import atexit, sys\n"
+              "atexit.register(sys.stderr.write, 'atexit marker')\n"
+              "sys.argv = ['hallguard', 'analyze', '--input', sys.argv[1]]\n"
+              "from hallguard.cli import entry\n"
+              "entry()\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(empty)], capture_output=True,
+                          env=_block_buffered_env())
+    assert (proc.returncode, proc.stderr) == (2, b"no records\natexit marker")
+
+
 def test_analyze_corrupt_corpus_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "r1"}\n')  # missing prompt/samples
