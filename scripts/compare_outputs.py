@@ -41,16 +41,27 @@ one fault (FAULTS), so that both trees must print the same message.  Last
 come the usage paths, most of which load no numpy: --help, no command,
 analyze with no --input, chunk with an overlap out of range, mockgen on a
 spec it rejects, and pipeline with an --output that ends in .md.
+Beside the benchmark corpora, the script builds one seeded stress corpus of
+its own (``stress_records``) and runs analyze (json) and pipeline on it.  Its
+records make clustering turn on what the mock corpora never reach: texts over
+a small shared vocabulary, some at a distance within 1e-3 of the 0.35
+threshold and some at exactly 0.35; exact ties; answers that share a bucket
+of a 256-bucket FNV-1a hash; numeric format variants; records of 100 to 200
+distinct samples; and sign-quantized stored embeddings.
 Each command's output files, stdout, stderr and exit code are compared byte
-for byte.  Each file that differs is printed, and the exit code is 1 when any
-does.
+for byte.  Each file that differs is printed, then the id of each stress
+record whose analyze or pipeline entry differs, and the exit code is 1 when
+any file does.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -127,6 +138,13 @@ COMMANDS.update({
     "pipeline-md-output": "pipeline --input {in} --output {out}/x.md",
 })
 
+# the only commands run on the stress corpus
+STRESS = "stress"
+STRESS_COMMANDS = {
+    "analyze-json": "analyze --input {in} --output {out}/analyze.json",
+    "pipeline-file": "pipeline --input {in} --output {out}/ledger.json",
+}
+
 # every number off its default, so each reaches the outputs it can change
 CONFIG = {"cluster_threshold": 0.9, "fact_rel_tol": 0.02, "fact_abs_tol": 6.0, "min_delta": 0.2}
 # mock specs beside the workload's own: every record injected, at
@@ -188,6 +206,89 @@ def faulty(record: dict, fault: str) -> dict:
     return record
 
 
+# a small shared vocabulary, so that text distances spread over (0, 1)
+VOCABULARY = ("rates", "rose", "fell", "profit", "q3", "guidance")
+# answers that share a bucket of a 256-bucket FNV-1a hash of their lowercase bytes
+BUCKET_PAIRS = (("10.00", "57.81"), ("BBB", "true"), ("68", "86"), ("19", "174"), ("120", "186"))
+NUMERIC_VARIANTS = ("1200", "1200.0", "1200.00", "1.2e3", "1,200", "$1200")
+
+
+def _sample(text: str, answer: str | None = None, reasoning: str | None = None,
+            embedding: list[float] | None = None) -> dict:
+    sample = {"text": text}
+    for key, value in (("answer", answer), ("reasoning", reasoning), ("embedding", embedding)):
+        if value is not None:
+            sample[key] = value
+    return sample
+
+
+def _text(counts) -> str:
+    """Each word of VOCABULARY repeated as often as counts says."""
+    return " ".join(word for word, c in zip(VOCABULARY, counts) for _ in range(c))
+
+
+def _distance(u, v) -> float:
+    dot = sum(a * b for a, b in zip(u, v))
+    return 1.0 - dot / math.sqrt(sum(a * a for a in u) * sum(b * b for b in v))
+
+
+def stress_records(seed: int) -> list[dict]:
+    """One seeded corpus of records whose clusterings turn on a tie, the
+    threshold, the embedder or many merges; each id names its kind."""
+    rng = random.Random(seed)
+    records = []
+
+    def add(kind: str, samples: list[dict]) -> None:
+        records.append({"id": f"{kind}-{len(records):03d}", "prompt": kind, "samples": samples})
+
+    # texts over the shared vocabulary, with answers and reasoning
+    counts = [c for c in itertools.product(range(4), repeat=len(VOCABULARY)) if any(c)]
+    for _ in range(30):
+        texts = [_text(rng.choice(counts)) for _ in range(rng.randint(3, 12))]
+        add("vocab", [_sample(t, answer=t.split()[0], reasoning=t) for t in texts])
+    # pairs of texts at a distance within 1e-3 of 0.35, on either side
+    near = [(u, v) for u, v in itertools.combinations(rng.sample(counts, 300), 2)
+            if abs(_distance(u, v) - 0.35) < 1e-3]
+    for u, v in rng.sample(near, 20):
+        texts = [_text(u)] * rng.randint(1, 3) + [_text(v)] * rng.randint(1, 3)
+        rng.shuffle(texts)
+        add("near", [_sample(t, answer=t, reasoning=_text(v)) for t in texts])
+    # texts of a distinct words each, sharing 13 a / 20 of them: cosine 13/20
+    # mathematically, a distance of exactly 0.35 as computed for a = 20
+    for a in (20, 40, 60, 80):
+        shared = a * 13 // 20
+        words = [f"w{i:03d}" for i in range(2 * a - shared)]
+        u, v = " ".join(words[:a]), " ".join(words[a - shared:])
+        add("threshold", [_sample(t) for t in [u, u, v, v, v]])
+        add("threshold", [_sample(t, answer=t) for t in [u, v, v]])
+    # exact ties: x and y at equal distance from "x y" (1 - 1/sqrt 2), and
+    # farther from each other than the threshold
+    for _ in range(15):
+        x, y, z = rng.sample(VOCABULARY, 3)
+        shapes = [x, f"{x} {y}", y] if rng.random() < 0.5 else [f"{x} {z}", f"{x} {y} {z}", f"{y} {z}"]
+        texts = [t for t in shapes for _ in range(rng.randint(1, 3))]
+        add("tie", [_sample(t, answer=t, reasoning=shapes[1]) for t in texts])
+    # answers that an FNV-1a hash into 256 buckets cannot tell apart
+    for first, second in BUCKET_PAIRS:
+        texts = [first, first, second, second, second]
+        add("bucket", [_sample(t, answer=t, reasoning=f"because {t}") for t in texts])
+    # one number in several formats
+    for _ in range(5):
+        texts = [rng.choice(NUMERIC_VARIANTS) for _ in range(rng.randint(3, 8))]
+        add("numeric", [_sample(t, answer=t) for t in texts])
+    # many distinct samples: many merges over a large distance matrix
+    for n in (100, 150, 200):
+        add("many", [_sample(_text(c), answer=VOCABULARY[c.index(max(c))], reasoning=_text(c[::-1]))
+                     for c in rng.sample(counts, n)])
+    # sign-quantized stored embeddings: duplicate vectors and tied distances
+    for _ in range(20):
+        dim = rng.randint(3, 6)
+        rows = [[float(rng.randint(-1, 1)) for _ in range(dim)] for _ in range(rng.randint(3, 4))]
+        samples = [_sample(f"sample {i}", embedding=rng.choice(rows)) for i in range(rng.randint(4, 10))]
+        add("signs", samples)
+    return records
+
+
 def write_corpora(src: Path, seed: int, into: Path) -> None:
     """Build every benchmark corpus under src; one directory per workload."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
@@ -228,6 +329,10 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
         (d / "rules.json").write_text(json.dumps(modified_rules()))
         (d / "bad-config.json").write_text(json.dumps({"cluster_threshold": 5.0}))
         (d / "bad-rules.json").write_text(json.dumps({"not": "a list"}))
+    d = into / STRESS
+    d.mkdir()
+    (d / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in stress_records(seed)),
+                                    encoding="utf-8")
 
 
 def modified_rules() -> list[dict]:
@@ -265,7 +370,7 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
                  "rules": corpus / "rules.json", "bad_config": corpus / "bad-config.json",
                  "bad_rules": corpus / "bad-rules.json", "out": out,
                  **{f"fault_{fault}": corpus / f"fault-{fault}.jsonl" for fault in FAULTS}}
-        for name, template in COMMANDS.items():
+        for name, template in (STRESS_COMMANDS if corpus.name == STRESS else COMMANDS).items():
             if "{signs}" in template and not paths["signs"].exists():
                 continue
             argv = [arg.format(**paths) for arg in template.split()]
@@ -276,6 +381,18 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
             (out / f"{name}.stdout").write_bytes(proc.stdout.replace(where, b"{out}"))
             (out / f"{name}.stderr").write_bytes(proc.stderr.replace(where, b"{out}"))
             (out / f"{name}.exit").write_text(f"{proc.returncode}\n")
+
+
+def differing_records(a: Path, b: Path) -> list[str]:
+    """The ids of the stress records whose analyze or pipeline entries differ."""
+    ids = []
+    for name, key in (("analyze.json", "records"), ("ledger.json", "entries")):
+        paths = [tree / STRESS / name for tree in (a, b)]
+        if not all(path.is_file() for path in paths):
+            continue
+        entries = [json.loads(path.read_bytes())[key] for path in paths]
+        ids += [x["record_id"] for x, y in zip(*entries) if x != y]
+    return sorted(set(ids))
 
 
 def differing_files(a: Path, b: Path) -> list[str]:
@@ -304,9 +421,14 @@ def main() -> int:
                           (tmp / "parent", tmp / "change")))
         differing = differing_files(tmp / "parent", tmp / "change")
         n_files = sum(1 for p in (tmp / "parent").rglob("*") if p.is_file())
+        records = []
+        if any(name.startswith(STRESS + os.sep) for name in differing):
+            records = differing_records(tmp / "parent", tmp / "change")
 
     for name in differing:
         print(f"differs: {name}")
+    for record_id in records:
+        print(f"differs: {STRESS} record {record_id}")
     print(f"{len(differing)} of {n_files} files differ (seed {args.seed})")
     return 1 if differing else 0
 

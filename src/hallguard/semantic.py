@@ -46,21 +46,25 @@ feeds semantic entropy only.  A valid record carries an embedding on every
 sample or on none (``records.validate_record``), so semantic entropy clusters
 either the stored vectors or ``default_embed`` of every text, never a mix of
 the two spaces.  Consensus and the reasoning/answer decomposition always embed
-the answer and reasoning strings with ``default_embed``: a deterministic
-hashing bag-of-words embedder, dependency-free, order invariant, and good
-enough at desk scale where test texts are constructed to be lexically
-disjoint.
+the answer and reasoning strings with ``default_embed``: the L2-normalised
+counts of a text's exact lowercase whitespace tokens, with no hashing, so two
+texts are at distance 0 only when their token multisets are equal (up to
+scale) and at distance 1 when they share no token.  Kuhn et al. (ICLR 2023,
+arXiv:2302.09664) cluster by bidirectional entailment, which needs model
+weights; exact tokens are this offline toolkit's stand-in for it.
 
 String inputs go through ``cluster_texts``, which embeds each distinct string
-once and remembers its last few results, so the clusterings that one record
-asks for with the same strings (on mock corpora the texts are the answers)
-run once.
+once, lays the strings out as rows over the sorted union of their tokens (one
+column per distinct token of the call) and remembers its last few results, so
+the clusterings that one record asks for with the same strings (on mock
+corpora the texts are the answers) run once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +73,7 @@ from .errors import CapabilityError
 from .records import GenerationRecord
 from .uncertainty import entropy_nats
 
-EMBED_DIM = 256
 DEFAULT_CLUSTER_THRESHOLD = 0.35
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_FNV_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -96,25 +95,13 @@ class SemanticEntropyResult:
     assignment: ClusterAssignment
 
 
-def _fnv1a(token: str) -> int:
-    h = _FNV_OFFSET
-    for b in token.encode("utf-8"):
-        h ^= b
-        h = (h * _FNV_PRIME) & _FNV_MASK
-    return h
-
-
-def default_embed(text: str) -> np.ndarray:
-    """Hashing bag-of-words embedding: lowercase whitespace tokens, FNV-1a
-    bucketed counts over EMBED_DIM buckets, L2-normalized.  Empty or
-    whitespace-only text maps to the zero vector."""
-    vec = np.zeros(EMBED_DIM, dtype=float)
-    for token in text.lower().split():
-        vec[_fnv1a(token) % EMBED_DIM] += 1.0
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
+def default_embed(text: str) -> dict[str, float]:
+    """Bag-of-words embedding: the counts of the lowercase whitespace tokens,
+    L2-normalized, as a map from token to weight.  Empty or whitespace-only
+    text maps to the empty map, the zero vector."""
+    counts = Counter(text.lower().split())
+    norm = math.sqrt(sum(c * c for c in counts.values()))
+    return {token: c / norm for token, c in counts.items()}
 
 
 def _distances(distinct: np.ndarray) -> np.ndarray:
@@ -209,14 +196,22 @@ def _merge(distinct: list[bytes], counts: list[int], threshold: float) -> list[i
 @functools.lru_cache(maxsize=8)
 def _cluster_texts(texts: tuple[str, ...], threshold: float) -> ClusterAssignment:
     row = {text: r for r, text in enumerate(dict.fromkeys(texts))}
-    return _cluster_rows([default_embed(text) for text in row], [row[text] for text in texts], threshold)
+    weights = [default_embed(text) for text in row]
+    column = {token: c for c, token in enumerate(sorted(set().union(*weights)))}
+    rows = np.zeros((len(weights), len(column)))
+    for r, w in enumerate(weights):
+        rows[r, [column[token] for token in w]] = list(w.values())
+    return _cluster_rows(rows, [row[text] for text in texts], threshold)
 
 
 def cluster_texts(texts, threshold: float = DEFAULT_CLUSTER_THRESHOLD) -> ClusterAssignment:
-    """cluster_embeddings over default_embed of each string.  Each distinct
-    string is embedded once, and a repeat of one of the last few calls is not
-    clustered again."""
-    a = _cluster_texts(tuple(texts), threshold)
+    """cluster_embeddings over default_embed of each string, as rows over the
+    sorted tokens of all the strings.  Each distinct string is embedded once,
+    and a repeat of one of the last few calls is not clustered again."""
+    texts = tuple(texts)
+    if not texts:
+        raise ValueError("at least one text required")
+    a = _cluster_texts(texts, threshold)
     # a copy, so that no caller can change what the next one receives
     return ClusterAssignment(list(a.cluster_of_sample), list(a.cluster_masses),
                              list(a.representatives))

@@ -1,7 +1,9 @@
 """Token-level and sample-level uncertainty estimators.
 
 Every entropy in this package is reported in nats (natural log) and
-0 * log 0 is taken as 0, so one-hot inputs score exactly zero.
+0 * log 0 is taken as 0, so one-hot inputs score exactly zero.  Only
+probabilities are scored: an entry that is NaN or outside [0, 1] raises
+ValueError, so no such input comes out as a number.
 
 Token entropy is scored many positions at a time.  ``token_entropies``
 stacks the distributions of one length V into an (m, V) array and sums
@@ -11,7 +13,7 @@ stacks the distributions of one length V into an (m, V) array and sums
 way only, and an empty distribution raises the same error from each.  Each
 result equals ``entropy_nats`` of that distribution bit for bit: numpy sums a
 row of a C-ordered array in the same pairwise order as the same row on its
-own, for every V.  A row with a zero (or nonpositive) entry is the exception:
+own, for every V.  A row with a zero entry is the exception:
 ``entropy_nats`` drops such entries, and the shorter sum takes another
 pairwise order once V >= 8 (a row sum with the zero term left in differs
 from it in about 40% of random rows with one zero entry, by up to 7e-16).
@@ -41,13 +43,20 @@ class EntropyReport:
     max: float
 
 
+_NOT_PROBABILITIES = "probabilities must lie in [0, 1]"
+
+
 def entropy_nats(probs) -> float:
-    """Shannon entropy -sum(p * ln p) of a probability vector."""
+    """Shannon entropy -sum(p * ln p) of a probability vector, whose entries
+    must lie in [0, 1] (a NaN is a ValueError)."""
     if type(probs) is list and probs == [1.0]:  # the common one-cluster mass, without numpy
         return 0.0
     p = np.asarray(probs, dtype=float)
     if p.size == 0:
         raise ValueError("entropy of an empty distribution is undefined")
+    # in Python: the vectors here are short, such as cluster masses
+    if not all(0.0 <= x <= 1.0 for x in p.ravel().tolist()):  # NaN fails both
+        raise ValueError(_NOT_PROBABILITIES)
     nz = p[p > 0]
     return float(0.0 - (nz * np.log(nz)).sum())  # 0.0 - 0.0 is +0.0, not -0.0
 
@@ -96,20 +105,24 @@ def _by_length(items) -> dict[int, list[int]]:
 
 
 def _row_entropies(p: np.ndarray) -> np.ndarray:
-    """entropy_nats of each row of an (m, V) array."""
+    """entropy_nats of each row of an (m, V) array, with its errors."""
     positive = (p > 0).all(axis=1)
     if positive.all():
+        if p.max(initial=0.0) > 1.0:
+            raise ValueError(_NOT_PROBABILITIES)
         return 0.0 - (p * np.log(p)).sum(axis=1)  # 0.0 - 0.0 is +0.0, not -0.0
     h = np.empty(len(p))
     h[positive] = _row_entropies(p[positive])
-    # entropy_nats leaves zero entries out of its sum, which reorders it
+    # entropy_nats leaves zero entries out of its sum, which reorders it; it
+    # also rejects the rows with a NaN or negative entry, which land here
     h[~positive] = [entropy_nats(row) for row in p[~positive]]
     return h
 
 
 def token_entropies(dists: list[TokenDistribution]) -> np.ndarray:
     """token_entropy of each distribution, with one numpy pass per distinct
-    length; see the module docstring for why the values are exact."""
+    length; see the module docstring for why the values are exact.  An entry
+    that is NaN or outside [0, 1] is a ValueError, as in entropy_nats."""
     groups = _by_length([dist.probs for dist in dists])
     if 0 in groups:
         raise ValueError("token distribution has no entries")

@@ -351,6 +351,21 @@ def test_pipeline_all_clean_corpus(tmp_path):
     assert json.loads(out.read_text())["summary"]["tiered"] == 0
 
 
+def test_pipeline_routes_disagreeing_answers_in_one_hash_bucket(tmp_path):
+    """10.00 and 57.81 shared a bucket of the old hashing embedder, which read
+    the record as unanimous and passed it."""
+    answers = ["10.00", "10.00", "57.81", "57.81", "57.81"]
+    record = {"id": "r1", "prompt": "q?", "samples": [{"text": a, "answer": a} for a in answers]}
+    corpus = tmp_path / "one.jsonl"
+    corpus.write_text(json.dumps(record) + "\n")
+    out = tmp_path / "ledger.json"
+    assert main(["pipeline", "--input", str(corpus), "--output", str(out)]) == 0
+    [entry] = json.loads(out.read_text())["entries"]
+    assert entry["signals"]["consensus_support"] == 0.6
+    assert entry["verdict"]["fired_rules"] == ["high_semantic_entropy"]
+    assert entry["verdict"]["tier"] == "model"
+
+
 def test_pipeline_missing_store_warns_and_passes(mock_paths, tmp_path, capsys):
     corpus, _, _ = mock_paths
     out = tmp_path / "ledger.json"

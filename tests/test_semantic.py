@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hallguard import semantic
@@ -66,6 +66,58 @@ def reference_cluster(vectors, threshold):
     )
 
 
+def embedded(texts, embed=default_embed):
+    """embed of each text as a row over the sorted tokens of all of them: the
+    vectors cluster_texts clusters."""
+    weights = [embed(text) for text in texts]
+    vocabulary = sorted(set().union(*weights))
+    return [np.array([w.get(token, 0.0) for token in vocabulary]) for w in weights]
+
+
+_FNV_OFFSET, _FNV_PRIME, _FNV_MASK = 0xCBF29CE484222325, 0x100000001B3, 0xFFFFFFFFFFFFFFFF
+
+
+def fnv_bucket(token: str) -> int:
+    h = _FNV_OFFSET
+    for b in token.encode("utf-8"):
+        h = ((h ^ b) * _FNV_PRIME) & _FNV_MASK
+    return h % 256
+
+
+def fnv_embed(text: str) -> np.ndarray:
+    """The hashing embedder that default_embed replaced, kept as a reference:
+    lowercase whitespace tokens counted in 256 FNV-1a buckets, L2-normalized."""
+    vec = np.zeros(256)
+    for token in text.lower().split():
+        vec[fnv_bucket(token)] += 1.0
+    norm = float(np.linalg.norm(vec))
+    return vec / norm if norm > 0.0 else vec
+
+
+def meets_a_tie_or_the_threshold(vectors, threshold, tol=1e-9):
+    """Whether reference_cluster's merge loop meets two positive linkages
+    within tol of each other at a step (rounding may split such a tie either
+    way), or a linkage within tol of the threshold."""
+    vs = [v for v in (np.asarray(v, dtype=float) for v in vectors) if v.any()]  # zero rows stay singletons
+    if len(vs) < 2:
+        return False
+    dist = semantic._distances(np.stack(vs))
+    clusters = [[i] for i in range(len(vs))]
+    while len(clusters) > 1:
+        linkages = sorted(
+            (float(dist[np.ix_(clusters[a], clusters[b])].mean()), a, b)
+            for a in range(len(clusters)) for b in range(a + 1, len(clusters)))
+        best, a, b = linkages[0]
+        if abs(best - threshold) <= tol:
+            return True
+        if best > threshold:
+            return False
+        if len(linkages) > 1 and best > tol and linkages[1][0] - best <= tol:
+            return True
+        clusters[a] += clusters.pop(b)
+    return False
+
+
 # --- default_embed ---
 
 
@@ -74,8 +126,9 @@ def test_embed_deterministic():
 
 
 def test_embed_empty_is_zero_vector():
-    assert not default_embed("").any()
-    assert not default_embed("   ").any()
+    assert default_embed("") == {}
+    assert default_embed("   ") == {}
+    assert not embedded(["", "   "])[0].any()
 
 
 def test_embed_is_order_invariant():
@@ -83,7 +136,8 @@ def test_embed_is_order_invariant():
 
 
 def test_embed_unit_norm():
-    assert np.linalg.norm(default_embed("profit increased this quarter")) == pytest.approx(1.0)
+    weights = default_embed("profit increased this quarter profit").values()
+    assert math.fsum(w * w for w in weights) == pytest.approx(1.0)
 
 
 def test_embed_case_folds():
@@ -124,8 +178,7 @@ def test_zero_vectors_are_singletons():
 
 
 def test_threshold_zero_groups_exact_duplicates():
-    a = default_embed("alpha beta")
-    b = default_embed("gamma delta")
+    a, b = embedded(["alpha beta", "gamma delta"])
     assignment = cluster_embeddings([a, b, a, b, a], threshold=0.0)
     assert sorted(assignment.cluster_masses) == [0.4, 0.6]
     assert assignment.cluster_of_sample == [0, 1, 0, 1, 0]
@@ -237,9 +290,7 @@ def test_cluster_texts_embeds_each_distinct_string_once(monkeypatch):
     monkeypatch.setattr(semantic, "default_embed", embed)
     semantic._cluster_texts.cache_clear()
     texts = ["rates up", "rates up", "rates down", "rates up"]
-    assert cluster_texts(texts) == cluster_embeddings(
-        [default_embed(t) for t in texts], semantic.DEFAULT_CLUSTER_THRESHOLD
-    )
+    assert cluster_texts(texts) == cluster_embeddings(embedded(texts), semantic.DEFAULT_CLUSTER_THRESHOLD)
     assert seen == ["rates up", "rates down"]
 
 
@@ -251,7 +302,7 @@ def test_cluster_texts_embeds_each_distinct_string_once(monkeypatch):
 ])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_one_distinct_text_matches_the_general_path(text, embed, threshold, n):
-    vectors = [embed(text)] * n
+    vectors = embedded([text] * n, embed)
     if not threshold >= 0.0:  # both reject it
         with pytest.raises(ValueError, match="threshold"):
             cluster_embeddings(vectors, threshold)
@@ -261,6 +312,50 @@ def test_one_distinct_text_matches_the_general_path(text, embed, threshold, n):
     expected = cluster_embeddings(vectors, threshold)
     assert cluster_texts([text] * n, threshold) == expected
     assert expected == reference_cluster(vectors, threshold)
+
+
+def test_cluster_texts_of_no_texts_rejected():
+    with pytest.raises(ValueError, match="at least one"):
+        cluster_texts([])
+
+
+@pytest.mark.parametrize("kept, other", [("10.00", "57.81"), ("BBB", "true")])
+def test_answers_in_one_hash_bucket_stay_apart(kept, other):
+    """Each pair shares a bucket of the old 256-bucket FNV-1a embedder, which
+    clustered them as one answer."""
+    assert fnv_bucket(kept.lower()) == fnv_bucket(other.lower())
+    semantic._cluster_texts.cache_clear()
+    assignment = cluster_texts([kept, kept, other])
+    assert assignment.cluster_masses == [2 / 3, 1 / 3]
+    assert assignment.cluster_of_sample == [0, 0, 1]
+
+
+def test_detect_reads_disagreement_between_answers_in_one_hash_bucket():
+    record = make_record(answers=["10.00", "57.81", "10.00", "57.81", "57.81"])
+    signals = detect(record)
+    assert signals.h_s == pytest.approx(-0.4 * math.log(0.4) - 0.6 * math.log(0.6))
+    assert signals.consensus_support == 0.6
+
+
+# tokens whose FNV-1a buckets mod 256 are pairwise distinct, so the old
+# embedder's rows are the exact-token rows with their columns permuted
+_DISTINCT_BUCKET_TOKENS = ["rates", "up", "down", "profit", "fell", "rose", "q3", "10.00"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(st.lists(st.sampled_from(_DISTINCT_BUCKET_TOKENS), max_size=4).map(" ".join),
+                   min_size=1, max_size=8),
+    threshold=st.floats(0.0, 1.5, allow_nan=False),
+)
+def test_exact_tokens_cluster_as_the_hashing_embedder_without_collisions(texts, threshold):
+    """Where no two tokens share a bucket, the exact-token clustering is the
+    clustering of the old embedder's vectors, except where the reference
+    meets a tie or the threshold, which rounding may decide either way."""
+    assert len({fnv_bucket(t) for t in _DISTINCT_BUCKET_TOKENS}) == len(_DISTINCT_BUCKET_TOKENS)
+    reference = [fnv_embed(text) for text in texts]
+    assume(not meets_a_tie_or_the_threshold(reference, threshold))
+    assert cluster_texts(texts, threshold) == cluster_embeddings(reference, threshold)
 
 
 @pytest.mark.parametrize("threshold", [-0.1, -5e-324, -math.inf, math.nan])

@@ -202,3 +202,16 @@ def test_cooling_never_decreases_entropy(probs, temperature):
     before = token_entropy(make_dist(probs))
     after = token_entropy(make_dist(list(cooled)))
     assert after >= before - 1e-9
+
+
+@pytest.mark.parametrize("probs", [[math.nan], [0.5, math.nan, 0.5], [-0.5, 1.5], [math.inf],
+                                   [1.5], [0.3, 0.7, -1e-300]])
+def test_entries_outside_the_unit_interval_are_domain_errors(probs):
+    """NaN, a negative entry or one above 1 is no probability: neither
+    entropy_nats nor token_entropies turns it into a number."""
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        entropy_nats(probs)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        token_entropies([make_dist(probs)])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        token_entropy(make_dist(probs))
