@@ -47,7 +47,8 @@ records make clustering turn on what the mock corpora never reach: texts over
 a small shared vocabulary, some at a distance within 1e-3 of the 0.35
 threshold and some at exactly 0.35; exact ties; answers that share a bucket
 of a 256-bucket FNV-1a hash; numeric format variants; records of 100 to 200
-distinct samples; and sign-quantized stored embeddings.
+distinct samples; sign-quantized stored embeddings; and the two texts at
+exactly 0.35 carried by many samples each.
 Each command's output files, stdout, stderr and exit code are compared byte
 for byte.  Each file that differs is printed, then the id of each stress
 record whose analyze or pipeline entry differs, and the exit code is 1 when
@@ -211,6 +212,8 @@ VOCABULARY = ("rates", "rose", "fell", "profit", "q3", "guidance")
 # answers that share a bucket of a 256-bucket FNV-1a hash of their lowercase bytes
 BUCKET_PAIRS = (("10.00", "57.81"), ("BBB", "true"), ("68", "86"), ("19", "174"), ("120", "186"))
 NUMERIC_VARIANTS = ("1200", "1200.0", "1200.00", "1.2e3", "1,200", "$1200")
+# sample counts of the two threshold texts
+COUNT_PAIRS = ((11, 17), (17, 22), (22, 34), (39, 39))
 
 
 def _sample(text: str, answer: str | None = None, reasoning: str | None = None,
@@ -230,6 +233,14 @@ def _text(counts) -> str:
 def _distance(u, v) -> float:
     dot = sum(a * b for a, b in zip(u, v))
     return 1.0 - dot / math.sqrt(sum(a * a for a in u) * sum(b * b for b in v))
+
+
+def _threshold_texts(a: int) -> tuple[str, str]:
+    """Texts of a distinct words each, sharing 13 a / 20 of them: cosine 13/20
+    mathematically, a distance of exactly 0.35 as computed for a = 20."""
+    shared = a * 13 // 20
+    words = [f"w{i:03d}" for i in range(2 * a - shared)]
+    return " ".join(words[:a]), " ".join(words[a - shared:])
 
 
 def stress_records(seed: int) -> list[dict]:
@@ -253,12 +264,9 @@ def stress_records(seed: int) -> list[dict]:
         texts = [_text(u)] * rng.randint(1, 3) + [_text(v)] * rng.randint(1, 3)
         rng.shuffle(texts)
         add("near", [_sample(t, answer=t, reasoning=_text(v)) for t in texts])
-    # texts of a distinct words each, sharing 13 a / 20 of them: cosine 13/20
-    # mathematically, a distance of exactly 0.35 as computed for a = 20
+    # texts at cosine 13/20: a distance of 0.35, exactly or within rounding
     for a in (20, 40, 60, 80):
-        shared = a * 13 // 20
-        words = [f"w{i:03d}" for i in range(2 * a - shared)]
-        u, v = " ".join(words[:a]), " ".join(words[a - shared:])
+        u, v = _threshold_texts(a)
         add("threshold", [_sample(t) for t in [u, u, v, v, v]])
         add("threshold", [_sample(t, answer=t) for t in [u, v, v]])
     # exact ties: x and y at equal distance from "x y" (1 - 1/sqrt 2), and
@@ -286,6 +294,12 @@ def stress_records(seed: int) -> list[dict]:
         rows = [[float(rng.randint(-1, 1)) for _ in range(dim)] for _ in range(rng.randint(3, 4))]
         samples = [_sample(f"sample {i}", embedding=rng.choice(rows)) for i in range(rng.randint(4, 10))]
         add("signs", samples)
+    # the a = 20 threshold texts at counts for which 0.35 * c_u * c_v divided
+    # back by c_u * c_v lands above 0.35; no random draw, so the records
+    # before these keep their ids and bytes
+    u, v = _threshold_texts(20)
+    for count_u, count_v in COUNT_PAIRS:
+        add("counts", [_sample(t, answer=t) for t in [u] * count_u + [v] * count_v])
     return records
 
 

@@ -17,23 +17,26 @@ unit-normalised rows.  Each row is divided by its largest |entry| before it
 is normalised, so distances are scale-invariant: no norm overflows or
 underflows, and scaling a vector by a power of two leaves every distance bit
 for bit as it was while its entries stay normal floats.  The merge loop
-keeps the summed pairwise distance between every two clusters, starting at
-count_i * count_j * d_ij, and each cluster's size, starting at its count, so
-the average linkage of clusters a and b is sum(a, b) / (|a| |b|), and a
-merge adds b's row and column into a's (the Lance-Williams update for
-average linkage; Muellner, arXiv:1109.2378).  Each of at most k - 1 merges
-is one numpy pass over the k x k matrix.  Merging stops once the smallest
-linkage exceeds the threshold, which must be nonnegative (a negative or NaN
-one is a ValueError; ``load_config`` admits [0, 2]).  Each sample then joins
-the cluster of its row.
+keeps one k x k matrix of linkages (the mean distance between the samples of
+two clusters), starting as the distance matrix with inf on the diagonal, so
+two rows are linked by their distance alone, and each cluster's size,
+starting at its count.  Merging b into a writes (|a| L[a] + |b| L[b]) /
+(|a| + |b|) to row and column a (the Lance-Williams update for average
+linkage; Muellner, arXiv:1109.2378) and inf to row and column b.  Each of at
+most k - 1 merges is one argmin and one row update.  Merging stops once the
+smallest linkage exceeds the threshold, which must be nonnegative (a
+negative or NaN one is a ValueError; ``load_config`` admits [0, 2]).  Each
+sample then joins the cluster of its row.
 
 Tie rule.  Among equal computed linkages the lowest (a, b) pair of distinct
-rows in byte order merges.  Equal rows are one row, so their samples share a
-cluster at any threshold; threshold 0 is sure to merge only those (u and 2u
-split when their distance rounds above 0).  A tie that holds only mathematically,
-such as two merges at 1 - 1/sqrt(2), can be split by rounding, and then may
-break otherwise than in a plain pair loop that sums in another order
-(tests/test_semantic.py keeps one as the reference).
+rows in byte order merges: a merge writes one vector to a row and its column,
+so the matrix stays exactly symmetric and its first minimum is that pair.
+Equal rows are one row, so their samples share a cluster at any threshold;
+threshold 0 is sure to merge only those (u and 2u split when their distance
+rounds above 0).  A tie that holds only mathematically, such as two merges at
+1 - 1/sqrt(2), can be split by rounding, and then may break otherwise than in
+a plain pair loop that sums in another order (tests/test_semantic.py keeps
+one as the reference).
 
 Shortcuts.  One distinct nonzero row, the common case since confident
 answers agree, needs no distance matrix: its samples form one cluster.  With
@@ -166,29 +169,24 @@ def _merge(distinct: list[bytes], counts: list[int], threshold: float) -> list[i
     k = len(distinct)
     if k <= 1:  # one distinct row needs no distance matrix
         return [0] * k
-    d = _distances(np.frombuffer(b"".join(distinct)).reshape(k, -1))
-    # a computed linkage is a sum of at most m^2 of these distances over a
-    # size product, so it exceeds the largest by less than m^2 * 2^-52
-    # relative; the largest that far under the threshold takes every merge
+    linkage = _distances(np.frombuffer(b"".join(distinct)).reshape(k, -1))
+    # a computed linkage, a weighted mean of two with an exact size sum, gains
+    # at most three roundings (product, sum, division) at each of < m merge
+    # levels: under 3m * 2^-53 <= m^2 * 2^-52 relative above the largest
+    # distance, so the largest that far under the threshold takes every merge
     m = sum(counts)
-    if d.max() <= threshold * (1.0 - m * m * 2.0**-52):
+    if linkage.max() <= threshold * (1.0 - m * m * 2.0**-52):
         return [0] * k
+    np.fill_diagonal(linkage, math.inf)  # inf: no pair, as in a merged-away row
     size = np.array(counts)
-    sums = d * np.outer(size, size)  # summed pairwise distance between clusters
-    # a pair (a, b) is a candidate while a < b and both clusters are alive
-    barred = np.tri(k, dtype=bool)
     owner = np.arange(k)  # cluster of each row, named by its lowest row
     for _ in range(k - 1):
-        linkage = sums / np.outer(size, size)
-        linkage[barred] = math.inf
         a, b = divmod(int(np.argmin(linkage)), k)  # first minimum: lowest (a, b)
         if linkage[a, b] > threshold:
             break
-        sums[a] += sums[b]
-        sums[:, a] += sums[:, b]
+        linkage[a] = linkage[:, a] = (size[a] * linkage[a] + size[b] * linkage[b]) / (size[a] + size[b])
+        linkage[b] = linkage[:, b] = math.inf
         size[a] += size[b]
-        barred[b] = True
-        barred[:, b] = True
         owner[owner == b] = a
     return owner.tolist()
 

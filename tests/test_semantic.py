@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +65,49 @@ def reference_cluster(vectors, threshold):
         cluster_of_sample=assignment,
         cluster_masses=[len(members) / n for members in clusters],
         representatives=[min(members) for members in clusters],
+    )
+
+
+def exact_average_linkage(vectors, threshold):
+    """Average linkage in exact arithmetic over nonzero vectors: the distinct
+    rows in byte order, their _distances as exact fractions, each pair's
+    linkage the count-weighted mean distance between its two clusters, ties
+    broken by the lowest (a, b) pair.  None when a merge meets two equal
+    positive linkages, which rounding may split either way."""
+    keys = [(np.asarray(v, dtype=float) + 0.0).tobytes() for v in vectors]
+    distinct = sorted(set(keys))
+    row = {key: r for r, key in enumerate(distinct)}
+    size = [keys.count(key) for key in distinct]
+    dist = semantic._distances(np.stack([np.frombuffer(key) for key in distinct]))
+    # summed distance between the samples of two clusters
+    total = [[Fraction(float(d)) * size[i] * size[j] for j, d in enumerate(ds)] for i, ds in enumerate(dist)]
+    members = {r: [r] for r in range(len(distinct))}  # each cluster named by its lowest row
+    while len(members) > 1:
+        linkages = sorted((total[a][b] / (size[a] * size[b]), a, b)
+                          for a, b in itertools.combinations(sorted(members), 2))
+        best, a, b = linkages[0]
+        if best > threshold:
+            break
+        if best > 0 and len(linkages) > 1 and linkages[1][0] == best:
+            return None
+        for c in members:
+            total[a][c] += total[b][c]
+            total[c][a] += total[c][b]
+        size[a] += size[b]
+        members[a] += members.pop(b)
+    owner = {r: a for a, rows in members.items() for r in rows}
+    parts: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        parts.setdefault(owner[row[key]], []).append(i)
+    clusters = sorted(parts.values(), key=min)
+    assignment = [0] * len(keys)
+    for k, part in enumerate(clusters):
+        for i in part:
+            assignment[i] = k
+    return ClusterAssignment(
+        cluster_of_sample=assignment,
+        cluster_masses=[len(part) / len(keys) for part in clusters],
+        representatives=[min(part) for part in clusters],
     )
 
 
@@ -248,6 +293,37 @@ def test_matches_reference_loop_near_the_threshold():
         for threshold in (largest - 1e-12, largest + 1e-12):
             assert cluster_embeddings(vectors, threshold) == reference_cluster(vectors, threshold)
         assert cluster_embeddings(vectors, largest + 1e-12).cluster_masses == [1.0]
+
+
+def test_matches_exact_average_linkage_on_sign_rows():
+    """Rows from {-1, 0, 1}^d, each carried by 1 to 29 samples, tie often and
+    meet the thresholds exactly; wherever the exact loop meets no tie, the
+    merges are the exact ones."""
+    rng = np.random.default_rng(1109)
+    checked = 0
+    for _ in range(500):
+        dim = int(rng.integers(2, 6))
+        rows = sorted({tuple(r) for r in rng.integers(-1, 2, size=(int(rng.integers(1, 11)), dim)) if any(r)})
+        if not rows:
+            continue
+        vectors = [np.array(r, dtype=float) for r in rows for _ in range(int(rng.integers(1, 30)))]
+        vectors = [vectors[i] for i in rng.permutation(len(vectors))]
+        for threshold in (0.0, 0.2, 0.35, 0.5, 1.0):
+            exact = exact_average_linkage(vectors, threshold)
+            if exact is not None:
+                assert cluster_embeddings(vectors, threshold) == exact
+                checked += 1
+    assert checked > 1500
+
+
+@pytest.mark.parametrize("count_u, count_v", [(2, 3), (11, 17), (17, 22), (22, 34), (39, 39)])
+def test_a_merge_at_the_threshold_does_not_depend_on_sample_counts(count_u, count_v):
+    """Two texts of 20 distinct words, 13 of them shared: cosine 13/20, a
+    computed distance of exactly 0.35."""
+    words = [f"w{i:03d}" for i in range(27)]
+    u, v = " ".join(words[:20]), " ".join(words[7:])
+    assert semantic._distances(np.stack(embedded([u, v])))[0, 1] == 0.35
+    assert cluster_texts([u] * count_u + [v] * count_v, 0.35).cluster_masses == [1.0]
 
 
 @settings(max_examples=60, deadline=None)
