@@ -93,7 +93,7 @@ def compute_ece(pairs, M: int = DEFAULT_ECE_BINS) -> EceResult:
         raise ValueError("bin count must be >= 1")
     conf = np.asarray([p[0] for p in pairs], dtype=float)
     correct = np.asarray([1.0 if p[1] else 0.0 for p in pairs], dtype=float)
-    if np.any((conf < 0.0) | (conf > 1.0)):
+    if not np.all((conf >= 0.0) & (conf <= 1.0)):  # NaN fails it too
         raise ValueError("confidences must lie in [0, 1]")
 
     n = len(pairs)

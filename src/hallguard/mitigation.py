@@ -26,7 +26,7 @@ class SamplingPolicy:
     top_p: float | None = None
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
+        if not self.temperature > 0.0:  # NaN fails it too
             raise ValueError("temperature must be positive")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k must be >= 1")

@@ -31,20 +31,18 @@ reads the values alone and builds no record.  The correct token is what
 ``rng.choice(V, p=softmax(z / T_true))`` returns for the same uniform: the
 first index whose normalised cumulative probability exceeds it.
 
-Building: ``generate_corpus`` draws every record and moves its logits into
-the entropy band one record at a time, then scores the corpus's (N, V) logit
-matrix in one pass, the stored probabilities and the correct-token CDFs
-alike; each row comes out bit for bit as it would on its own.  A record's
-repeated samples are one object: a clean or data record holds one Sample
-n times, a model record three in turn and a context record two, and all
-of them share the record's one TokenDistribution.  ``write_records``
-encodes each such object once.
+Building: ``generate_corpus`` draws every record, stacks the raw logits into
+the corpus's (N, V) matrix, moves every non-model row into the entropy band
+in one search, then scores the matrix in one pass, the stored probabilities
+and the correct-token CDFs alike; each row comes out bit for bit as it would
+on its own.  A record's repeated samples are one object: a clean or data
+record holds one Sample n times, a model record three in turn and a context
+record two, and all of them share the record's one TokenDistribution.
+``write_records`` encodes each such object once.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -56,7 +54,7 @@ from .errors import ConfigError
 from .grounding import FactEntry, FactStore
 from .records import (FAILURE_CLASSES, Claim, GenerationRecord, GroundTruthLabel, Sample,
                       TokenDistribution, finite_number)
-from .uncertainty import apply_temperature, entropy_nats
+from .uncertainty import apply_temperature, row_entropies
 
 CLEAN_ENTROPY_LO = 0.25
 CLEAN_ENTROPY_HI = 0.70
@@ -86,7 +84,7 @@ def _validate_spec(spec: MockSpec) -> None:
     if spec.samples_per_record < 2:
         raise ValueError("samples_per_record must be >= 2 (consensus and semantic "
                          "entropy need multiple generations)")
-    if spec.true_temperature <= 0.0:
+    if not spec.true_temperature > 0.0:  # NaN fails it too
         raise ValueError("true_temperature must be positive")
     if spec.vocab_size < 4:
         raise ValueError("vocab_size must be >= 4 so injected uniform entropy clears 1.2 nats")
@@ -103,54 +101,41 @@ def _validate_spec(spec: MockSpec) -> None:
         raise ValueError("inject rates must sum to at most 1")
 
 
-def _softmax_entropy(zs: list[float], c: float) -> float:
-    """entropy_nats(apply_temperature(c * z, 1.0)) in Python floats, within
-    1e-12 of it: with x = c*z - max(c*z) and e = exp(x), the entropy of
-    e / sum(e) is ln sum(e) - sum(e * x) / sum(e)."""
-    top = c * max(zs)  # max(c * z) exactly, as c > 0
-    x = [c * v - top for v in zs]
-    e = list(map(math.exp, x))
-    total = sum(e)
-    return math.log(total) - sum(map(operator.mul, e, x)) / total
-
-
 def _scale_into_entropy_band(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Rescale a logit vector so its softmax entropy lands in [lo, hi].
+    """Rescale each row of an (N, V) logit matrix so that its softmax entropy
+    lands in [lo, hi].
 
     Entropy of softmax(c * z) decreases continuously in c from ln V down to
-    the support minimum, so a bracket-and-bisect always terminates.  Each
-    step takes the entropy in Python floats; within 1e-9 of lo or hi, where
-    their 1e-12 gap from entropy_nats could flip a comparison, entropy_nats
-    decides, so every step, c and result are those of entropy_nats alone.
+    the support minimum, so a bracket-and-bisect always terminates.  All rows
+    search at once, and each step scores only the rows still searching, with
+    row_entropies, which equals entropy_nats of each row bit for bit: every
+    row takes the steps, the c and the bytes it would take on its own.  A
+    constant row, which cannot be sharpened, first gets z[0] += 1; a row
+    already in the band comes back as it is; any other row comes back as
+    c * z at the c that first lands in the band, or at the last c tried.
     """
-    zs = z.tolist()
-    if max(zs) - min(zs) < 1e-9:  # constant vector cannot be sharpened
-        z = z.copy()
-        z[0] += 1.0
-        zs = z.tolist()
-
-    def entropy(c: float) -> float:
-        h = _softmax_entropy(zs, c)
-        if abs(h - lo) <= 1e-9 or abs(h - hi) <= 1e-9:
-            return entropy_nats(apply_temperature(c * z, 1.0))
-        return h
-
-    h = entropy(1.0)
-    if lo <= h <= hi:
-        return z
-    c_lo, c_hi = 1e-6, 1.0
-    while c_hi < 1e6 and entropy(c_hi) > hi:
-        c_hi *= 2.0
+    z = z.copy()
+    z[np.ptp(z, axis=1) < 1e-9, 0] += 1.0
+    out = z.copy()
+    h = row_entropies(apply_temperature(z, 1.0))
+    rows = np.flatnonzero((h < lo) | (h > hi))
+    c_lo, c_hi = np.full(len(rows), 1e-6), np.ones(len(rows))
+    growing = h[rows] > hi  # the entropy at c_hi = 1
+    while growing.any():
+        c_hi[growing] *= 2.0
+        growing &= c_hi < 1e6
+        growing[growing] = row_entropies(apply_temperature(
+            c_hi[growing, None] * z[rows[growing]], 1.0)) > hi
     for _ in range(200):
+        if not len(rows):
+            break
         c = (c_lo + c_hi) / 2.0
-        h = entropy(c)
-        if lo <= h <= hi:
-            return c * z
-        if h > hi:
-            c_lo = c
-        else:
-            c_hi = c
-    return c * z
+        out[rows] = scaled = c[:, None] * z[rows]
+        h = row_entropies(apply_temperature(scaled, 1.0))
+        above, searching = h > hi, (h < lo) | (h > hi)
+        c_lo, c_hi = np.where(above, c, c_lo), np.where(above, c_hi, c)
+        rows, c_lo, c_hi = rows[searching], c_lo[searching], c_hi[searching]
+    return out
 
 
 def _pick_class(u: float, rates: Mapping[str, float]) -> str | None:
@@ -176,13 +161,6 @@ def _draws(spec: MockSpec) -> Iterator[tuple]:
         u_confidence = float(rng.random())
         offset = float(rng.uniform(5.0, 15.0)) if cls == "data" else None
         yield cls, value, z, u_correct, u_confidence, offset
-
-
-def _scaled_logits(draw: tuple) -> np.ndarray:
-    """The record's logits z: its raw draw, moved into the clean entropy band
-    unless it is a model-class record, whose logits stay near-uniform."""
-    cls, z = draw[0], draw[2]
-    return z if cls == "model" else _scale_into_entropy_band(z, CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI)
 
 
 def _score(z: np.ndarray, u_correct: np.ndarray, true_temperature: float) -> tuple[list, list]:
@@ -242,12 +220,14 @@ def _record(i: int, draw: tuple, probs: list[float], correct_answer: str, spec: 
 
 def generate_corpus(spec: MockSpec) -> list[GenerationRecord]:
     """Deterministic labeled corpus; same seed, same bytes.  Every record's
-    logits are drawn and band-scaled first, then the corpus is scored in one
-    pass, then each record is built."""
+    logits are drawn first, the non-model rows are band-scaled in one search
+    and the corpus is scored in one pass, then each record is built."""
     token_labels = [f"tok{j}" for j in range(spec.vocab_size)]
     draws = list(_draws(spec))
-    probs, correct = _score(np.array([_scaled_logits(draw) for draw in draws]),
-                            np.array([draw[3] for draw in draws]), spec.true_temperature)
+    z = np.array([draw[2] for draw in draws])
+    banded = np.array([draw[0] != "model" for draw in draws])  # model rows stay near-uniform
+    z[banded] = _scale_into_entropy_band(z[banded], CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI)
+    probs, correct = _score(z, np.array([draw[3] for draw in draws]), spec.true_temperature)
     return [_record(i, draw, probs[i], token_labels[correct[i]], spec, token_labels)
             for i, draw in enumerate(draws)]
 

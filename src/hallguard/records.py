@@ -407,13 +407,9 @@ def parse_records(stream) -> list[GenerationRecord]:
 
 
 def _record_line(record: GenerationRecord) -> str:
-    """json.dumps(record_to_json(record)) + "\\n".  A record that holds a
-    Sample object more than once has each distinct object, told apart by
-    identity, encoded once and spliced into the line; one that does not is
-    encoded whole, as one json.dumps call costs less than one per sample."""
+    """json.dumps(record_to_json(record)) + "\\n", with each distinct Sample
+    object, told apart by identity, encoded once and spliced into the line."""
     distinct = {id(sample): sample for sample in record.samples}
-    if len(distinct) == len(record.samples):
-        return json.dumps(record_to_json(record)) + "\n"
     encoded = {key: json.dumps(_sample_to_json(sample)) for key, sample in distinct.items()}
     head = json.dumps({"id": record.id, "prompt": record.prompt})[:-1]
     tail = {}

@@ -10,10 +10,11 @@ stacks the distributions of one length V into an (m, V) array and sums
 -p ln p along each row in one numpy pass; ``token_entropy`` (one position),
 ``sequence_entropy_profile`` and ``sample_mean_entropies`` (what
 ``pipeline.detect`` reads) all go through it, so a position is scored one
-way only, and an empty distribution raises the same error from each.  Each
-result equals ``entropy_nats`` of that distribution bit for bit: numpy sums a
-row of a C-ordered array in the same pairwise order as the same row on its
-own, for every V.  A row with a zero entry is the exception:
+way only, and an empty distribution raises the same error from each.  Its
+row kernel ``row_entropies`` also scores ``mockgen``'s entropy-band search.
+Each result equals ``entropy_nats`` of that distribution bit for bit: numpy
+sums a row of a C-ordered array in the same pairwise order as the same row
+on its own, for every V.  A row with a zero entry is the exception:
 ``entropy_nats`` drops such entries, and the shorter sum takes another
 pairwise order once V >= 8 (a row sum with the zero term left in differs
 from it in about 40% of random rows with one zero entry, by up to 7e-16).
@@ -73,7 +74,7 @@ def apply_temperature(logits, T: float) -> np.ndarray:
     to NaN: for a tiny T that is the exact T -> 0 limit, one-hot on the
     argmax with tied maxima sharing the mass equally.
     """
-    if T <= 0.0:
+    if not T > 0.0:  # NaN fails it too
         raise ValueError("temperature must be positive")
     z = np.asarray(logits, dtype=float)
     with np.errstate(over="ignore"):
@@ -104,7 +105,7 @@ def _by_length(items) -> dict[int, list[int]]:
     return groups
 
 
-def _row_entropies(p: np.ndarray) -> np.ndarray:
+def row_entropies(p: np.ndarray) -> np.ndarray:
     """entropy_nats of each row of an (m, V) array, with its errors."""
     positive = (p > 0).all(axis=1)
     if positive.all():
@@ -112,7 +113,7 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
             raise ValueError(_NOT_PROBABILITIES)
         return 0.0 - (p * np.log(p)).sum(axis=1)  # 0.0 - 0.0 is +0.0, not -0.0
     h = np.empty(len(p))
-    h[positive] = _row_entropies(p[positive])
+    h[positive] = row_entropies(p[positive])
     # entropy_nats leaves zero entries out of its sum, which reorders it; it
     # also rejects the rows with a NaN or negative entry, which land here
     h[~positive] = [entropy_nats(row) for row in p[~positive]]
@@ -128,7 +129,7 @@ def token_entropies(dists: list[TokenDistribution]) -> np.ndarray:
         raise ValueError("token distribution has no entries")
     h = np.empty(len(dists))
     for rows in groups.values():
-        h[rows] = _row_entropies(np.array([dists[i].probs for i in rows], dtype=float))
+        h[rows] = row_entropies(np.array([dists[i].probs for i in rows], dtype=float))
     return h
 
 

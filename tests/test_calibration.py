@@ -107,6 +107,8 @@ def test_ece_empty_is_domain_error():
 def test_ece_rejects_out_of_range_confidence():
     with pytest.raises(ValueError):
         compute_ece([(1.2, True)], M=10)
+    with pytest.raises(ValueError, match=r"confidences must lie in \[0, 1\]"):
+        compute_ece([(float("nan"), True), (0.9, True)], M=10)
 
 
 def test_ece_bin_edges_partition_unit_interval():
@@ -210,6 +212,8 @@ def test_apply_temperature_rejects_nonpositive():
         apply_temperature([1.0, 2.0], 0.0)
     with pytest.raises(ValueError):
         apply_temperature([1.0, 2.0], -1.5)
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        apply_temperature([1.0, 2.0], float("nan"))
 
 
 @settings(max_examples=100)

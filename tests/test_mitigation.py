@@ -28,6 +28,7 @@ from conftest import make_dist
         {"top_k": 0},
         {"top_p": 0.0},
         {"top_p": 1.5},
+        {"temperature": float("nan")},
     ],
 )
 def test_policy_rejects_invalid_settings(kwargs):

@@ -89,42 +89,35 @@ def _reference_scale(z, lo, hi):
     return c * z
 
 
-def test_python_entropy_matches_entropy_nats():
-    rng = np.random.default_rng(14)
-    underflowed = 0
-    for _ in range(3000):
-        z = rng.normal(0.0, float(rng.choice([0.02, 1.5, 10.0])), int(rng.integers(4, 51)))
-        c = float(10.0 ** rng.uniform(-6.0, 6.0))
-        x = c * z - (c * z).max()
-        underflowed += bool((np.exp(x) == 0.0).any())
-        expected = entropy_nats(apply_temperature(c * z, 1.0))
-        assert abs(mockgen._softmax_entropy(z.tolist(), c) - expected) <= 1e-12
-    assert underflowed > 100
-
-
 def test_band_search_matches_the_entropy_nats_reference():
     rng = np.random.default_rng(15)
-    bands = [(CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI), (0.01, 0.011), (1.0, 1.0 + 1e-9)]
-    for _ in range(500):
-        z = rng.normal(0.0, float(rng.choice([0.02, 1.5, 10.0])), int(rng.integers(4, 51)))
+    rows = [rng.normal(0.0, float(rng.choice([0.02, 1.5, 10.0])), int(rng.integers(4, 51)))
+            for _ in range(500)]
+    by_length = {}
+    for z in rows:
+        by_length.setdefault(len(z), []).append(z)
+    by_length[6].append(np.full(6, 0.5))  # constant rows, which cannot be sharpened
+    by_length[4].append(np.zeros(4))
+    # (5, 6) lies above ln 50, so no row reaches it and every row takes all 200 steps
+    bands = [(CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI), (0.01, 0.011), (1.0, 1.0 + 1e-9), (5.0, 6.0)]
+    for group in by_length.values():
+        z = np.array(group)
         for lo, hi in bands:
-            got, want = mockgen._scale_into_entropy_band(z, lo, hi), _reference_scale(z, lo, hi)
-            assert got.tobytes() == want.tobytes()
-    constant = np.full(6, 0.5)
-    assert (mockgen._scale_into_entropy_band(constant, CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI).tobytes()
-            == _reference_scale(constant, CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI).tobytes())
+            want = np.array([_reference_scale(row, lo, hi) for row in group])
+            assert mockgen._scale_into_entropy_band(z, lo, hi).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("error", [-5e-10, 5e-10])
-def test_entropy_nats_decides_at_a_band_edge(monkeypatch, error):
-    """A Python entropy that misses by less than 1e-9 cannot move a value
-    that entropy_nats puts exactly on lo or hi out of the band."""
-    z = np.random.default_rng(16).normal(0.0, 1.5, 6)
-    h = entropy_nats(apply_temperature(z, 1.0))
-    exact = mockgen._softmax_entropy
-    monkeypatch.setattr(mockgen, "_softmax_entropy", lambda zs, c: exact(zs, c) + error)
-    assert mockgen._scale_into_entropy_band(z, h, h + 0.1) is z
-    assert mockgen._scale_into_entropy_band(z, h - 0.1, h) is z
+@pytest.mark.parametrize("edge", ["lo", "hi"])
+def test_entropy_nats_decides_at_a_band_edge(edge):
+    """A row whose entropy_nats is exactly lo or hi is in the band and comes
+    back with its bytes unchanged, beside rows that do move."""
+    z = np.random.default_rng(16).normal(0.0, 1.5, (3, 6))
+    h = entropy_nats(apply_temperature(z[1], 1.0))
+    lo, hi = (h, h + 0.1) if edge == "lo" else (h - 0.1, h)
+    got = mockgen._scale_into_entropy_band(z, lo, hi)
+    assert got[1].tobytes() == z[1].tobytes()
+    assert got.tobytes() == np.array([_reference_scale(row, lo, hi) for row in z]).tobytes()
+    assert got[[0, 2]].tobytes() != z[[0, 2]].tobytes()
 
 
 def test_same_seed_is_byte_identical():
@@ -236,6 +229,7 @@ def test_injected_entropy_separation_margins():
         {"n_records": 5, "inject_rates": {"model": 0.8, "data": 0.5}},
         {"n_records": 5, "inject_rates": {"weather": 0.1}},
         {"n_records": 5, "inject_rates": {"model": -0.1}},
+        {"n_records": 5, "true_temperature": float("nan")},
     ],
 )
 def test_invalid_specs_rejected(kwargs):
@@ -266,7 +260,7 @@ def _reference_scores(spec: MockSpec):
 
     for cls, _, z, u_correct, _, _ in mockgen._draws(spec):
         if cls != "model":
-            z = mockgen._scale_into_entropy_band(z, CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI)
+            z = _reference_scale(z, CLEAN_ENTROPY_LO, CLEAN_ENTROPY_HI)
         probs = np.maximum(softmax(z, 1.0), 1e-12)
         probs = probs / probs.sum()
         cdf = softmax(z, spec.true_temperature).cumsum()
@@ -284,6 +278,17 @@ def test_corpus_pass_matches_the_per_record_reference(vocab_size, true_temperatu
     reference = list(_reference_scores(spec))
     assert len(records) == len(reference)
     for record, (probs, correct) in zip(records, reference):
+        got = record.samples[0].token_dists[0].probs
+        assert np.array(got).tobytes() == np.array(probs).tobytes()
+        assert record.ground_truth.correct_answer == f"tok{correct}"
+
+
+@pytest.mark.parametrize("inject_rates", [{"model": 1.0}, {}], ids=["all-model", "no-injection"])
+def test_corpus_with_no_row_or_every_row_banded_matches_the_reference(inject_rates):
+    spec = MockSpec(n_records=40, samples_per_record=2, inject_rates=inject_rates, seed=17)
+    records = generate_corpus(spec)
+    assert {r.ground_truth.failure_class for r in records} == {"model" if inject_rates else None}
+    for record, (probs, correct) in zip(records, _reference_scores(spec), strict=True):
         got = record.samples[0].token_dists[0].probs
         assert np.array(got).tobytes() == np.array(probs).tobytes()
         assert record.ground_truth.correct_answer == f"tok{correct}"
