@@ -26,11 +26,15 @@ moves every number off its default, and pipeline with a --rules file that
 reverses and retunes the default rules.  Three runs check the order in which
 inputs are read: pipeline with a bad rules file on an empty corpus, analyze
 on an empty corpus with a bad store, and race with a bad config on an empty
-corpus.  The corpus is streamed, so analyze, pipeline and factcheck also run
-on the malformed corpus with the store cut in half: the corpus error must be
-the one reported although the first record is read before the store (and
-pipeline on the malformed corpus with no store, above, must print no
-warning).  calibrate (both kinds) runs on the empty, malformed and invalid
+corpus.  Three bad files each hold two faults, which the types that hold
+the values find in a set order: pipeline with a rules file whose second rule
+has a NaN threshold and tier "vendor", race with a config whose min_delta is
+-1 and cluster_threshold a string, and mockgen on a spec with n_records 0
+and true_temperature 0.0.  The corpus is streamed, so analyze, pipeline and
+factcheck also run on the malformed corpus with the store cut in half: the
+corpus error must be the one reported although the first record is read
+before the store (and pipeline on the malformed corpus with no store, above,
+must print no warning).  calibrate (both kinds) runs on the empty, malformed and invalid
 corpora too, and mockgen on three more specs drawn from the workload's: one
 that injects every record (model 0.3, context 0.3, data 0.4) at
 true_temperature 2.5 with vocab_size 4, one with 2 samples per record, and
@@ -74,8 +78,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # name -> CLI arguments; {in}, {tagged}, {escaped}, {signs}, {store},
 # {escaped_store}, {spec}, {injected_spec}, {two_sample_spec}, {wide_vocab_spec},
 # {text}, {config}, {rules} and the bad inputs {empty}, {malformed}, {invalid},
-# {bad_store}, {bad_config}, {bad_rules} and {fault_<name>} name the input
-# files and {out} the directory the outputs go to
+# {bad_store}, {bad_config}, {bad_rules}, {bad_rule_fields}, {bad_config_fields},
+# {bad_spec_fields} and {fault_<name>} name the input files and {out} the
+# directory the outputs go to
 COMMANDS = {
     "analyze-json": "analyze --input {in} --store {store} --output {out}/analyze.json",
     "analyze-md": "analyze --input {in} --store {store} --format md --output {out}/analyze.md",
@@ -114,6 +119,10 @@ COMMANDS.update({
     "pipeline-bad-rules-empty": "pipeline --input {empty} --rules {bad_rules}",
     "analyze-empty-bad-store": "analyze --input {empty} --store {bad_store}",
     "race-bad-config-empty": "race --input {empty} --config {bad_config}",
+    # two faults in one file: the first that its type checks is the one reported
+    "pipeline-bad-rule-fields": "pipeline --input {in} --rules {bad_rule_fields}",
+    "race-bad-config-fields": "race --input {in} --config {bad_config_fields}",
+    "mockgen-bad-spec-fields": "mockgen --spec {bad_spec_fields} --out {out}/mock-bad-fields.jsonl",
 })
 # a bad corpus line beats a bad store that is read before it
 for command in ("analyze", "pipeline", "factcheck"):
@@ -343,6 +352,11 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
         (d / "rules.json").write_text(json.dumps(modified_rules()))
         (d / "bad-config.json").write_text(json.dumps({"cluster_threshold": 5.0}))
         (d / "bad-rules.json").write_text(json.dumps({"not": "a list"}))
+        bad_rules = modified_rules()
+        bad_rules[1].update(threshold=math.nan, tier="vendor")
+        (d / "bad-rule-fields.json").write_text(json.dumps(bad_rules))
+        (d / "bad-config-fields.json").write_text(json.dumps({"min_delta": -1, "cluster_threshold": "x"}))
+        (d / "bad-spec-fields.json").write_text(json.dumps({"n_records": 0, "true_temperature": 0.0}))
     d = into / STRESS
     d.mkdir()
     (d / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in stress_records(seed)),
@@ -382,7 +396,10 @@ def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
                  "malformed": corpus / "malformed.jsonl", "invalid": corpus / "invalid.jsonl",
                  "bad_store": corpus / "bad-store.json", "config": corpus / "config.json",
                  "rules": corpus / "rules.json", "bad_config": corpus / "bad-config.json",
-                 "bad_rules": corpus / "bad-rules.json", "out": out,
+                 "bad_rules": corpus / "bad-rules.json",
+                 "bad_rule_fields": corpus / "bad-rule-fields.json",
+                 "bad_config_fields": corpus / "bad-config-fields.json",
+                 "bad_spec_fields": corpus / "bad-spec-fields.json", "out": out,
                  **{f"fault_{fault}": corpus / f"fault-{fault}.jsonl" for fault in FAULTS}}
         for name, template in (STRESS_COMMANDS if corpus.name == STRESS else COMMANDS).items():
             if "{signs}" in template and not paths["signs"].exists():

@@ -135,6 +135,8 @@ def fit_temperature(logit_sets, true_labels) -> TemperatureModel:
     labels = np.asarray(true_labels, dtype=int)
     if logits.ndim != 2:
         raise ValueError("logit sets must share one dimension")
+    if not np.isfinite(logits).all():
+        raise ValueError("logits must be finite")
     if len(logits) != len(labels):
         raise ValueError("logit sets and labels must align")
     if len(logits) < 2:
@@ -193,10 +195,12 @@ def fit_isotonic(pairs) -> IsotonicModel:
         raise ValueError("at least one (score, outcome) pair required")
     by_score: dict[float, list[float]] = {}
     for score, outcome in pairs:
-        s = float(score)
+        s, y = float(score), float(outcome)
         if not math.isfinite(s):
             raise ValueError("scores must be finite")
-        by_score.setdefault(s, []).append(float(outcome))
+        if not math.isfinite(y):
+            raise ValueError("outcomes must be finite")
+        by_score.setdefault(s, []).append(y)
     scores = sorted(by_score)
 
     # blocks of (value, weight, group span) over the distinct-score sequence
@@ -217,8 +221,10 @@ def fit_isotonic(pairs) -> IsotonicModel:
 
 
 def apply_isotonic(model: IsotonicModel, score: float) -> float:
-    """Piecewise-constant lookup; scores outside the fitted range clamp to the
-    nearest end value."""
+    """Piecewise-constant lookup; scores outside the fitted range, -inf and
+    inf too, clamp to the nearest end value.  A NaN score is a ValueError."""
+    if math.isnan(score):
+        raise ValueError("score must not be NaN")
     idx = bisect_right(model.breakpoints, score) - 1
     if idx < 0:
         return model.values[0]

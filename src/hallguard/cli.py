@@ -55,6 +55,8 @@ def _read_inputs(args) -> Iterator[tuple[PipelineConfig, Iterator[GenerationReco
     corpus line anywhere still wins.  The corpus file stays open for the
     ``with`` body, which reads the records as it goes, and is closed on
     every path.  A flag that is given is read, an empty path too."""
+    from dataclasses import replace
+
     from .grounding import load_fact_store
     from .pipeline import load_config, load_rules
     from .records import iter_records, read_json_file
@@ -62,7 +64,7 @@ def _read_inputs(args) -> Iterator[tuple[PipelineConfig, Iterator[GenerationReco
     cfg = load_config(args.config)
     rules, store_path = getattr(args, "rules", None), getattr(args, "store", None)
     if rules is not None:
-        cfg.rules = load_rules(read_json_file(rules))
+        cfg = replace(cfg, rules=load_rules(read_json_file(rules)))
     with open(args.input, "rb") as fp:
         records = iter_records(fp)
         first = next(records, None)

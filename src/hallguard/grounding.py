@@ -12,6 +12,7 @@ upstream's job.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .records import finite_number
@@ -121,8 +122,8 @@ def check_claims(claims, store: FactStore, rel_tol: float = 0.0, abs_tol: float 
     match on case-insensitive, whitespace-normalized equality.  Keys
     missing from the store yield an "unknown" verdict.
     """
-    if rel_tol < 0.0 or abs_tol < 0.0:
-        raise ValueError("tolerances must be nonnegative")
+    if not (0.0 <= rel_tol < math.inf and 0.0 <= abs_tol < math.inf):  # NaN fails it too
+        raise ValueError("tolerances must be finite and nonnegative")
     verdicts = []
     for claim in claims:
         entry = store.entries.get(claim.key)

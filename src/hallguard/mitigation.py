@@ -26,8 +26,8 @@ class SamplingPolicy:
     top_p: float | None = None
 
     def __post_init__(self):
-        if not self.temperature > 0.0:  # NaN fails it too
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.temperature < math.inf:  # NaN fails it too
+            raise ValueError("temperature must be positive and finite")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         if self.top_p is not None and not (0.0 < self.top_p <= 1.0):

@@ -77,28 +77,29 @@ class MockSpec:
     vocab_size: int = 6
     seed: int = 0
 
-
-def _validate_spec(spec: MockSpec) -> None:
-    if spec.n_records < 1:
-        raise ValueError("n_records must be >= 1")
-    if spec.samples_per_record < 2:
-        raise ValueError("samples_per_record must be >= 2 (consensus and semantic "
-                         "entropy need multiple generations)")
-    if not spec.true_temperature > 0.0:  # NaN fails it too
-        raise ValueError("true_temperature must be positive")
-    if spec.vocab_size < 4:
-        raise ValueError("vocab_size must be >= 4 so injected uniform entropy clears 1.2 nats")
-    if max(spec.n_records, spec.samples_per_record, spec.vocab_size) > sys.maxsize:
-        raise ValueError(f"n_records, samples_per_record and vocab_size must be at most {sys.maxsize}")
-    total = 0.0
-    for cls, rate in spec.inject_rates.items():
-        if cls not in FAILURE_CLASSES:
-            raise ValueError(f"unknown failure class {cls!r}")
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"inject rate for {cls!r} must lie in [0, 1]")
-        total += rate
-    if total > 1.0 + 1e-12:
-        raise ValueError("inject rates must sum to at most 1")
+    def __post_init__(self):
+        if self.n_records < 1:
+            raise ValueError("n_records must be >= 1")
+        if self.samples_per_record < 2:
+            raise ValueError("samples_per_record must be >= 2 (consensus and semantic "
+                             "entropy need multiple generations)")
+        if not finite_number(self.true_temperature):
+            raise ValueError("true_temperature must be a finite number")
+        if not self.true_temperature > 0.0:
+            raise ValueError("true_temperature must be positive")
+        if self.vocab_size < 4:
+            raise ValueError("vocab_size must be >= 4 so injected uniform entropy clears 1.2 nats")
+        if max(self.n_records, self.samples_per_record, self.vocab_size) > sys.maxsize:
+            raise ValueError(f"n_records, samples_per_record and vocab_size must be at most {sys.maxsize}")
+        total = 0.0
+        for cls, rate in self.inject_rates.items():
+            if cls not in FAILURE_CLASSES:
+                raise ValueError(f"unknown failure class {cls!r}")
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"inject rate for {cls!r} must lie in [0, 1]")
+            total += rate
+        if total > 1.0 + 1e-12:
+            raise ValueError("inject rates must sum to at most 1")
 
 
 def _scale_into_entropy_band(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -150,8 +151,7 @@ def _pick_class(u: float, rates: Mapping[str, float]) -> str | None:
 def _draws(spec: MockSpec) -> Iterator[tuple]:
     """Every random number of each record, drawn in the order of the module
     docstring: (class, value, raw logits, choice uniform, confidence uniform,
-    data-class offset or None).  An invalid spec raises on the first draw."""
-    _validate_spec(spec)
+    data-class offset or None)."""
     rng = np.random.default_rng(spec.seed)
     for _ in range(spec.n_records):
         cls = _pick_class(float(rng.random()), spec.inject_rates)
@@ -243,8 +243,8 @@ def generate_fact_store(spec: MockSpec) -> FactStore:
 def mock_spec_from_json(obj) -> MockSpec:
     """Build a MockSpec from a decoded ``--spec`` file.
 
-    Every field is type- and range-checked here, so a bad spec fails with a
-    ConfigError naming the field, the way a bad config file does.
+    Fields are type-checked here and range-checked by MockSpec, so a bad spec
+    fails with a ConfigError naming the field, the way a bad config file does.
     """
     if not isinstance(obj, dict):
         raise ConfigError("mock spec must be a JSON object")
@@ -261,9 +261,7 @@ def mock_spec_from_json(obj) -> MockSpec:
     rates = obj.get("inject_rates", {})
     if not isinstance(rates, dict) or not all(map(finite_number, rates.values())):
         raise ConfigError("inject_rates must be an object of finite numbers")
-    spec = MockSpec(**{**obj, "inject_rates": dict(rates)})
     try:
-        _validate_spec(spec)
+        return MockSpec(**{**obj, "inject_rates": dict(rates)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return spec

@@ -69,6 +69,20 @@ class RouterRule:
     tier: str
     recommended_mitigations: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        if not isinstance(self.signal, str) or self.signal not in SIGNALS:
+            raise ValueError(f"unknown signal {self.signal!r}")
+        if self.comparator not in COMPARATORS:
+            raise ValueError(f"comparator must be one of {COMPARATORS}")
+        if not finite_number(self.threshold):
+            raise ValueError("threshold must be a finite number")
+        object.__setattr__(self, "threshold", float(self.threshold))
+        if self.tier not in FAILURE_CLASSES:
+            raise ValueError(f"tier must be one of {FAILURE_CLASSES}")
+        mitigations = self.recommended_mitigations
+        if not isinstance(mitigations, list) or not all(isinstance(m, str) for m in mitigations):
+            raise ValueError("recommended_mitigations must be a list of strings")
+
 
 @dataclass(frozen=True)
 class Validation:
@@ -121,7 +135,7 @@ def default_rules() -> list[RouterRule]:
     ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """What detection and validation read: the clustering threshold, the fact
     tolerances, the validation margin and the router rules.  A ``--config``
@@ -132,6 +146,17 @@ class PipelineConfig:
     fact_abs_tol: float = 0.0
     min_delta: float = 0.05
     rules: list[RouterRule] = field(default_factory=default_rules)
+
+    def __post_init__(self):
+        for key in _CONFIG_KEYS:
+            if not finite_number(getattr(self, key)):
+                raise ValueError(f"{key} must be a finite number")
+        if not 0.0 <= self.cluster_threshold <= 2.0:
+            raise ValueError("cluster_threshold must lie in [0, 2]")
+        if self.fact_rel_tol < 0.0 or self.fact_abs_tol < 0.0:
+            raise ValueError("fact tolerances must be nonnegative")
+        if self.min_delta < 0.0:
+            raise ValueError("min_delta must be nonnegative")
 
 
 def detect(record: GenerationRecord, config: PipelineConfig | None = None,
@@ -310,7 +335,7 @@ _CONFIG_KEYS = tuple(k for k in PipelineConfig.__dataclass_fields__ if k != "rul
 def load_config(path: str | None) -> PipelineConfig:
     """Load a ``--config`` JSON file; defaults when no path is given.
 
-    The file is an object of finite numbers, each checked here, so a bad
+    The file is an object of numbers that PipelineConfig checks, so a bad
     file fails with a ConfigError naming the field before any record is read.
     """
     if path is None:
@@ -321,21 +346,14 @@ def load_config(path: str | None) -> PipelineConfig:
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    for key in _CONFIG_KEYS:
-        if key in raw and not finite_number(raw[key]):
-            raise ConfigError(f"{key} must be a finite number")
-    cfg = PipelineConfig(**raw)
-    if not 0.0 <= cfg.cluster_threshold <= 2.0:
-        raise ConfigError("cluster_threshold must lie in [0, 2]")
-    if cfg.fact_rel_tol < 0.0 or cfg.fact_abs_tol < 0.0:
-        raise ConfigError("fact tolerances must be nonnegative")
-    if cfg.min_delta < 0.0:
-        raise ConfigError("min_delta must be nonnegative")
-    return cfg
+    try:
+        return PipelineConfig(**raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_rules(obj) -> list[RouterRule]:
-    """Validate and load a rules list from decoded JSON; errors name the rule."""
+    """Load a rules list from decoded JSON; RouterRule checks each rule, and errors name it."""
     if not isinstance(obj, list):
         raise ConfigError("rules file must be a JSON list")
     rules = []
@@ -346,22 +364,11 @@ def load_rules(obj) -> list[RouterRule]:
         if not isinstance(name, str):
             raise ConfigError(f"rule #{i}: name must be a string")
         name = name or f"rule #{i}"
-        signal = raw.get("signal")
-        if not isinstance(signal, str) or signal not in SIGNALS:
-            raise ConfigError(f"rule {name!r}: unknown signal {signal!r}")
-        comparator = raw.get("comparator")
-        if comparator not in COMPARATORS:
-            raise ConfigError(f"rule {name!r}: comparator must be one of {COMPARATORS}")
-        threshold = raw.get("threshold")
-        if not finite_number(threshold):
-            raise ConfigError(f"rule {name!r}: threshold must be a finite number")
-        tier = raw.get("tier")
-        if tier not in FAILURE_CLASSES:
-            raise ConfigError(f"rule {name!r}: tier must be one of {FAILURE_CLASSES}")
-        mitigations = raw.get("recommended_mitigations", [])
-        if not isinstance(mitigations, list) or not all(isinstance(m, str) for m in mitigations):
-            raise ConfigError(f"rule {name!r}: recommended_mitigations must be a list of strings")
-        rules.append(RouterRule(name, signal, comparator, float(threshold), tier, list(mitigations)))
+        try:
+            rules.append(RouterRule(name, raw.get("signal"), raw.get("comparator"), raw.get("threshold"),
+                                    raw.get("tier"), raw.get("recommended_mitigations", [])))
+        except ValueError as exc:
+            raise ConfigError(f"rule {name!r}: {exc}") from None
     return rules
 
 

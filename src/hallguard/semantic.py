@@ -24,9 +24,9 @@ starting at its count.  Merging b into a writes (|a| L[a] + |b| L[b]) /
 (|a| + |b|) to row and column a (the Lance-Williams update for average
 linkage; Muellner, arXiv:1109.2378) and inf to row and column b.  Each of at
 most k - 1 merges is one argmin and one row update.  Merging stops once the
-smallest linkage exceeds the threshold, which must be nonnegative (a
-negative or NaN one is a ValueError; ``load_config`` admits [0, 2]).  Each
-sample then joins the cluster of its row.
+smallest linkage exceeds the threshold, which must be finite and nonnegative
+(any other is a ValueError; ``PipelineConfig`` admits [0, 2]).  Each sample
+then joins the cluster of its row.
 
 Tie rule.  Among equal computed linkages the lowest (a, b) pair of distinct
 rows in byte order merges: a merge writes one vector to a row and its column,
@@ -122,7 +122,7 @@ def cluster_embeddings(vectors, threshold: float) -> ClusterAssignment:
     """Average-linkage agglomerative clustering under cosine distance.
 
     Merging stops once the minimum inter-cluster distance exceeds the
-    threshold (nonnegative).  Cluster masses are sample counts divided by N.
+    threshold (finite, nonnegative).  Masses are sample counts divided by N.
     See the module docstring for the algorithm and its tie rule.
     """
     vs = [np.asarray(v, dtype=float) for v in vectors]
@@ -140,8 +140,8 @@ def _cluster_rows(rows, of_sample, threshold: float) -> ClusterAssignment:
     """cluster_embeddings of the samples whose vectors are finite float rows
     of one length with no -0.0 entry, so that equal rows have equal bytes:
     sample i has rows[of_sample[i]]."""
-    if not threshold >= 0.0:
-        raise ValueError("threshold must be a nonnegative number")
+    if not 0.0 <= threshold < math.inf:  # NaN fails it too
+        raise ValueError("threshold must be a finite nonnegative number")
     keys = [row.tobytes() for row in rows]
     samples_of: dict[bytes, list[int]] = {}
     for i, r in enumerate(of_sample):

@@ -74,8 +74,8 @@ def apply_temperature(logits, T: float) -> np.ndarray:
     to NaN: for a tiny T that is the exact T -> 0 limit, one-hot on the
     argmax with tied maxima sharing the mass equally.
     """
-    if not T > 0.0:  # NaN fails it too
-        raise ValueError("temperature must be positive")
+    if not 0.0 < T < np.inf:  # NaN fails it too
+        raise ValueError("temperature must be positive and finite")
     z = np.asarray(logits, dtype=float)
     with np.errstate(over="ignore"):
         x = z / T

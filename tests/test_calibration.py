@@ -171,6 +171,9 @@ def test_fit_rejects_tiny_sets_and_bad_labels():
         fit_temperature([[1.0, 0.0]], [0])
     with pytest.raises(ValueError):
         fit_temperature([[1.0, 0.0], [0.0, 1.0]], [0, 2])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="logits must be finite"):
+            fit_temperature([[1.0, 0.0], [0.0, bad]], [0, 1])
 
 
 @settings(max_examples=25, deadline=None)
@@ -319,6 +322,10 @@ def test_isotonic_monotone_data_keeps_per_score_means():
     model = fit_isotonic(pairs)
     assert model.breakpoints == [0.1, 0.5, 0.9]
     assert model.values == pytest.approx([0.0, 0.5, 1.0])
+    for bad, message in (((math.nan, 1), "scores"), ((0.5, math.nan), "outcomes"),
+                         ((0.5, math.inf), "outcomes")):
+        with pytest.raises(ValueError, match=f"{message} must be finite"):
+            fit_isotonic(pairs + [bad])
 
 
 def test_isotonic_matches_naive_oracle_on_random_instances():
@@ -345,8 +352,10 @@ def test_isotonic_values_non_decreasing_property():
 
 def test_apply_isotonic_clamps_out_of_range_scores():
     model = fit_isotonic([(0.4, 0), (0.8, 1)])
-    assert apply_isotonic(model, -5.0) == apply_isotonic(model, 0.4)
-    assert apply_isotonic(model, 5.0) == apply_isotonic(model, 0.8)
+    assert apply_isotonic(model, -5.0) == apply_isotonic(model, -math.inf) == apply_isotonic(model, 0.4)
+    assert apply_isotonic(model, 5.0) == apply_isotonic(model, math.inf) == apply_isotonic(model, 0.8)
+    with pytest.raises(ValueError, match="NaN"):
+        apply_isotonic(model, math.nan)
 
 
 @settings(max_examples=80, deadline=None)

@@ -15,11 +15,15 @@ import numpy as np
 import pytest
 
 import hallguard
+from hallguard.calibration import apply_isotonic, compute_ece, fit_isotonic, fit_temperature
 from hallguard.cli import main
+from hallguard.mitigation import SamplingPolicy, chunk_document
 from hallguard.mockgen import MockSpec, generate_corpus, generate_fact_store
-from hallguard.grounding import fact_store_to_json
-from hallguard.pipeline import RETRY_SUFFIX, default_rules
+from hallguard.grounding import FactEntry, FactStore, check_claims, fact_store_to_json
+from hallguard.pipeline import RETRY_SUFFIX, PipelineConfig, RouterRule, default_rules
 from hallguard.records import write_records
+from hallguard.semantic import cluster_embeddings, cluster_texts
+from hallguard.uncertainty import apply_temperature, entropy_nats
 
 from conftest import decoded
 
@@ -853,6 +857,62 @@ def test_field_type_sweep_is_value_or_one_line_error(tmp_path, capsys):
             err = capsys.readouterr().err
             if code not in (0, 2) or err.count("\n") > 1:
                 failures.append((path, value, code, err))
+    assert failures == []
+
+
+_ISOTONIC = fit_isotonic([(0.2, 0), (0.4, 1), (0.8, 1)])
+
+# each public float parameter, as a call that passes x to it with every other
+# argument valid
+_NON_FINITE_SWEEP = {
+    "PipelineConfig.cluster_threshold": lambda x: PipelineConfig(cluster_threshold=x),
+    "PipelineConfig.fact_rel_tol": lambda x: PipelineConfig(fact_rel_tol=x),
+    "PipelineConfig.fact_abs_tol": lambda x: PipelineConfig(fact_abs_tol=x),
+    "PipelineConfig.min_delta": lambda x: PipelineConfig(min_delta=x),
+    "RouterRule.threshold": lambda x: RouterRule("r", "h_s", ">", x, "model"),
+    "MockSpec.true_temperature": lambda x: MockSpec(n_records=3, true_temperature=x),
+    "MockSpec.inject_rates": lambda x: MockSpec(n_records=3, inject_rates={"model": x}),
+    "SamplingPolicy.temperature": lambda x: SamplingPolicy(temperature=x),
+    "SamplingPolicy.top_p": lambda x: SamplingPolicy(top_p=x),
+    "check_claims.rel_tol": lambda x: check_claims([], FactStore({"k": FactEntry(1.0)}), rel_tol=x),
+    "check_claims.abs_tol": lambda x: check_claims([], FactStore({"k": FactEntry(1.0)}), abs_tol=x),
+    "fit_temperature.logit": lambda x: fit_temperature([[1.0, 0.0], [0.0, x]], [0, 1]),
+    "fit_isotonic.score": lambda x: fit_isotonic([(0.2, 0), (x, 1)]),
+    "fit_isotonic.outcome": lambda x: fit_isotonic([(0.2, 0), (0.6, x)]),
+    "apply_isotonic.score": lambda x: apply_isotonic(_ISOTONIC, x),
+    "compute_ece.confidence": lambda x: compute_ece([(0.8, True), (x, False)]),
+    # its logits are not swept: a -inf logit is a documented input, which
+    # test_calibration.py::test_a_minus_infinity_logit_keeps_the_finite_arithmetic covers
+    "apply_temperature.T": lambda x: apply_temperature([1.0, 2.0], x),
+    "chunk_document.overlap_frac": lambda x: chunk_document("one two three four", 4, x),
+    "cluster_embeddings.threshold": lambda x: cluster_embeddings([[1.0, 0.0], [0.0, 1.0]], x),
+    "cluster_texts.threshold": lambda x: cluster_texts(["a b", "b c"], x),
+    "entropy_nats.entry": lambda x: entropy_nats([0.5, x]),
+}
+# what an infinity returns where a docstring states that limit
+_INFINITY_LIMITS = {
+    # apply_isotonic: "scores outside the fitted range, -inf and inf too, clamp
+    # to the nearest end value"
+    ("apply_isotonic.score", -math.inf): _ISOTONIC.values[0],
+    ("apply_isotonic.score", math.inf): _ISOTONIC.values[-1],
+}
+
+
+def test_non_finite_float_sweep_raises_or_returns_the_documented_limit():
+    """NaN, inf and -inf in each float parameter of _NON_FINITE_SWEEP raise a
+    ValueError with a message, or return the limit a docstring states; no
+    other number comes out."""
+    failures = []
+    for name, call in _NON_FINITE_SWEEP.items():
+        for x in (math.nan, math.inf, -math.inf):
+            try:
+                value = call(x)
+            except ValueError as exc:
+                if not str(exc) or (name, x) in _INFINITY_LIMITS:
+                    failures.append((name, x, repr(exc)))
+                continue
+            if (name, x) not in _INFINITY_LIMITS or value != _INFINITY_LIMITS[name, x]:
+                failures.append((name, x, value))
     assert failures == []
 
 

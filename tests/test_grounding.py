@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -147,5 +148,8 @@ def test_tightening_never_creates_matches():
 
 
 def test_negative_tolerances_rejected():
-    with pytest.raises(ValueError):
-        check_claims([], RATE_STORE, rel_tol=-0.1)
+    # NaN fails the check too, and an infinite tolerance would match any number
+    for tolerances in ({"rel_tol": -0.1}, {"abs_tol": math.nan}, {"rel_tol": math.nan},
+                       {"abs_tol": math.inf}):
+        with pytest.raises(ValueError, match="tolerances must be finite and nonnegative"):
+            check_claims([], RATE_STORE, **tolerances)

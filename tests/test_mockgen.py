@@ -234,7 +234,7 @@ def test_injected_entropy_separation_margins():
 )
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(ValueError):
-        generate_corpus(MockSpec(**kwargs))
+        MockSpec(**kwargs)
 
 
 def test_spec_from_json():

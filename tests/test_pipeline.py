@@ -161,10 +161,24 @@ def test_signal_value_reads_every_routable_signal():
     assert all(signal_value(_signals(), k) is None for k in SIGNALS)
 
 
-def test_route_unknown_signal_raises():
-    # load_rules rejects such a rule; one built in Python fails loudly, not silently
-    with pytest.raises(KeyError):
-        route(_signals(h_s=1.0), [RouterRule("x", "external.h_s", ">", 0.5, "model")])
+def test_rules_and_config_reject_bad_values_at_construction():
+    # a rule or config built in Python is checked as a file's is, so route
+    # never meets an unknown signal and no NaN reaches a comparison
+    for bad, message in (
+        (lambda: RouterRule("x", "external.h_s", ">", 0.5, "model"), "unknown signal 'external.h_s'"),
+        (lambda: RouterRule("x", "h_s", "!=", 0.5, "model"), "comparator must be one of"),
+        (lambda: RouterRule("x", "h_s", ">", math.nan, "model"), "threshold must be a finite number"),
+        (lambda: RouterRule("x", "h_s", ">", 0.5, "vendor"), "tier must be one of"),
+        (lambda: RouterRule("x", "h_s", ">", 0.5, "model", "m"), "recommended_mitigations must be a list"),
+        (lambda: PipelineConfig(min_delta=math.nan), "min_delta must be a finite number"),
+        (lambda: PipelineConfig(fact_abs_tol=-1.0), "fact tolerances must be nonnegative"),
+        (lambda: PipelineConfig(cluster_threshold=2.5), r"cluster_threshold must lie in \[0, 2\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            bad()
+    assert type(RouterRule("x", "h_s", ">", 1, "model").threshold) is float
+    with pytest.raises(AttributeError):  # frozen, so a config is checked once, when it is built
+        PipelineConfig().min_delta = 0.0
 
 
 def test_route_high_entropy_to_model_tier():

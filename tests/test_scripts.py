@@ -34,4 +34,4 @@ def test_compare_outputs_finds_a_tree_identical_to_itself():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.startswith("0 of 681 files differ"), proc.stdout
+    assert proc.stdout.startswith("0 of 708 files differ"), proc.stdout

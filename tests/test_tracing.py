@@ -48,7 +48,8 @@ _FOOTPRINT = """
 import json, sys
 from hallguard import cli
 code = cli.main(sys.argv[2:]) if sys.argv[1:] else None
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("hallguard.")), "numpy" in sys.modules]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("hallguard.")),
+                  "numpy" in sys.modules, "dataclasses" in sys.modules]))
 """
 
 _NO_NUMPY = {"cli", "errors"}
@@ -57,28 +58,28 @@ _CORPUS_COMMAND = {"cli", "consistency", "errors", "grounding", "pipeline", "rec
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    """The benchmark's start-up, ``import hallguard.cli``, loads no numpy, and
-    each command loads only what it runs."""
+    """The benchmark's start-up, ``import hallguard.cli``, loads no numpy and
+    no dataclasses, and each command loads only what it runs."""
     spec = {"n_records": 4, "samples_per_record": 2, "true_temperature": 1.5,
             "inject_rates": {"model": 0.25}, "seed": 1}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     (tmp_path / "doc.txt").write_text("One sentence. And another one.\n")
-    for argv, code, modules, numpy in (
-        (None, None, _NO_NUMPY, False),
-        ([], 1, _NO_NUMPY, False),
-        (["--help"], 0, _NO_NUMPY, False),
-        (["analyze"], 1, _NO_NUMPY, False),  # a usage error: no --input
+    for argv, code, modules, numpy, dataclasses in (
+        (None, None, _NO_NUMPY, False, False),
+        ([], 1, _NO_NUMPY, False, False),
+        (["--help"], 0, _NO_NUMPY, False, False),
+        (["analyze"], 1, _NO_NUMPY, False, False),  # a usage error: no --input
         (["chunk", "--input", "doc.txt", "--target-size", "8", "--output", "chunks.json"], 0,
-         {"cli", "errors", "mitigation", "records"}, False),
+         {"cli", "errors", "mitigation", "records"}, False, True),
         (["mockgen", "--spec", "spec.json", "--out", "corpus.jsonl", "--store-out", "store.json"], 0,
-         {"cli", "errors", "grounding", "mockgen", "records", "uncertainty"}, True),
+         {"cli", "errors", "grounding", "mockgen", "records", "uncertainty"}, True, True),
         (["calibrate", "--input", "corpus.jsonl", "--kind", "isotonic", "--output", "map.json"], 0,
-         {"calibration", "cli", "errors", "records", "uncertainty"}, True),
-        (["analyze", "--input", "corpus.jsonl", "--output", "report.json"], 0, _CORPUS_COMMAND, True),
+         {"calibration", "cli", "errors", "records", "uncertainty"}, True, True),
+        (["analyze", "--input", "corpus.jsonl", "--output", "report.json"], 0, _CORPUS_COMMAND, True, True),
     ):
         command = [] if argv is None else ["--", *argv]
         seen = json.loads(_run(["-c", _FOOTPRINT, *command], tmp_path).splitlines()[-1])
-        assert seen == [code, [f"hallguard.{m}" for m in sorted(modules)], numpy], argv
+        assert seen == [code, [f"hallguard.{m}" for m in sorted(modules)], numpy, dataclasses], argv
 
 
 def test_traced_mockgen_and_calibrate_record_their_spans(tmp_path):
