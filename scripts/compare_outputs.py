@@ -23,23 +23,23 @@ corpus's first two lines with the second cut in half, and on its first record
 with no samples, and analyze, pipeline and factcheck with the store cut in
 half.  analyze, race, factcheck and pipeline run again with a --config that
 moves every number off its default, and pipeline with a --rules file that
-reverses and retunes the default rules.  Three runs check the order in which
-inputs are read: pipeline with a bad rules file on an empty corpus, analyze
-on an empty corpus with a bad store, and race with a bad config on an empty
-corpus.  Three bad files each hold two faults, which the types that hold
-the values find in a set order: pipeline with a rules file whose second rule
-has a NaN threshold and tier "vendor", race with a config whose min_delta is
--1 and cluster_threshold a string, and mockgen on a spec with n_records 0
-and true_temperature 0.0.  The corpus is streamed, so analyze, pipeline and
-factcheck also run on the malformed corpus with the store cut in half: the
-corpus error must be the one reported although the first record is read
-before the store (and pipeline on the malformed corpus with no store, above,
-must print no warning).  calibrate (both kinds) runs on the empty, malformed and invalid
-corpora too, and mockgen on three more specs drawn from the workload's: one
-that injects every record (model 0.3, context 0.3, data 0.4) at
-true_temperature 2.5 with vocab_size 4, one with 2 samples per record, and
-one with vocab_size 11 at true_temperature 0.7, past the length (8) at which
-numpy's row sums turn pairwise.
+reverses and retunes the default rules.  Six runs check the order in which
+inputs are read, --config, pipeline --rules, --store, then the corpus: pipeline
+with a bad rules file on an empty corpus, analyze on an empty corpus with a
+bad store, race with a bad config on an empty corpus, and analyze, pipeline
+and factcheck on the malformed corpus with the store cut in half, where the
+store error must be the one reported (and pipeline on the malformed corpus
+with no store, above, must print no warning).  Three bad files each hold two
+faults, which the types that hold the values find in a set order: pipeline
+with a rules file whose second rule has a NaN threshold and tier "vendor",
+race with a config whose min_delta is -1 and cluster_threshold a string, and
+mockgen on a spec with n_records 0 and true_temperature 0.0.  calibrate (both
+kinds) runs on the empty, malformed and invalid corpora too, and mockgen on
+three more specs drawn from the workload's: one that injects every record
+(model 0.3, context 0.3, data 0.4) at true_temperature 2.5 with vocab_size
+4, one with 2 samples per record, and one with vocab_size 11 at
+true_temperature 0.7, past the length (8) at which numpy's row sums turn
+pairwise.
 analyze also runs on five corpora of one record each, the first record with
 one fault (FAULTS), so that both trees must print the same message.  Last
 come the usage paths, most of which load no numpy: --help, no command,
@@ -124,7 +124,7 @@ COMMANDS.update({
     "race-bad-config-fields": "race --input {in} --config {bad_config_fields}",
     "mockgen-bad-spec-fields": "mockgen --spec {bad_spec_fields} --out {out}/mock-bad-fields.jsonl",
 })
-# a bad corpus line beats a bad store that is read before it
+# the store is read before the corpus, so a bad store beats a bad corpus line
 for command in ("analyze", "pipeline", "factcheck"):
     COMMANDS[f"{command}-malformed-bad-store"] = f"{command} --input {{malformed}} --store {{bad_store}}"
 for bad in ("empty", "malformed", "invalid"):

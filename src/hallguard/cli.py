@@ -48,13 +48,12 @@ def _read_inputs(args) -> Iterator[tuple[PipelineConfig, Iterator[GenerationReco
     """Open the inputs of a corpus command and yield the config, the corpus
     as records still to be read, and the store.
 
-    The first bad input is the one reported, in this order: --config,
-    pipeline --rules, the corpus, then --store.  The corpus is read up to
-    its first record before the store (an empty one raises _NoRecords); if
-    the store then fails, the rest of the corpus is read first, so a bad
-    corpus line anywhere still wins.  The corpus file stays open for the
-    ``with`` body, which reads the records as it goes, and is closed on
-    every path.  A flag that is given is read, an empty path too."""
+    The inputs are read in flag order, and the first bad one is the one
+    reported: --config, pipeline --rules, --store, then the corpus, which is
+    opened only then and read up to its first record (an empty one raises
+    _NoRecords).  The corpus file stays open for the ``with`` body, which
+    reads the rest of the records as it goes, and is closed on every path.
+    A flag that is given is read, an empty path too."""
     from dataclasses import replace
 
     from .grounding import load_fact_store
@@ -65,21 +64,13 @@ def _read_inputs(args) -> Iterator[tuple[PipelineConfig, Iterator[GenerationReco
     rules, store_path = getattr(args, "rules", None), getattr(args, "store", None)
     if rules is not None:
         cfg = replace(cfg, rules=load_rules(read_json_file(rules)))
+    store = None if store_path is None else load_fact_store(Path(store_path).read_bytes())
     with open(args.input, "rb") as fp:
         records = iter_records(fp)
         first = next(records, None)
         if first is None:
             raise _NoRecords
-        records = itertools.chain((first,), records)
-        store = None
-        if store_path is not None:
-            try:
-                store = load_fact_store(Path(store_path).read_bytes())
-            except (OSError, ValueError):
-                for _ in records:
-                    pass
-                raise
-        yield cfg, records, store
+        yield cfg, itertools.chain((first,), records), store
 
 
 def _stdout():
@@ -256,10 +247,7 @@ def cmd_mockgen(args) -> int:
     from .mockgen import generate_corpus, generate_fact_store, mock_spec_from_json
     from .records import read_json_file, write_json, write_records
 
-    raw = read_json_file(args.spec)
-    if args.seed is not None and isinstance(raw, dict):
-        raw["seed"] = args.seed
-    spec = mock_spec_from_json(raw)
+    spec = mock_spec_from_json(read_json_file(args.spec))
     records = generate_corpus(spec)
     Path(args.out).write_bytes(write_records(records))
     if args.store_out:
@@ -339,7 +327,6 @@ def build_parser() -> _Parser:
     p.add_argument("--spec", required=True, help="mock spec JSON")
     p.add_argument("--out", required=True, help="corpus JSONL output path")
     p.add_argument("--store-out", help="fact store JSON output path")
-    p.add_argument("--seed", type=int, help="override the seed given in the --spec file")
     p.set_defaults(func=cmd_mockgen)
 
     p = sub.add_parser("chunk", help="split a document into overlapping chunks")

@@ -135,7 +135,9 @@ def chunk_document(text: str, target_size: int, overlap_frac: float = DEFAULT_CH
         raise ValueError("overlap_frac must lie in [0, 0.5)")
     if not text:
         return []
-
+    # a target at least as long as the text gives one chunk of all of it, and
+    # a longer one would only risk a float overflow in the stride
+    target_size = min(target_size, len(text))
     stride = max(1, math.floor(target_size * (1.0 - overlap_frac)))
     max_snap = target_size // 10
     chunks: list[Chunk] = []

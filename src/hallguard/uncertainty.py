@@ -72,11 +72,15 @@ def apply_temperature(logits, T: float) -> np.ndarray:
     z / T overflows, as with a tiny T, is taken as softmax((z - max z) / T),
     the same softmax shifted before the division so that nothing overflows
     to NaN: for a tiny T that is the exact T -> 0 limit, one-hot on the
-    argmax with tied maxima sharing the mass equally.
+    argmax with tied maxima sharing the mass equally.  Each row needs a
+    finite maximum: a NaN or +inf logit, or a row of only -inf, is a
+    ValueError, while a -inf logit beside finite ones gets probability 0.
     """
     if not 0.0 < T < np.inf:  # NaN fails it too
         raise ValueError("temperature must be positive and finite")
     z = np.asarray(logits, dtype=float)
+    if not np.isfinite(z.max(axis=-1)).all():
+        raise ValueError("each row of logits needs a finite maximum")
     with np.errstate(over="ignore"):
         x = z / T
         overflowed = (np.isinf(x) & np.isfinite(z)).any(axis=-1)

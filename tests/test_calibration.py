@@ -280,6 +280,13 @@ def test_a_minus_infinity_logit_keeps_the_finite_arithmetic():
     assert apply_temperature(z, 1.5).tobytes() == _softmax_1d(z, 1.5).tobytes()
 
 
+# a NaN or +inf logit is in test_cli.py's non-finite sweep
+@pytest.mark.parametrize("z", [[-math.inf, -math.inf], [[1.0, 2.0], [-math.inf, -math.inf]]])
+def test_a_row_of_only_minus_infinity_is_rejected(z):
+    with pytest.raises(ValueError, match="finite maximum"):
+        apply_temperature(z, 1.0)
+
+
 # --- mc_calibrated_mean ---
 
 

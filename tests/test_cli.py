@@ -104,19 +104,20 @@ def test_the_first_diagnostic_in_field_order_is_printed(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["analyze", "factcheck", "pipeline"])
 def test_a_unit_or_as_of_that_is_not_a_string_is_one_line_error(tmp_path, capsys, command):
+    """The store is read before the corpus, so its error is the one reported
+    while both are bad, and the corpus's once the store is mended."""
     record = {"id": "r1", "prompt": "q", "samples": [{"text": "a"}],
               "reference_claims": [{"key": "k", "value": 5.0, "unit": {"x": [1]}}]}
     corpus, store = tmp_path / "corpus.jsonl", tmp_path / "store.json"
+    corpus.write_text(json.dumps(record) + "\n")
     store.write_text(json.dumps({"k": {"value": 5.0, "unit": ["%"], "as_of": 3}}))
     argv = [command, "--input", str(corpus), "--store", str(store), "--output", str(tmp_path / "out.json")]
-    corpus.write_text(json.dumps(record) + "\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "invalid data: unit for 'k' must be a string\n"
+    store.write_text(json.dumps({"k": {"value": 5.0, "unit": "%", "as_of": "2024"}}))
     assert main(argv) == 2
     assert capsys.readouterr().err == \
         "invalid data: record 'r1': reference_claims[0].unit: must be a string\n"
-    record["reference_claims"][0]["unit"] = "%"
-    corpus.write_text(json.dumps(record) + "\n")
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "invalid data: unit for 'k' must be a string\n"
 
 
 def test_analyze_missing_file_exits_1(mock_paths, tmp_path, capsys):
@@ -400,19 +401,20 @@ def test_pipeline_accepts_custom_rules(mock_paths, tmp_path):
     ]) == 0
 
 
-def test_mockgen_command_and_seed_override(tmp_path):
+def test_mockgen_command_and_seed_override(tmp_path, capsys):
+    """The spec's "seed" is the one way to set the seed: mockgen has no --seed."""
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"n_records": 10, "seed": 1}))
+    spec_path.write_text(json.dumps({"n_records": 10, "seed": 99}))
     out = tmp_path / "corpus.jsonl"
     store_out = tmp_path / "store.json"
-    code = main([
-        "mockgen", "--spec", str(spec_path), "--out", str(out),
-        "--store-out", str(store_out), "--seed", "99",
-    ])
-    assert code == 0
+    argv = ["mockgen", "--spec", str(spec_path), "--out", str(out), "--store-out", str(store_out)]
+    assert main(argv) == 0
     expected = write_records(generate_corpus(MockSpec(n_records=10, seed=99)))
     assert out.read_bytes() == expected
     json.loads(store_out.read_text())  # store is valid JSON
+    capsys.readouterr()
+    assert main([*argv, "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_chunk_command(tmp_path):
@@ -438,6 +440,16 @@ def test_chunk_bad_flag_is_usage_error(tmp_path, capsys, target_size, overlap):
     argv = ["chunk", "--input", str(doc), "--target-size", target_size, "--overlap", overlap]
     assert main(argv) == 1
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_chunk_target_size_too_large_for_a_float_is_one_chunk(tmp_path, capsys):
+    doc = tmp_path / "doc.txt"
+    doc.write_text("one two three")
+    out = tmp_path / "chunks.json"
+    argv = ["chunk", "--input", str(doc), "--target-size", "1" + "0" * 400, "--output", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["chunks"] == [{"index": 0, "start": 0, "end": 13, "text": "one two three"}]
 
 
 def test_chunk_non_utf8_input_is_data_error(tmp_path):
@@ -515,7 +527,10 @@ def test_corpus_commands_close_their_input(mock_paths, tmp_path, monkeypatch, co
     argv = [command, "--input", str(path), "--output", str(tmp_path / "out.json"),
             *_STORE_ARGS.get(command, ["--store", str(store)])]
     assert main(argv) == code
-    assert opened and all(fp.closed for fp in opened)
+    if kind == "bad store":  # the store is read first, so the corpus is never opened
+        assert opened == []
+    else:
+        assert opened and all(fp.closed for fp in opened)
 
 
 # The wide-s5 benchmark workload: 5 samples a record, a tenth of the records
@@ -881,9 +896,8 @@ _NON_FINITE_SWEEP = {
     "fit_isotonic.outcome": lambda x: fit_isotonic([(0.2, 0), (0.6, x)]),
     "apply_isotonic.score": lambda x: apply_isotonic(_ISOTONIC, x),
     "compute_ece.confidence": lambda x: compute_ece([(0.8, True), (x, False)]),
-    # its logits are not swept: a -inf logit is a documented input, which
-    # test_calibration.py::test_a_minus_infinity_logit_keeps_the_finite_arithmetic covers
     "apply_temperature.T": lambda x: apply_temperature([1.0, 2.0], x),
+    "apply_temperature.logit": lambda x: apply_temperature([1.0, x], 1.0).tolist(),
     "chunk_document.overlap_frac": lambda x: chunk_document("one two three four", 4, x),
     "cluster_embeddings.threshold": lambda x: cluster_embeddings([[1.0, 0.0], [0.0, 1.0]], x),
     "cluster_texts.threshold": lambda x: cluster_texts(["a b", "b c"], x),
@@ -895,6 +909,10 @@ _INFINITY_LIMITS = {
     # to the nearest end value"
     ("apply_isotonic.score", -math.inf): _ISOTONIC.values[0],
     ("apply_isotonic.score", math.inf): _ISOTONIC.values[-1],
+    # apply_temperature: "a -inf logit beside finite ones gets probability 0";
+    # test_calibration.py::test_a_minus_infinity_logit_keeps_the_finite_arithmetic
+    # covers more such rows
+    ("apply_temperature.logit", -math.inf): [1.0, 0.0],
 }
 
 

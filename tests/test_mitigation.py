@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hallguard.errors import ConstraintError
 from hallguard.mitigation import (
+    Chunk,
     SamplingPolicy,
     apply_sampling_policy,
     chunk_document,
@@ -155,6 +156,11 @@ def test_short_text_is_single_chunk():
     assert len(chunks) == 1
     assert chunks[0].start_offset == 0
     assert chunks[0].end_offset == len("short text")
+
+
+def test_a_target_too_large_for_a_float_is_one_chunk():
+    chunks = chunk_document("short text", target_size=10**400, overlap_frac=0.15)
+    assert chunks == [Chunk(text="short text", start_offset=0, end_offset=10, index=0)]
 
 
 def test_stride_arithmetic_without_whitespace():
