@@ -51,8 +51,10 @@ records make clustering turn on what the mock corpora never reach: texts over
 a small shared vocabulary, some at a distance within 1e-3 of the 0.35
 threshold and some at exactly 0.35; exact ties; answers that share a bucket
 of a 256-bucket FNV-1a hash; numeric format variants; records of 100 to 200
-distinct samples; sign-quantized stored embeddings; and the two texts at
-exactly 0.35 carried by many samples each.
+distinct samples; sign-quantized stored embeddings; the two texts at
+exactly 0.35 carried by many samples each; and records whose samples all
+share one text, or two texts that differ only in case or spacing.  The
+stress corpus spans several of the blocks in which detection screens records.
 Each command's output files, stdout, stderr and exit code are compared byte
 for byte.  Each file that differs is printed, then the id of each stress
 record whose analyze or pipeline entry differs, and the exit code is 1 when
@@ -223,6 +225,10 @@ BUCKET_PAIRS = (("10.00", "57.81"), ("BBB", "true"), ("68", "86"), ("19", "174")
 NUMERIC_VARIANTS = ("1200", "1200.0", "1200.00", "1.2e3", "1,200", "$1200")
 # sample counts of the two threshold texts
 COUNT_PAIRS = ((11, 17), (17, 22), (22, 34), (39, 39))
+# a number, a sentence and a whitespace-only text, each one text of a whole
+# record, and pairs of texts that differ only in case or spacing
+ONE_TEXTS = ("1200", "Rates rose in Q3, as guided.", " \t ")
+TEXT_PAIRS = (("rates rose", "Rates ROSE"), ("rates rose", "  rates\trose \n"))
 
 
 def _sample(text: str, answer: str | None = None, reasoning: str | None = None,
@@ -309,6 +315,14 @@ def stress_records(seed: int) -> list[dict]:
     u, v = _threshold_texts(20)
     for count_u, count_v in COUNT_PAIRS:
         add("counts", [_sample(t, answer=t) for t in [u] * count_u + [v] * count_v])
+    # one text on every sample, which clusters with no token matrix (a blank
+    # one gives a singleton per sample), and two texts that differ only in
+    # case or spacing, one row for two texts; no random draw either
+    for text in ONE_TEXTS:
+        add("one-text", [_sample(text, answer=text, reasoning=text) for _ in range(4)])
+        add("one-text", [_sample(text, answer=text, reasoning=f"because {i}") for i in range(3)])
+    for first, second in TEXT_PAIRS:
+        add("one-text", [_sample(t, answer=t, reasoning=first) for t in [first, second, first, second]])
     return records
 
 

@@ -99,11 +99,11 @@ def _write_text(text: str, fp) -> None:
 
 
 def cmd_analyze(args) -> int:
-    from .pipeline import detect, signal_value
+    from .pipeline import detect_records, signal_value
     from .records import write_json
 
     with _read_inputs(args) as (cfg, records, store):
-        signals = [detect(rec, cfg, store) for rec in records]
+        signals = list(detect_records(records, cfg, store))
 
     def _present(signal_id):
         return [v for v in (signal_value(s, signal_id) for s in signals) if v is not None]

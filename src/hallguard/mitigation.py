@@ -28,8 +28,11 @@ class SamplingPolicy:
     def __post_init__(self):
         if not 0.0 < self.temperature < math.inf:  # NaN fails it too
             raise ValueError("temperature must be positive and finite")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        if self.top_k is not None:
+            if type(self.top_k) is bool or not isinstance(self.top_k, int):  # 2.0 cannot slice, True is no count
+                raise ValueError("top_k must be an integer")
+            if self.top_k < 1:
+                raise ValueError("top_k must be >= 1")
         if self.top_p is not None and not (0.0 < self.top_p <= 1.0):
             raise ValueError("top_p must lie in (0, 1]")
 

@@ -1,7 +1,11 @@
 """The tiered detect -> route -> mitigate -> validate -> refine cycle.
 
 Detection computes every signal whose inputs a record actually carries;
-gaps become absent signals, never errors.  An ordered rule list routes each
+gaps become absent signals, never errors.  ``detect_records`` is the one
+loop over a corpus, which ``analyze`` and ``run_cycle`` read and ``detect``
+runs over one record: records are screened in blocks of 16, and at most 16
+records' distributions are held, so that one numpy pass scores a block's
+token entropies.  An ordered rule list routes each
 signal bundle to a root-cause tier (model / context / data) with recommended
 mitigations.  The cycle itself never calls a model: mitigation is advisory,
 and validation compares against a re-generated record supplied in the corpus
@@ -12,7 +16,7 @@ per-tier counts and residual errors are the refinement artifact.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -159,20 +163,61 @@ class PipelineConfig:
             raise ValueError("min_delta must be nonnegative")
 
 
+# records screened per token-entropy pass: a block's distributions are held
+# until it is scored, so this bounds what detect_records holds
+BLOCK = 16
+
+
 def detect(record: GenerationRecord, config: PipelineConfig | None = None,
            store: FactStore | None = None) -> DetectionSignals:
-    """Screen one record, computing every metric whose inputs are available.
+    """Screen one record: detect_records over a corpus of one."""
+    return next(detect_records([record], config, store))
+
+
+def detect_records(records: Iterable[GenerationRecord], config: PipelineConfig | None = None,
+                   store: FactStore | None = None) -> Iterator[DetectionSignals]:
+    """Screen each record, computing every metric whose inputs are available,
+    and yield the signals in input order.
 
     Missing inputs (no token distributions, a single sample, no reasoning
-    traces, no fact store) yield absent signals rather than errors.
+    traces, no fact store) yield absent signals rather than errors.  records
+    may be any iterable, read once, in blocks of BLOCK: a record's other
+    signals are computed as it arrives, and only its distributions wait for
+    the one sample_mean_entropies call that scores the block.  A corpus
+    raises what a record-by-record loop raises: on an error the held records
+    are scored one at a time first, and a record's distributions come before
+    its other signals.
     """
     config = config or PipelineConfig()
+    scored_block: list[list] = []  # the scored distributions of each record held
+    signals_block: list[dict] = []  # and its other signals
+    try:
+        for record in records:
+            scored_block.append([sample.token_dists for sample in record.samples if sample.token_dists])
+            signals_block.append(_other_signals(record, config, store))
+            if len(signals_block) == BLOCK:
+                yield from _with_h_p_means(scored_block, signals_block)
+                scored_block, signals_block = [], []
+        yield from _with_h_p_means(scored_block, signals_block)
+    except Exception:  # any error, raised again once the held records have had their turn
+        for scored in scored_block:
+            sample_mean_entropies(scored)  # raises the first bad record's error
+        raise
 
-    h_p_mean = None
-    scored = [sample.token_dists for sample in record.samples if sample.token_dists]
-    if scored:  # np.mean's sum and division, without its wrapper
-        h_p_mean = float(np.add.reduce(sample_mean_entropies(scored))) / len(scored)
 
+def _with_h_p_means(scored_block: list[list], signals_block: list[dict]) -> Iterator[DetectionSignals]:
+    means = sample_mean_entropies([dists for scored in scored_block for dists in scored])
+    start = 0
+    for scored, signals in zip(scored_block, signals_block):
+        n = len(scored)
+        # np.mean's sum and division over the record's own means, without its wrapper
+        h_p_mean = float(np.add.reduce(means[start:start + n])) / n if n else None
+        start += n
+        yield DetectionSignals(h_p_mean=h_p_mean, **signals)
+
+
+def _other_signals(record: GenerationRecord, config: PipelineConfig, store: FactStore | None) -> dict:
+    """The DetectionSignals fields of one record other than h_p_mean."""
     h_s = None
     consensus_support = None
     if len(record.samples) >= 2:
@@ -204,15 +249,8 @@ def detect(record: GenerationRecord, config: PipelineConfig | None = None,
             record.reference_claims, store, config.fact_rel_tol, config.fact_abs_tol
         )
 
-    return DetectionSignals(
-        record_id=record.id,
-        h_p_mean=h_p_mean,
-        h_s=h_s,
-        consensus_support=consensus_support,
-        self_confidence=self_confidence,
-        race=race,
-        fact_verdicts=fact_verdicts,
-    )
+    return {"record_id": record.id, "h_s": h_s, "consensus_support": consensus_support,
+            "self_confidence": self_confidence, "race": race, "fact_verdicts": fact_verdicts}
 
 
 def signal_value(signals: DetectionSignals, signal_id: str) -> float | None:
@@ -276,8 +314,8 @@ def run_cycle(records: Iterable[GenerationRecord], config: PipelineConfig | None
               store: FactStore | None = None) -> CycleLedger:
     """Run detect -> route -> validate over a corpus and assemble the ledger.
 
-    records may be any iterable, read once: each record is detected as it
-    arrives and only its signals are kept.  A record whose id is
+    records may be any iterable, read once: detect_records screens the
+    records as they arrive, and only their signals are kept.  A record whose id is
     ``<base>.retry`` (with ``<base>`` anywhere in the corpus) is treated as
     the post-mitigation re-generation of its base record: the base is
     validated against it instead of being flagged for external mitigation.
@@ -285,11 +323,7 @@ def run_cycle(records: Iterable[GenerationRecord], config: PipelineConfig | None
     """
     config = config or PipelineConfig()
 
-    by_id: dict[str, DetectionSignals] = {}
-    for rec in records:
-        if rec.id in by_id:
-            raise ValueError("duplicate record ids in corpus")
-        by_id[rec.id] = detect(rec, config, store)
+    by_id = {signals.record_id: signals for signals in detect_records(_unique_ids(records), config, store)}
     retries, primaries = {}, []
     for rid, signals in by_id.items():
         base = rid[: -len(RETRY_SUFFIX)]
@@ -324,6 +358,16 @@ def run_cycle(records: Iterable[GenerationRecord], config: PipelineConfig | None
     total = len(primaries)
     summary = {"total": total, **counts, "tiered": total - counts["pass"], "residuals": residuals}
     return CycleLedger(entries=entries, summary=summary)
+
+
+def _unique_ids(records: Iterable[GenerationRecord]) -> Iterator[GenerationRecord]:
+    """records, checked for a repeated id as each one is read."""
+    seen: set[str] = set()
+    for rec in records:
+        if rec.id in seen:
+            raise ValueError("duplicate record ids in corpus")
+        seen.add(rec.id)
+        yield rec
 
 
 # ---------------------------------------------------------------------------

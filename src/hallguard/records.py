@@ -137,10 +137,6 @@ def finite_number(value) -> bool:
     return _is_number(value) and abs(value) <= sys.float_info.max
 
 
-def _is_str(v) -> bool:
-    return isinstance(v, str)
-
-
 def _is_probability(v) -> bool:
     return _is_number(v) and 0.0 <= v <= 1.0
 
@@ -149,10 +145,12 @@ class _Walk:
     """One walk over a decoded record: builds it and collects every
     diagnostic in field order (a distribution's probs before its labels).
     Each list of numbers names only its first bad entry.  A field that fails
-    its check keeps its JSON value in the record built, which is dropped."""
+    its check keeps its JSON value in the record built, which is dropped.
+    An owned obj, such as a line just decoded, gives the record its lists uncopied."""
 
-    def __init__(self, seen_ids=()):
+    def __init__(self, seen_ids=(), owned: bool = False):
         self.seen_ids = seen_ids
+        self.owned = owned
         self.rid = "<unknown>"
         self.diags: list[Diagnostic] = []
 
@@ -166,10 +164,12 @@ class _Walk:
     def fault(self, path: str, reason: str) -> None:
         self.diags.append(Diagnostic(path, reason))
 
-    def field(self, obj: dict, key: str, at: str, ok, reason: str, required: bool = False):
-        """obj[key], a fault unless ok; an optional field may be absent or null."""
+    def field(self, obj: dict, key: str, at: str, ok=None, reason: str = "must be a string",
+              required: bool = False):
+        """obj[key], a fault unless ok, or with no ok unless a string (a type
+        test, not a call); an optional field may be absent or null."""
         value = obj.get(key)
-        if (required or value is not None) and not ok(value):
+        if (required or value is not None) and not (isinstance(value, str) if ok is None else ok(value)):
             self.fault(at + key, reason)
         return value
 
@@ -193,14 +193,14 @@ class _Walk:
     def record(self, obj) -> GenerationRecord | None:
         if not isinstance(obj, dict):
             return self.fault("", "record must be a JSON object")
-        rid = self.field(obj, "id", "", _is_str, "must be a string", required=True)
+        rid = self.field(obj, "id", "", required=True)
         if isinstance(rid, str):
             self.rid = rid
             if not rid:
                 self.fault("id", "must be nonempty")
             elif rid in self.seen_ids:
                 self.fault("id", "duplicate id in corpus")
-        prompt = self.field(obj, "prompt", "", _is_str, "must be a string", required=True)
+        prompt = self.field(obj, "prompt", "", required=True)
         samples = obj.get("samples")
         if not isinstance(samples, list):
             self.fault("samples", "must be a list")
@@ -217,7 +217,7 @@ class _Walk:
         if not isinstance(obj, dict):
             return self.fault(at, "sample must be a JSON object")
         at += "."
-        text = self.field(obj, "text", at, _is_str, "must be a string", required=True)
+        text = self.field(obj, "text", at, required=True)
         dists = self.objects(obj, "token_dists", at, self.dist)
         if dists == []:
             self.fault(at + "token_dists", "present but empty")
@@ -228,9 +228,10 @@ class _Walk:
         emb = obj.get("embedding")
         if emb == []:
             self.fault(at + "embedding", "must be nonempty")
-        # plain JSON floats pass in two C-level passes, the rest in the exact check
-        elif emb is not None and not (isinstance(emb, list) and set(map(type, emb)) <= {float}
-                                      and all(map(math.isfinite, emb))):
+        # floats pass in two C-level passes (a finite sum has only finite terms),
+        # the rest in the exact check
+        elif emb is not None and not (isinstance(emb, list) and all(map(float.__instancecheck__, emb))
+                                      and math.isfinite(sum(emb))):
             emb = self.numbers(emb, at + "embedding", finite_number, "must be a finite number")
         ref = first.get("embedding") if isinstance(first, dict) else obj.get("embedding")
         if (ref is None) != (obj.get("embedding") is None):
@@ -240,10 +241,10 @@ class _Walk:
         return Sample(
             text=text,
             token_dists=dists,
-            token_logprobs=None if logprobs is None else list(logprobs),
-            embedding=None if emb is None else list(emb),
-            reasoning=self.field(obj, "reasoning", at, _is_str, "must be a string"),
-            answer=self.field(obj, "answer", at, _is_str, "must be a string"),
+            token_logprobs=logprobs if self.owned or logprobs is None else list(logprobs),
+            embedding=emb if self.owned or emb is None else list(emb),
+            reasoning=self.field(obj, "reasoning", at),
+            answer=self.field(obj, "answer", at),
             self_confidence=self.field(obj, "self_confidence", at, _is_probability, "must lie in [0, 1]"),
         )
 
@@ -256,19 +257,18 @@ class _Walk:
         if len(labels) != len(probs):
             self.fault(f"{at}.probs", "length differs from token_labels")
         n_diags = len(self.diags)
-        # plain floats in [0, 1] pass in C-level passes (a NaN makes the sum NaN)
-        if not (probs and set(map(type, probs)) <= {float} and 0.0 <= min(probs) and max(probs) <= 1.0
-                and math.isfinite(sum(probs))):
+        # floats in [0, 1] pass in C-level passes, the last one the sum (NaN for a NaN entry)
+        if not (probs and all(map(float.__instancecheck__, probs)) and 0.0 <= min(probs) and max(probs) <= 1.0
+                and math.isfinite(total := sum(probs))):
             self.numbers(probs, f"{at}.probs", _is_probability, "probability must lie in [0, 1]")
-        if probs and len(self.diags) == n_diags:  # a bad entry has no sum
-            total = sum(probs)
-            if not (1.0 - PROB_SUM_TOL <= total <= 1.0 + PROB_SUM_TOL):
-                self.fault(f"{at}.probs", f"probs sum to {total:.6g}, expected 1")
-        if not all(isinstance(label, str) for label in labels):
+            total = sum(probs) if probs and len(self.diags) == n_diags else None  # a bad entry has no sum
+        if total is not None and not (1.0 - PROB_SUM_TOL <= total <= 1.0 + PROB_SUM_TOL):
+            self.fault(f"{at}.probs", f"probs sum to {total:.6g}, expected 1")
+        if not all(map(str.__instancecheck__, labels)):  # isinstance(label, str) in C
             self.fault(f"{at}.token_labels", "token labels must be strings")
         elif len(set(labels)) != len(labels):
             self.fault(f"{at}.token_labels", "token labels must be unique")
-        return TokenDistribution(token_labels=list(labels), probs=list(probs))
+        return TokenDistribution(labels, probs) if self.owned else TokenDistribution(list(labels), list(probs))
 
     def claim(self, obj, at: str) -> Claim | None:
         if not isinstance(obj, dict) or "key" not in obj or "value" not in obj:
@@ -278,7 +278,7 @@ class _Walk:
             key=self.field(obj, "key", at, lambda k: k and isinstance(k, str), "must be a nonempty string", True),
             value=self.field(obj, "value", at, lambda v: isinstance(v, str) or finite_number(v),
                              "must be a finite number or a string", True),
-            unit=self.field(obj, "unit", at, _is_str, "must be a string"),
+            unit=self.field(obj, "unit", at),
         )
 
     def ground_truth(self, obj) -> GroundTruthLabel | None:
@@ -290,7 +290,7 @@ class _Walk:
             is_hallucinated=obj["is_hallucinated"],
             failure_class=self.field(obj, "failure_class", "ground_truth.", FAILURE_CLASSES.__contains__,
                                      f"must be one of {FAILURE_CLASSES}"),
-            correct_answer=self.field(obj, "correct_answer", "ground_truth.", _is_str, "must be a string"),
+            correct_answer=self.field(obj, "correct_answer", "ground_truth."),
         )
 
 
@@ -391,7 +391,7 @@ def iter_records(fp) -> Iterator[GenerationRecord]:
             raise RecordParseError(line_no, exc.msg) from exc
         except RecursionError:
             raise RecordParseError(line_no, "JSON nested too deeply") from None
-        record = _Walk(seen_ids).read(obj)
+        record = _Walk(seen_ids, owned=True).read(obj)
         seen_ids.add(record.id)
         yield record
 

@@ -57,10 +57,17 @@ arXiv:2302.09664) cluster by bidirectional entailment, which needs model
 weights; exact tokens are this offline toolkit's stand-in for it.
 
 String inputs go through ``cluster_texts``, which embeds each distinct string
-once, lays the strings out as rows over the sorted union of their tokens (one
-column per distinct token of the call) and remembers its last few results, so
-the clusterings that one record asks for with the same strings (on mock
-corpora the texts are the answers) run once.
+once and lays the strings out as rows over the sorted union of their tokens
+(one column per distinct token of the call).  When all the strings are one
+string with a nonzero embedding, the common case for answers, it builds no
+token matrix and calls no ``_cluster_rows``: the samples form one cluster
+(a blank string still gives one singleton cluster per sample, and a bad
+threshold still raises).  It remembers its last few results.  The memo
+mostly serves records that share an input tuple (355 of the 400 wide-s5
+benchmark records share one reasoning tuple), and less the repeats within
+one record, such as the texts and the answers of a mock record.
+``pipeline.detect_records`` screens records in blocks of 16, and at most 16
+records' distributions are held, but it clusters each record as it arrives.
 """
 
 from __future__ import annotations
@@ -136,12 +143,16 @@ def cluster_embeddings(vectors, threshold: float) -> ClusterAssignment:
     return _cluster_rows(x + 0.0, range(len(x)), threshold)  # + 0.0 maps -0.0 to 0.0
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold < math.inf:  # NaN fails it too
+        raise ValueError("threshold must be a finite nonnegative number")
+
+
 def _cluster_rows(rows, of_sample, threshold: float) -> ClusterAssignment:
     """cluster_embeddings of the samples whose vectors are finite float rows
     of one length with no -0.0 entry, so that equal rows have equal bytes:
     sample i has rows[of_sample[i]]."""
-    if not 0.0 <= threshold < math.inf:  # NaN fails it too
-        raise ValueError("threshold must be a finite nonnegative number")
+    _check_threshold(threshold)
     keys = [row.tobytes() for row in rows]
     samples_of: dict[bytes, list[int]] = {}
     for i, r in enumerate(of_sample):
@@ -195,6 +206,9 @@ def _merge(distinct: list[bytes], counts: list[int], threshold: float) -> list[i
 def _cluster_texts(texts: tuple[str, ...], threshold: float) -> ClusterAssignment:
     row = {text: r for r, text in enumerate(dict.fromkeys(texts))}
     weights = [default_embed(text) for text in row]
+    if len(weights) == 1 and weights[0]:  # one nonzero row: one cluster, with no token matrix
+        _check_threshold(threshold)
+        return ClusterAssignment([0] * len(texts), [1.0], [0])
     column = {token: c for c, token in enumerate(sorted(set().union(*weights)))}
     rows = np.zeros((len(weights), len(column)))
     for r, w in enumerate(weights):

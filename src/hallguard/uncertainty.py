@@ -8,9 +8,12 @@ ValueError, so no such input comes out as a number.
 Token entropy is scored many positions at a time.  ``token_entropies``
 stacks the distributions of one length V into an (m, V) array and sums
 -p ln p along each row in one numpy pass; ``token_entropy`` (one position),
-``sequence_entropy_profile`` and ``sample_mean_entropies`` (what
-``pipeline.detect`` reads) all go through it, so a position is scored one
-way only, and an empty distribution raises the same error from each.  Its
+``sequence_entropy_profile`` and ``sample_mean_entropies`` all go through
+it, so a position is scored one way only, and an empty distribution raises
+the same error from each.  ``pipeline.detect_records`` screens records in
+blocks of 16, and at most 16 records' distributions are held: one
+``sample_mean_entropies`` call scores every sample of a block, and a
+sample's mean does not depend on the other samples of its call.  Its
 row kernel ``row_entropies`` also scores ``mockgen``'s entropy-band search.
 Each result equals ``entropy_nats`` of that distribution bit for bit: numpy
 sums a row of a C-ordered array in the same pairwise order as the same row
@@ -166,9 +169,9 @@ def sequence_entropy_profile(sample: Sample) -> EntropyReport:
 # prompt are near-structured, so three fixed patterns cover them; anything
 # else is reported as "not stated" rather than guessed.
 _CONF_PATTERNS = (
-    re.compile(r"confidence\s*[:=]\s*([0-9]*\.?[0-9]+)\s*(%?)", re.IGNORECASE),
-    re.compile(r"confidence\b[^0-9]{0,40}?([0-9]*\.?[0-9]+)\s*(%?)", re.IGNORECASE),
-    re.compile(r"\(\s*([0-9]*\.?[0-9]+)\s*(%?)\s*\)\s*$"),
+    re.compile(r"confidence\s*[:=]\s*(-?[0-9]*\.?[0-9]+)\s*(%?)", re.IGNORECASE),
+    re.compile(r"confidence\b[^0-9]{0,40}?(-?[0-9]*\.?[0-9]+)\s*(%?)", re.IGNORECASE),
+    re.compile(r"\(\s*(-?[0-9]*\.?[0-9]+)\s*(%?)\s*\)\s*$"),
 )
 
 
@@ -176,7 +179,8 @@ def parse_self_declared_confidence(text: str) -> float | None:
     """Extract a verbalized confidence in [0, 1] from free text, or None.
 
     Recognizes "Confidence: x", "confidence ... x", and a trailing "(x)",
-    where x is a decimal in [0, 1] or a percentage.
+    where x is a decimal in [0, 1] or a percentage.  A stated minus sign
+    is read with its number, so a negative statement, "-0" too, is none.
     """
     for pattern in _CONF_PATTERNS:
         m = pattern.search(text)
@@ -185,6 +189,6 @@ def parse_self_declared_confidence(text: str) -> float | None:
         value = float(m.group(1))
         if m.group(2) == "%":
             value /= 100.0
-        if 0.0 <= value <= 1.0:
+        if 0.0 <= value <= 1.0 and not m.group(1).startswith("-"):
             return value
     return None

@@ -27,6 +27,10 @@ from conftest import make_dist
         {"temperature": 0.0},
         {"temperature": -1.0},
         {"top_k": 0},
+        {"top_k": 1.5},
+        {"top_k": 2.0},
+        {"top_k": float("nan")},
+        {"top_k": True},
         {"top_p": 0.0},
         {"top_p": 1.5},
         {"temperature": float("nan")},

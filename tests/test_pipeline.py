@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hallguard.consistency import RaceReport
-from hallguard.errors import ConfigError
-from hallguard.grounding import ClaimVerdict, FactEntry, FactStore
+from hallguard.consistency import RaceReport, race_metrics, self_consistency_consensus
+from hallguard.errors import CapabilityError, ConfigError
+from hallguard.grounding import ClaimVerdict, FactEntry, FactStore, check_claims
 from hallguard.pipeline import (
+    BLOCK,
     SIGNALS,
     CycleLedger,
     DetectionSignals,
@@ -23,6 +24,7 @@ from hallguard.pipeline import (
     Validation,
     default_rules,
     detect,
+    detect_records,
     ledger_to_json,
     ledger_to_markdown,
     load_rules,
@@ -31,8 +33,16 @@ from hallguard.pipeline import (
     signal_value,
     validate,
 )
-from hallguard.records import GenerationRecord, Sample, write_json
+from hallguard.records import (
+    GenerationRecord,
+    RecordParseError,
+    Sample,
+    TokenDistribution,
+    iter_records,
+    write_json,
+)
 from hallguard.semantic import semantic_entropy_of_record
+from hallguard.uncertainty import parse_self_declared_confidence, sample_mean_entropies
 
 from conftest import decoded, make_claim, make_dist, make_record
 
@@ -125,6 +135,137 @@ def test_shuffling_samples_keeps_the_partition_signals(data):
     for name in ("h_reasoning", "h_answer", "h_joint", "mutual_information", "mutual_information_raw"):
         assert getattr(second.race, name) == pytest.approx(getattr(first.race, name), rel=0.0, abs=1e-12)
     assert second.race.flag_right_answer_wrong_reasoning == first.race.flag_right_answer_wrong_reasoning
+
+
+# --- detect_records: blocks of records ---
+
+
+def _detect_one_at_a_time(record, config, store=None):
+    """The signals of one record as a record-by-record loop computed them:
+    the oracle for detect_records."""
+    scored = [s.token_dists for s in record.samples if s.token_dists]
+    h_p_mean = float(np.add.reduce(sample_mean_entropies(scored))) / len(scored) if scored else None
+    h_s = consensus_support = None
+    if len(record.samples) >= 2:
+        h_s = semantic_entropy_of_record(record, threshold=config.cluster_threshold).entropy
+        consensus_support = self_consistency_consensus(record, threshold=config.cluster_threshold).support
+    stated = (s.self_confidence if s.self_confidence is not None else parse_self_declared_confidence(s.text)
+              for s in record.samples)
+    confidences = [c for c in stated if c is not None]
+    self_confidence = float(np.add.reduce(confidences, dtype=float)) / len(confidences) if confidences else None
+    try:
+        race = race_metrics(record, cluster_threshold=config.cluster_threshold)
+    except CapabilityError:
+        race = None
+    fact_verdicts = None
+    if record.reference_claims and store is not None:
+        fact_verdicts = check_claims(record.reference_claims, store, config.fact_rel_tol, config.fact_abs_tol)
+    return DetectionSignals(record.id, h_p_mean, h_s, consensus_support, self_confidence, race, fact_verdicts)
+
+
+def _json_text(obj) -> str:
+    """obj as write_json writes it: each float as its repr, so bit for bit."""
+    out = io.StringIO()
+    write_json(obj, out)
+    return out.getvalue()
+
+
+_WORDS = st.lists(st.sampled_from(("rates", "rose", "fell", "q3")), max_size=3).map(" ".join)
+# zero entries, and up to 11 entries: past the length (8) at which numpy's
+# sums turn pairwise
+_WEIGHTS = st.integers(1, 11).flatmap(
+    lambda v: st.lists(st.just(0.0) | st.floats(0.05, 1.0), min_size=v, max_size=v))
+
+
+def _dist(weights) -> TokenDistribution:
+    weights = weights if any(weights) else [1.0, *weights[1:]]
+    return make_dist([w / sum(weights) for w in weights])
+
+
+@st.composite
+def _screened_records(draw):
+    """The record strategy of tests/test_records.py, widened: up to 10
+    positions per sample and 12 samples per record (past 8 again), V from 1
+    to 11, samples with no distributions and records of one sample.  A
+    sample's positions cycle through a few distributions of its record, so
+    that an example stays small."""
+    dim = draw(st.none() | st.integers(1, 3))
+    dists = draw(st.lists(_WEIGHTS.map(_dist), min_size=1, max_size=4))
+    samples = []
+    for i in range(draw(st.integers(1, 12))):
+        positions = draw(st.integers(0, 10))  # 0: no token_dists
+        samples.append(Sample(
+            text=draw(_WORDS | st.just("Confidence: 0.4")),
+            token_dists=[dists[(i + j) % len(dists)] for j in range(positions)] or None,
+            embedding=None if dim is None else draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)),
+            reasoning=draw(st.none() | _WORDS),
+            answer=draw(st.none() | _WORDS),
+            self_confidence=draw(st.none() | st.floats(0.0, 1.0)),
+        ))
+    return GenerationRecord("r", "q?", samples, draw(st.none() | st.just([make_claim("rate", 4.25)])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=st.lists(_screened_records(), min_size=1, max_size=5), n=st.integers(1, 3 * BLOCK))
+def test_detect_records_equals_the_record_by_record_loop(records, n):
+    """Corpora of one to three BLOCKs, cycling through a few records, give
+    each record the signals it has on its own, bit for bit."""
+    corpus = [replace(records[i % len(records)], id=f"r{i}") for i in range(n)]
+    config = PipelineConfig()
+    want = _json_text([_detect_one_at_a_time(r, config, STORE) for r in corpus])
+    assert _json_text(list(detect_records(iter(corpus), config, STORE))) == want
+    assert _json_text([detect(r, config, STORE) for r in corpus]) == want
+
+
+def _with_samples(record, record_id, **fields):
+    return replace(record, id=record_id, samples=[replace(s, **fields) for s in record.samples])
+
+
+_CLEAN = make_record(answers=["steady"] * 3, record_id="c")
+_NAN_EMBEDDING = _with_samples(make_record(texts=["a", "b"]), "nan", embedding=[math.nan, 1.0])
+_EMPTY_DIST = make_record(texts=["a"], record_id="empty", token_dists=[make_dist([])])
+_BOTH = _with_samples(_NAN_EMBEDDING, "both", token_dists=[make_dist([])])
+
+
+@pytest.mark.parametrize("corpus, message", [
+    ([_CLEAN, _NAN_EMBEDDING, _EMPTY_DIST], "vectors must be finite"),
+    ([_CLEAN, _EMPTY_DIST, _NAN_EMBEDDING], "no entries"),
+    ([_CLEAN, _BOTH], "no entries"),  # a record's distributions are scored first
+])
+def test_a_corpus_raises_what_the_record_by_record_loop_raises(corpus, message):
+    config = PipelineConfig()
+    with pytest.raises(ValueError, match=message):
+        [_detect_one_at_a_time(r, config) for r in corpus]
+    with pytest.raises(ValueError, match=message):
+        list(detect_records(corpus, config))
+    with pytest.raises(ValueError, match=message):
+        run_cycle(corpus, config)
+
+
+def test_a_record_that_fails_detect_raises_before_a_later_malformed_line(monkeypatch):
+    def failing(record, threshold):
+        if record.id == "bad":
+            raise ValueError("bad record")
+        return semantic_entropy_of_record(record, threshold)
+
+    monkeypatch.setattr("hallguard.pipeline.semantic_entropy_of_record", failing)
+    good, bad = (json.dumps({"id": rid, "prompt": "q", "samples": [{"text": "a"}, {"text": "b"}]}) + "\n"
+                 for rid in ("good", "bad"))
+    cut = '{"id": "cut\n'
+    for screen in (lambda records: list(detect_records(records)), run_cycle):
+        with pytest.raises(ValueError, match="bad record"):
+            screen(iter_records([good, bad, cut]))
+        with pytest.raises(RecordParseError, match="line 2"):
+            screen(iter_records([good, cut, bad]))
+
+
+@pytest.mark.parametrize("corpus, message", [
+    ([_NAN_EMBEDDING, make_record(record_id="x"), make_record(record_id="x")], "vectors must be finite"),
+    ([make_record(record_id="x"), make_record(record_id="x"), _NAN_EMBEDDING], "duplicate record ids"),
+])
+def test_cycle_raises_a_duplicate_id_where_the_record_by_record_loop_does(corpus, message):
+    with pytest.raises(ValueError, match=message):
+        run_cycle(corpus)
 
 
 def test_permuting_token_labels_with_their_probs_keeps_h_p_mean():

@@ -390,6 +390,23 @@ def test_one_distinct_text_matches_the_general_path(text, embed, threshold, n):
     assert expected == reference_cluster(vectors, threshold)
 
 
+def test_one_text_is_clustered_without_a_token_matrix(monkeypatch):
+    """A text on every sample is embedded once and forms one cluster with no
+    _cluster_rows call; two texts that differ only in case or spacing are one
+    row, clustered by _cluster_rows into one cluster too."""
+    embeds, clusterings = [], []
+    embed, cluster_rows = semantic.default_embed, semantic._cluster_rows
+    monkeypatch.setattr(semantic, "default_embed", lambda text: embeds.append(text) or embed(text))
+    monkeypatch.setattr(semantic, "_cluster_rows",
+                        lambda *args: clusterings.append(args[1]) or cluster_rows(*args))
+    semantic._cluster_texts.cache_clear()
+    one_cluster = ClusterAssignment([0, 0, 0], [1.0], [0])
+    assert cluster_texts(["Rates rose"] * 3) == one_cluster
+    assert (embeds, clusterings) == (["Rates rose"], [])
+    assert cluster_texts(["rates rose", "Rates  ROSE", "rates rose"]) == one_cluster
+    assert clusterings == [[0, 1, 0]]
+
+
 def test_cluster_texts_of_no_texts_rejected():
     with pytest.raises(ValueError, match="at least one"):
         cluster_texts([])
@@ -446,23 +463,17 @@ def test_negative_or_nan_threshold_rejected(threshold):
             cluster_texts(texts, threshold)
 
 
-def test_detect_clusters_each_distinct_input_once(monkeypatch):
+def test_detect_clusters_each_distinct_input_once():
     spec = MockSpec(n_records=1, samples_per_record=5, seed=3)
     record = generate_corpus(spec)[0]
     assert all(s.text == s.answer and s.reasoning != s.answer for s in record.samples)
-    calls = []
-    clustering = semantic._cluster_rows  # every clustering, by text or by vector, runs it
-
-    def counting(rows, of_sample, threshold):
-        calls.append(len(of_sample))
-        return clustering(rows, of_sample, threshold)
-
-    monkeypatch.setattr(semantic, "_cluster_rows", counting)
     semantic._cluster_texts.cache_clear()
     signals = detect(record)
     # semantic entropy, consensus and RACE answers share one input list; the
-    # reasoning traces are the other
-    assert calls == [5, 5]
+    # reasoning traces are the other.  A list of one text is clustered with no
+    # _cluster_rows call, so the clusterings are counted as the memo's misses.
+    info = semantic._cluster_texts.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
     assert signals.h_s is not None and signals.race is not None
 
 

@@ -98,10 +98,12 @@ def test_traced_mockgen_and_calibrate_record_their_spans(tmp_path):
         # one embedding per distinct string of each clustered list; the
         # ledger is written through the name the benchmark times
         (["pipeline", "--input", "corpus.jsonl", "--store", "store.json", "--output", "ledger.json"],
-         {"pipeline.detect": 12, "semantic.default_embed": 19, "pipeline.ledger_to_json": 1}),
-        # analyze imports detect when it runs, after the tracer has wrapped it
+         {"semantic.semantic_entropy_of_record": 12, "semantic.default_embed": 19,
+          "pipeline.ledger_to_json": 1}),
+        # analyze imports the detect loop when it runs, after the tracer has
+        # wrapped what the loop calls through the pipeline module's globals
         (["analyze", "--input", "corpus.jsonl", "--store", "store.json", "--output", "report.json"],
-         {"pipeline.detect": 12}),
+         {"semantic.semantic_entropy_of_record": 12}),
     ):
         _run([str(TRACING_PY), "spans.json", "--", *argv], tmp_path)
         stats = tracing.summarize(json.loads((tmp_path / "spans.json").read_text())["spans"])

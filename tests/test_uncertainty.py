@@ -184,6 +184,9 @@ def test_one_point_entropy_is_positive_zero():
         ("My confidence in this answer is about 0.7", 0.7),
         ("final answer (0.9)", 0.9),
         ("Confidence: 1.7", None),  # out of range, no fallback
+        ("Confidence: -0.5", None),  # a negative statement is out of range too
+        ("Confidence = -1", None),
+        ("confidence: -20%", None),
         ("", None),
     ],
 )
