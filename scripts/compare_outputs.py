@@ -52,9 +52,12 @@ a small shared vocabulary, some at a distance within 1e-3 of the 0.35
 threshold and some at exactly 0.35; exact ties; answers that share a bucket
 of a 256-bucket FNV-1a hash; numeric format variants; records of 100 to 200
 distinct samples; sign-quantized stored embeddings; the two texts at
-exactly 0.35 carried by many samples each; and records whose samples all
-share one text, or two texts that differ only in case or spacing.  The
-stress corpus spans several of the blocks in which detection screens records.
+exactly 0.35 carried by many samples each; records whose samples all
+share one text, or two texts that differ only in case or spacing; and
+records of token distributions of 1 to 11, 16 and 32 entries, with zero
+entries and one-hot rows, on samples with different numbers of positions
+and on samples with none.  The stress corpus spans several of the blocks
+in which detection screens records.
 Each command's output files, stdout, stderr and exit code are compared byte
 for byte.  Each file that differs is printed, then the id of each stress
 record whose analyze or pipeline entry differs, and the exit code is 1 when
@@ -323,6 +326,29 @@ def stress_records(seed: int) -> list[dict]:
         add("one-text", [_sample(text, answer=text, reasoning=f"because {i}") for i in range(3)])
     for first, second in TEXT_PAIRS:
         add("one-text", [_sample(t, answer=t, reasoning=first) for t in [first, second, first, second]])
+    # token distributions of every width to 11, and 16 and 32, where numpy's
+    # row sums are pairwise: rows with zero entries and one-hot rows, samples
+    # with different numbers of positions and a sample with none
+    def dist(probs: list[float]) -> dict:
+        return {"labels": [f"t{j}" for j in range(len(probs))], "probs": probs}
+
+    def draw(v: int, zeros: int) -> dict:
+        weights = [rng.random() for _ in range(v)]
+        for j in rng.sample(range(v), zeros):
+            weights[j] = 0.0
+        total = sum(weights)
+        return dist([w / total for w in weights])
+
+    for v in [*range(1, 12), 16, 32]:
+        samples = [_sample(f"answer {i % 2}", answer=str(i % 2)) for i in range(4)]
+        samples[0]["token_dists"] = [draw(v, 0)]
+        samples[1]["token_dists"] = [draw(v, min(1, v - 1)), draw(v, v - 1)]  # one zero, one-hot
+        samples[2]["token_dists"] = [draw(v, rng.randint(0, v - 1)) for _ in range(3)]
+        add("dists", samples)  # samples[3] has none
+    samples = [_sample("answer"), _sample("answer")]
+    samples[0]["token_dists"] = [dist([0.0] + [0.125] * 6 + [0.25])]
+    samples[1]["token_dists"] = [dist([0.5, 0.5]), dist([1.0])]
+    add("dists", samples)
     return records
 
 

@@ -89,8 +89,8 @@ def compute_ece(pairs, M: int = DEFAULT_ECE_BINS) -> EceResult:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("at least one (confidence, correct) pair required")
-    if M < 1:
-        raise ValueError("bin count must be >= 1")
+    if type(M) is bool or not isinstance(M, int) or M < 1:  # 2.0 cannot range, True is no count
+        raise ValueError("bin count must be an integer >= 1")
     conf = np.asarray([p[0] for p in pairs], dtype=float)
     correct = np.asarray([1.0 if p[1] else 0.0 for p in pairs], dtype=float)
     if not np.all((conf >= 0.0) & (conf <= 1.0)):  # NaN fails it too
@@ -131,6 +131,10 @@ def fit_temperature(logit_sets, true_labels) -> TemperatureModel:
     TEMPERATURE_MAX] down to an absolute bracket width of TEMPERATURE_TOL in
     T.  The fit never returns a temperature worse than T=1 on the fit set.
     """
+    shapes = sorted({np.shape(z) for z in logit_sets})
+    if len(shapes) > 1:  # before np.asarray, which would raise numpy's text
+        found = ", ".join("x".join(map(str, shape)) or "scalar" for shape in shapes)
+        raise ValueError(f"logit sets must share one dimension; found widths {found}")
     logits = np.asarray(logit_sets, dtype=float)
     labels = np.asarray(true_labels, dtype=int)
     if logits.ndim != 2:

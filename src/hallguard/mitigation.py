@@ -132,8 +132,8 @@ def chunk_document(text: str, target_size: int, overlap_frac: float = DEFAULT_CH
     overlap still yields an exact partition).  The final chunk always ends at
     the document end.
     """
-    if target_size < 1:
-        raise ValueError("target_size must be >= 1")
+    if type(target_size) is bool or not isinstance(target_size, int) or target_size < 1:  # 2.5 cannot slice
+        raise ValueError("target_size must be an integer >= 1")
     if not 0.0 <= overlap_frac < 0.5:
         raise ValueError("overlap_frac must lie in [0, 0.5)")
     if not text:
@@ -171,8 +171,8 @@ def summarize_map_reduce(chunks: list[Chunk], summarizer, fan_in: int = 2) -> Ma
     carrying the chunk indices it covers; with an identity summarizer the
     final text is exactly the in-order concatenation of the chunk texts.
     """
-    if fan_in < 2:
-        raise ValueError("fan_in must be >= 2")
+    if type(fan_in) is bool or not isinstance(fan_in, int) or fan_in < 2:  # 2.0 cannot range
+        raise ValueError("fan_in must be an integer >= 2")
     if not chunks:
         raise ValueError("at least one chunk required")
 

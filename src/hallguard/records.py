@@ -29,6 +29,7 @@ writes every JSON report, so a command that needs no more loads no numpy.
 
 from __future__ import annotations
 
+import copy
 import functools
 import io
 import json
@@ -146,11 +147,10 @@ class _Walk:
     diagnostic in field order (a distribution's probs before its labels).
     Each list of numbers names only its first bad entry.  A field that fails
     its check keeps its JSON value in the record built, which is dropped.
-    An owned obj, such as a line just decoded, gives the record its lists uncopied."""
+    A record that passes shares obj's lists, which are not copied."""
 
-    def __init__(self, seen_ids=(), owned: bool = False):
+    def __init__(self, seen_ids=()):
         self.seen_ids = seen_ids
-        self.owned = owned
         self.rid = "<unknown>"
         self.diags: list[Diagnostic] = []
 
@@ -241,8 +241,8 @@ class _Walk:
         return Sample(
             text=text,
             token_dists=dists,
-            token_logprobs=logprobs if self.owned or logprobs is None else list(logprobs),
-            embedding=emb if self.owned or emb is None else list(emb),
+            token_logprobs=logprobs,
+            embedding=emb,
             reasoning=self.field(obj, "reasoning", at),
             answer=self.field(obj, "answer", at),
             self_confidence=self.field(obj, "self_confidence", at, _is_probability, "must lie in [0, 1]"),
@@ -268,7 +268,7 @@ class _Walk:
             self.fault(f"{at}.token_labels", "token labels must be strings")
         elif len(set(labels)) != len(labels):
             self.fault(f"{at}.token_labels", "token labels must be unique")
-        return TokenDistribution(labels, probs) if self.owned else TokenDistribution(list(labels), list(probs))
+        return TokenDistribution(labels, probs)
 
     def claim(self, obj, at: str) -> Claim | None:
         if not isinstance(obj, dict) or "key" not in obj or "value" not in obj:
@@ -307,8 +307,9 @@ def validate_record(record: GenerationRecord) -> list[Diagnostic]:
 
 
 def record_from_json(obj) -> GenerationRecord:
-    """The record a decoded JSON object encodes, read in one walk; raises with every diagnostic."""
-    return _Walk().read(obj)
+    """The record a decoded JSON object encodes, read in one walk over a copy
+    of it, so the caller keeps obj; raises with every diagnostic."""
+    return _Walk().read(copy.deepcopy(obj))
 
 
 def record_to_json(record: GenerationRecord) -> dict:
@@ -391,7 +392,7 @@ def iter_records(fp) -> Iterator[GenerationRecord]:
             raise RecordParseError(line_no, exc.msg) from exc
         except RecursionError:
             raise RecordParseError(line_no, "JSON nested too deeply") from None
-        record = _Walk(seen_ids, owned=True).read(obj)
+        record = _Walk(seen_ids).read(obj)
         seen_ids.add(record.id)
         yield record
 

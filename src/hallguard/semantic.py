@@ -66,8 +66,8 @@ threshold still raises).  It remembers its last few results.  The memo
 mostly serves records that share an input tuple (355 of the 400 wide-s5
 benchmark records share one reasoning tuple), and less the repeats within
 one record, such as the texts and the answers of a mock record.
-``pipeline.detect_records`` screens records in blocks of 16, and at most 16
-records' distributions are held, but it clusters each record as it arrives.
+``pipeline.detect_records`` screens records in blocks and holds only a
+block's distributions, but it clusters each record as it arrives.
 """
 
 from __future__ import annotations

@@ -1,29 +1,28 @@
 """Token-level and sample-level uncertainty estimators.
 
-Every entropy in this package is reported in nats (natural log) and
-0 * log 0 is taken as 0, so one-hot inputs score exactly zero.  Only
-probabilities are scored: an entry that is NaN or outside [0, 1] raises
-ValueError, so no such input comes out as a number.
+Every entropy in this package is reported in nats (natural log) and comes
+from one kernel, ``row_entropies``: -sum(p * ln p) along each row of an
+(m, V) array in one numpy pass, with 0 * ln 0 taken as 0 in the zero
+entry's own place of the sum, so one-hot inputs score exactly zero.
+``entropy_nats`` is that kernel over one row.  Only probabilities are
+scored: an entry that is NaN or outside [0, 1] raises ValueError, so no
+such input comes out as a number.
 
 Token entropy is scored many positions at a time.  ``token_entropies``
-stacks the distributions of one length V into an (m, V) array and sums
--p ln p along each row in one numpy pass; ``token_entropy`` (one position),
+stacks the distributions of one length V into an (m, V) array and scores
+it in one kernel call; ``token_entropy`` (one position),
 ``sequence_entropy_profile`` and ``sample_mean_entropies`` all go through
 it, so a position is scored one way only, and an empty distribution raises
 the same error from each.  ``pipeline.detect_records`` screens records in
-blocks of 16, and at most 16 records' distributions are held: one
+blocks and holds only a block's distributions: one
 ``sample_mean_entropies`` call scores every sample of a block, and a
-sample's mean does not depend on the other samples of its call.  Its
-row kernel ``row_entropies`` also scores ``mockgen``'s entropy-band search.
-Each result equals ``entropy_nats`` of that distribution bit for bit: numpy
-sums a row of a C-ordered array in the same pairwise order as the same row
-on its own, for every V.  A row with a zero entry is the exception:
-``entropy_nats`` drops such entries, and the shorter sum takes another
-pairwise order once V >= 8 (a row sum with the zero term left in differs
-from it in about 40% of random rows with one zero entry, by up to 7e-16).
-Those rows are scored by ``entropy_nats`` itself.  Means over positions are
-taken the same way, as row sums of equal-length groups divided by the
-length, which is what ``np.mean`` computes.
+sample's mean does not depend on the other samples of its call.  The
+kernel also scores ``mockgen``'s entropy-band search.  Each result equals
+``entropy_nats`` of that distribution bit for bit: numpy sums a row of a
+C-ordered array in the same pairwise order as the same row on its own, for
+every V.  Means over positions are taken the same way, as row sums of
+equal-length groups divided by the length, which is what ``np.mean``
+computes.
 """
 
 from __future__ import annotations
@@ -51,18 +50,14 @@ _NOT_PROBABILITIES = "probabilities must lie in [0, 1]"
 
 
 def entropy_nats(probs) -> float:
-    """Shannon entropy -sum(p * ln p) of a probability vector, whose entries
-    must lie in [0, 1] (a NaN is a ValueError)."""
+    """Shannon entropy -sum(p * ln p) of a probability vector, row_entropies
+    of it as one row, with its errors."""
     if type(probs) is list and probs == [1.0]:  # the common one-cluster mass, without numpy
         return 0.0
     p = np.asarray(probs, dtype=float)
     if p.size == 0:
         raise ValueError("entropy of an empty distribution is undefined")
-    # in Python: the vectors here are short, such as cluster masses
-    if not all(0.0 <= x <= 1.0 for x in p.ravel().tolist()):  # NaN fails both
-        raise ValueError(_NOT_PROBABILITIES)
-    nz = p[p > 0]
-    return float(0.0 - (nz * np.log(nz)).sum())  # 0.0 - 0.0 is +0.0, not -0.0
+    return float(row_entropies(p.reshape(1, -1))[0])
 
 
 def apply_temperature(logits, T: float) -> np.ndarray:
@@ -113,24 +108,18 @@ def _by_length(items) -> dict[int, list[int]]:
 
 
 def row_entropies(p: np.ndarray) -> np.ndarray:
-    """entropy_nats of each row of an (m, V) array, with its errors."""
-    positive = (p > 0).all(axis=1)
-    if positive.all():
-        if p.max(initial=0.0) > 1.0:
-            raise ValueError(_NOT_PROBABILITIES)
-        return 0.0 - (p * np.log(p)).sum(axis=1)  # 0.0 - 0.0 is +0.0, not -0.0
-    h = np.empty(len(p))
-    h[positive] = row_entropies(p[positive])
-    # entropy_nats leaves zero entries out of its sum, which reorders it; it
-    # also rejects the rows with a NaN or negative entry, which land here
-    h[~positive] = [entropy_nats(row) for row in p[~positive]]
-    return h
+    """Entropy in nats of each row of an (m, V) float array, each zero entry
+    adding an exact 0.0 in its place; an entry that is NaN or outside
+    [0, 1] is a ValueError."""
+    if not (0.0 <= p.min(initial=0.0) and p.max(initial=0.0) <= 1.0):  # a NaN fails both
+        raise ValueError(_NOT_PROBABILITIES)
+    return 0.0 - (p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=1)  # 0.0 - 0.0 is +0.0, not -0.0
 
 
 def token_entropies(dists: list[TokenDistribution]) -> np.ndarray:
     """token_entropy of each distribution, with one numpy pass per distinct
     length; see the module docstring for why the values are exact.  An entry
-    that is NaN or outside [0, 1] is a ValueError, as in entropy_nats."""
+    that is NaN or outside [0, 1] is a ValueError, as in row_entropies."""
     groups = _by_length([dist.probs for dist in dists])
     if 0 in groups:
         raise ValueError("token distribution has no entries")

@@ -104,6 +104,12 @@ def test_ece_empty_is_domain_error():
         compute_ece([], M=10)
 
 
+@pytest.mark.parametrize("M", [0, 1.5, 2.0, True, None])
+def test_ece_bin_count_must_be_a_positive_integer(M):
+    with pytest.raises(ValueError, match="bin count must be an integer >= 1"):
+        compute_ece([(0.5, True), (0.9, False)], M=M)
+
+
 def test_ece_rejects_out_of_range_confidence():
     with pytest.raises(ValueError):
         compute_ece([(1.2, True)], M=10)
@@ -159,6 +165,11 @@ def test_fit_two_sharp_examples_hits_lower_region():
     nll_at_one = -math.log(softmax(np.array([8.0, -8.0]))[0])
     assert model.fit_nll <= nll_at_one + 1e-12
     assert model.T < 1.0
+
+
+def test_fit_names_the_widths_of_ragged_logit_sets():
+    with pytest.raises(ValueError, match="^logit sets must share one dimension; found widths 2, 3$"):
+        fit_temperature([[1.0, 0.0], [0.0, 1.0, 2.0], [1.0, 2.0]], [0, 1, 0])
 
 
 def test_fit_rejects_constant_logits():

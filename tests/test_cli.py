@@ -286,6 +286,19 @@ def test_calibrate_insufficient_data_exits_2(tmp_path, capsys):
     assert "insufficient" in capsys.readouterr().err
 
 
+def test_calibrate_ragged_widths_exit_2_with_one_line(tmp_path, capsys):
+    # the first scored positions carry 2, 3 and 2 labels
+    lines = []
+    for i, labels in enumerate([["a", "b"], ["a", "b", "c"], ["a", "b"]]):
+        dist = {"labels": labels, "probs": [1.0 / len(labels)] * len(labels)}
+        lines.append(json.dumps({"id": f"r{i}", "prompt": "q", "samples": [{"text": "a", "token_dists": [dist]}],
+                                 "ground_truth": {"is_hallucinated": False, "correct_answer": "a"}}))
+    ragged = tmp_path / "ragged.jsonl"
+    ragged.write_text("\n".join(lines) + "\n")
+    assert main(["calibrate", "--input", str(ragged), "--kind", "temperature"]) == 2
+    assert capsys.readouterr().err == "invalid data: logit sets must share one dimension; found widths 2, 3\n"
+
+
 def test_race_command(mock_paths, tmp_path):
     corpus, _, _ = mock_paths
     out = tmp_path / "race.json"

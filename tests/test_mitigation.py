@@ -205,6 +205,9 @@ def test_chunk_parameter_validation():
         chunk_document("abc", target_size=0)
     with pytest.raises(ValueError):
         chunk_document("abc", target_size=10, overlap_frac=0.5)
+    for size in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="target_size must be an integer >= 1"):
+            chunk_document("abc def", target_size=size)
 
 
 @settings(max_examples=150, deadline=None)
@@ -281,6 +284,9 @@ def test_map_reduce_validation():
         summarize_map_reduce([], lambda t: t)
     with pytest.raises(ValueError):
         summarize_map_reduce(_chunks_of(["a"]), lambda t: t, fan_in=1)
+    for fan_in in (2.0, 2.5, True):
+        with pytest.raises(ValueError, match="fan_in must be an integer >= 2"):
+            summarize_map_reduce(_chunks_of(["a", "b", "c"]), lambda t: t, fan_in=fan_in)
 
 
 def test_small_temperature_does_not_underflow():

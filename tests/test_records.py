@@ -129,6 +129,18 @@ def test_unknown_keys_are_ignored():
     assert write_records(parse_records(line)) == write_records([valid_record()])
 
 
+def test_record_from_json_keeps_nothing_of_the_callers_object():
+    obj = json.loads(json.dumps(record_to_json(valid_record())))
+    record = record_from_json(obj)
+    sample = obj["samples"][0]
+    sample["token_dists"][0]["probs"][0] = 0.0
+    sample["token_dists"][0]["labels"].append("wait")
+    sample["token_logprobs"][0] = -9.0
+    sample["embedding"].clear()
+    obj["samples"].pop()
+    assert record == valid_record()
+
+
 def test_validate_accepts_valid_record():
     assert validate_record(valid_record()) == []
 

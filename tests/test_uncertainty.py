@@ -150,7 +150,8 @@ def test_batched_entropy_equals_per_position_loop():
 
 
 def test_batched_entropy_keeps_rows_with_zero_entries_exact():
-    # a zero entry shortens entropy_nats's sum, which reorders it from V = 8 on
+    # a zero entry adds 0.0 in its own place of the row sum, which from V = 8
+    # on is pairwise: a batched row must still sum as the row alone
     rng = np.random.default_rng(5)
     for v in (3, 7, 8, 9, 16, 50):
         dists = []
@@ -159,6 +160,14 @@ def test_batched_entropy_keeps_rows_with_zero_entries_exact():
             weights[int(rng.integers(v))] = 0.0
             dists.append(make_dist((weights / weights.sum()).tolist()))
         assert token_entropies(dists).tolist() == [entropy_nats(d.probs) for d in dists]
+
+
+def test_zero_entry_is_scored_in_its_place():
+    # the 7 positive terms summed alone, in order, give ...496; the row of 8
+    # sums in numpy's unrolled pairwise order, with the zero term in place
+    probs = [0.0] + [0.125] * 6 + [0.25]
+    assert entropy_nats(probs) == 1.9061547465398494
+    assert token_entropies([make_dist(probs)]).tolist() == [1.9061547465398494]
 
 
 def test_batched_entropy_of_an_empty_distribution_is_domain_error():
