@@ -13,13 +13,13 @@ import argparse
 import numpy as np
 
 from hallguard.calibration import (
-    apply_temperature,
     compute_ece,
     fit_temperature,
     logit_label_pairs,
     score_outcome_pairs,
 )
 from hallguard.mockgen import MockSpec, generate_corpus
+from hallguard.uncertainty import apply_temperature
 
 
 def main() -> None:

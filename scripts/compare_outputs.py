@@ -58,6 +58,15 @@ records of token distributions of 1 to 11, 16 and 32 entries, with zero
 entries and one-hot rows, on samples with different numbers of positions
 and on samples with none.  The stress corpus spans several of the blocks
 in which detection screens records.
+A command is a template of CLI arguments.  It names each input file by the
+file's stem, with "-" read as "_" (``{corpus}`` is corpus.jsonl and
+``{escaped_store}`` escaped-store.json), and the directory its outputs go to
+by ``{out}``.  Each tree runs every command in one child interpreter, whose
+PYTHONPATH is that tree, and the two trees run side by side.  The child calls
+``hallguard.cli.main`` once per command, with stdout and stderr captured as
+the bytes that a fresh ``python -m hallguard.cli`` process writes; an
+exception that escapes ``main`` is the command's traceback on stderr and exit
+code 1, as in a fresh process.
 Each command's output files, stdout, stderr and exit code are compared byte
 for byte.  Each file that differs is printed, then the id of each stress
 record whose analyze or pipeline entry differs, and the exit code is 1 when
@@ -67,6 +76,7 @@ any file does.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import math
@@ -75,29 +85,26 @@ import random
 import subprocess
 import sys
 import tempfile
+import traceback
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# name -> CLI arguments; {in}, {tagged}, {escaped}, {signs}, {store},
-# {escaped_store}, {spec}, {injected_spec}, {two_sample_spec}, {wide_vocab_spec},
-# {text}, {config}, {rules} and the bad inputs {empty}, {malformed}, {invalid},
-# {bad_store}, {bad_config}, {bad_rules}, {bad_rule_fields}, {bad_config_fields},
-# {bad_spec_fields} and {fault_<name>} name the input files and {out} the
-# directory the outputs go to
+# name -> CLI arguments (the docstring says how they name their files)
 COMMANDS = {
-    "analyze-json": "analyze --input {in} --store {store} --output {out}/analyze.json",
-    "analyze-md": "analyze --input {in} --store {store} --format md --output {out}/analyze.md",
-    "pipeline-file": "pipeline --input {in} --store {store} --output {out}/ledger.json",
-    "pipeline-md": "pipeline --input {in} --store {store} --format md",
-    "pipeline-stdout": "pipeline --input {in} --store {store}",
-    "race": "race --input {in} --output {out}/race.json",
-    "factcheck": "factcheck --input {in} --store {store} --output {out}/factcheck.json",
-    "calibrate-temperature": "calibrate --input {in} --kind temperature --output {out}/temperature.json",
-    "calibrate-isotonic": "calibrate --input {in} --kind isotonic --output {out}/isotonic.json",
+    "analyze-json": "analyze --input {corpus} --store {store} --output {out}/analyze.json",
+    "analyze-md": "analyze --input {corpus} --store {store} --format md --output {out}/analyze.md",
+    "pipeline-file": "pipeline --input {corpus} --store {store} --output {out}/ledger.json",
+    "pipeline-md": "pipeline --input {corpus} --store {store} --format md",
+    "pipeline-stdout": "pipeline --input {corpus} --store {store}",
+    "race": "race --input {corpus} --output {out}/race.json",
+    "factcheck": "factcheck --input {corpus} --store {store} --output {out}/factcheck.json",
+    "calibrate-temperature": "calibrate --input {corpus} --kind temperature --output {out}/temperature.json",
+    "calibrate-isotonic": "calibrate --input {corpus} --kind isotonic --output {out}/isotonic.json",
     "mockgen": "mockgen --spec {spec} --out {out}/mock.jsonl --store-out {out}/mock-store.json",
-    "chunk": "chunk --input {text} --target-size 200 --output {out}/chunks.json",
+    "chunk": "chunk --input {prompts} --target-size 200 --output {out}/chunks.json",
     "analyze-tagged": "analyze --input {tagged} --store {store} --output {out}/analyze-tagged.json",
     "pipeline-tagged": "pipeline --input {tagged} --store {store} --output {out}/ledger-tagged.json",
     "analyze-escaped": "analyze --input {escaped} --store {escaped_store} --output {out}/analyze-escaped.json",
@@ -113,20 +120,20 @@ for bad in ("empty", "malformed", "invalid"):
         COMMANDS[f"{command}-{bad}"] = f"{command} --input {{{bad}}}"
     COMMANDS[f"factcheck-{bad}"] = f"factcheck --input {{{bad}}} --store {{store}}"
 for command in ("analyze", "pipeline", "factcheck"):
-    COMMANDS[f"{command}-bad-store"] = f"{command} --input {{in}} --store {{bad_store}}"
+    COMMANDS[f"{command}-bad-store"] = f"{command} --input {{corpus}} --store {{bad_store}}"
 COMMANDS.update({
-    "analyze-config": "analyze --input {in} --store {store} --config {config} --output {out}/analyze-config.json",
-    "race-config": "race --input {in} --config {config} --output {out}/race-config.json",
-    "factcheck-config": "factcheck --input {in} --store {store} --config {config} --output {out}/factcheck-config.json",
-    "pipeline-config": "pipeline --input {in} --store {store} --config {config} --output {out}/ledger-config.json",
-    "pipeline-rules": "pipeline --input {in} --store {store} --rules {rules} --output {out}/ledger-rules.json",
+    "analyze-config": "analyze --input {corpus} --store {store} --config {config} --output {out}/analyze-config.json",
+    "race-config": "race --input {corpus} --config {config} --output {out}/race-config.json",
+    "factcheck-config": "factcheck --input {corpus} --store {store} --config {config} --output {out}/factcheck-config.json",
+    "pipeline-config": "pipeline --input {corpus} --store {store} --config {config} --output {out}/ledger-config.json",
+    "pipeline-rules": "pipeline --input {corpus} --store {store} --rules {rules} --output {out}/ledger-rules.json",
     # the first bad input in read order is the one reported
     "pipeline-bad-rules-empty": "pipeline --input {empty} --rules {bad_rules}",
     "analyze-empty-bad-store": "analyze --input {empty} --store {bad_store}",
     "race-bad-config-empty": "race --input {empty} --config {bad_config}",
     # two faults in one file: the first that its type checks is the one reported
-    "pipeline-bad-rule-fields": "pipeline --input {in} --rules {bad_rule_fields}",
-    "race-bad-config-fields": "race --input {in} --config {bad_config_fields}",
+    "pipeline-bad-rule-fields": "pipeline --input {corpus} --rules {bad_rule_fields}",
+    "race-bad-config-fields": "race --input {corpus} --config {bad_config_fields}",
     "mockgen-bad-spec-fields": "mockgen --spec {bad_spec_fields} --out {out}/mock-bad-fields.jsonl",
 })
 # the store is read before the corpus, so a bad store beats a bad corpus line
@@ -148,16 +155,16 @@ COMMANDS.update({
     "help": "--help",
     "no-command": "",
     "analyze-no-input": "analyze",
-    "chunk-bad-overlap": "chunk --input {text} --target-size 200 --overlap 0.7",
+    "chunk-bad-overlap": "chunk --input {prompts} --target-size 200 --overlap 0.7",
     "mockgen-bad-spec": "mockgen --spec {bad_config} --out {out}/mock-bad.jsonl",
-    "pipeline-md-output": "pipeline --input {in} --output {out}/x.md",
+    "pipeline-md-output": "pipeline --input {corpus} --output {out}/x.md",
 })
 
 # the only commands run on the stress corpus
 STRESS = "stress"
 STRESS_COMMANDS = {
-    "analyze-json": "analyze --input {in} --output {out}/analyze.json",
-    "pipeline-file": "pipeline --input {in} --output {out}/ledger.json",
+    "analyze-json": "analyze --input {corpus} --output {out}/analyze.json",
+    "pipeline-file": "pipeline --input {corpus} --output {out}/ledger.json",
 }
 
 # every number off its default, so each reaches the outputs it can change
@@ -236,11 +243,8 @@ TEXT_PAIRS = (("rates rose", "Rates ROSE"), ("rates rose", "  rates\trose \n"))
 
 def _sample(text: str, answer: str | None = None, reasoning: str | None = None,
             embedding: list[float] | None = None) -> dict:
-    sample = {"text": text}
-    for key, value in (("answer", answer), ("reasoning", reasoning), ("embedding", embedding)):
-        if value is not None:
-            sample[key] = value
-    return sample
+    fields = (("answer", answer), ("reasoning", reasoning), ("embedding", embedding))
+    return {"text": text, **{key: value for key, value in fields if value is not None}}
 
 
 def _text(counts) -> str:
@@ -367,20 +371,16 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
         (d / "injected-spec.json").write_text(json.dumps(dict(corpus.spec, **INJECTED_SPEC)))
         (d / "two-sample-spec.json").write_text(json.dumps(dict(corpus.spec, **TWO_SAMPLE_SPEC)))
         (d / "wide-vocab-spec.json").write_text(json.dumps(dict(corpus.spec, **WIDE_VOCAB_SPEC)))
-        records = [json.loads(line) for line in corpus.corpus_bytes.splitlines()]
+        lines = corpus.corpus_bytes.splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
         (d / "prompts.txt").write_text("\n".join(r["prompt"] for r in records) + "\n", encoding="utf-8")
-        (d / "tagged.jsonl").write_text("".join(json.dumps(tagged(r)) + "\n" for r in records),
-                                        encoding="utf-8")
-        records = [json.loads(line) for line in corpus.corpus_bytes.splitlines()]  # untagged
-        (d / "escaped.jsonl").write_text("".join(json.dumps(escaped(r)) + "\n" for r in records),
-                                         encoding="utf-8")
-        records = [json.loads(line) for line in corpus.corpus_bytes.splitlines()]
+        # each copy edits records decoded afresh
+        (d / "tagged.jsonl").write_text(jsonl(tagged(json.loads(line)) for line in lines), encoding="utf-8")
+        (d / "escaped.jsonl").write_text(jsonl(escaped(json.loads(line)) for line in lines), encoding="utf-8")
         if any(s.get("embedding") is not None for r in records for s in r["samples"]):
-            (d / "signs.jsonl").write_text("".join(json.dumps(signs(r)) + "\n" for r in records),
-                                           encoding="utf-8")
+            (d / "signs.jsonl").write_text(jsonl(signs(json.loads(line)) for line in lines), encoding="utf-8")
         store = {ESCAPED_PREFIX + key: entry for key, entry in corpus.store.items()}
         (d / "escaped-store.json").write_text(json.dumps(store))
-        lines = corpus.corpus_bytes.splitlines(keepends=True)
         (d / "empty.jsonl").write_bytes(b"")
         (d / "malformed.jsonl").write_bytes(lines[0] + lines[1][: len(lines[1]) // 2] + b"\n")
         (d / "invalid.jsonl").write_text(json.dumps(dict(json.loads(lines[0]), samples=[])) + "\n")
@@ -399,8 +399,11 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
         (d / "bad-spec-fields.json").write_text(json.dumps({"n_records": 0, "true_temperature": 0.0}))
     d = into / STRESS
     d.mkdir()
-    (d / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in stress_records(seed)),
-                                    encoding="utf-8")
+    (d / "corpus.jsonl").write_text(jsonl(stress_records(seed)), encoding="utf-8")
+
+
+def jsonl(records) -> str:
+    return "".join(json.dumps(record) + "\n" for record in records)
 
 
 def modified_rules() -> list[dict]:
@@ -420,38 +423,51 @@ def modified_rules() -> list[dict]:
 
 
 def run_commands(src: Path, inputs: Path, outputs: Path) -> None:
-    """Run every command on every corpus under src, keeping all it writes."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+    """Run every command on every corpus under src in one child interpreter
+    (see run_jobs), keeping all it writes."""
+    jobs = []
     for corpus in sorted(inputs.iterdir()):
         out = outputs / corpus.name
         out.mkdir(parents=True)
-        paths = {"in": corpus / "corpus.jsonl", "tagged": corpus / "tagged.jsonl",
-                 "escaped": corpus / "escaped.jsonl", "signs": corpus / "signs.jsonl",
-                 "store": corpus / "store.json",
-                 "escaped_store": corpus / "escaped-store.json", "spec": corpus / "spec.json",
-                 "injected_spec": corpus / "injected-spec.json",
-                 "two_sample_spec": corpus / "two-sample-spec.json",
-                 "wide_vocab_spec": corpus / "wide-vocab-spec.json",
-                 "text": corpus / "prompts.txt", "empty": corpus / "empty.jsonl",
-                 "malformed": corpus / "malformed.jsonl", "invalid": corpus / "invalid.jsonl",
-                 "bad_store": corpus / "bad-store.json", "config": corpus / "config.json",
-                 "rules": corpus / "rules.json", "bad_config": corpus / "bad-config.json",
-                 "bad_rules": corpus / "bad-rules.json",
-                 "bad_rule_fields": corpus / "bad-rule-fields.json",
-                 "bad_config_fields": corpus / "bad-config-fields.json",
-                 "bad_spec_fields": corpus / "bad-spec-fields.json", "out": out,
-                 **{f"fault_{fault}": corpus / f"fault-{fault}.jsonl" for fault in FAULTS}}
+        names = {**{path.stem.replace("-", "_"): path for path in corpus.iterdir()}, "out": out}
         for name, template in (STRESS_COMMANDS if corpus.name == STRESS else COMMANDS).items():
-            if "{signs}" in template and not paths["signs"].exists():
+            if "{signs}" in template and "signs" not in names:
                 continue
-            argv = [arg.format(**paths) for arg in template.split()]
-            proc = subprocess.run([sys.executable, "-m", "hallguard.cli", *argv],
-                                  capture_output=True, env=env)
-            # the two trees write to different directories; messages name them alike
-            where = str(out).encode()
-            (out / f"{name}.stdout").write_bytes(proc.stdout.replace(where, b"{out}"))
-            (out / f"{name}.stderr").write_bytes(proc.stderr.replace(where, b"{out}"))
-            (out / f"{name}.exit").write_text(f"{proc.returncode}\n")
+            jobs.append((str(out), name, [arg.format(**names) for arg in template.split()]))
+    child = (f"import sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); "
+             "from compare_outputs import run_jobs; run_jobs()")
+    proc = subprocess.run([sys.executable, "-c", child], input=json.dumps(jobs).encode(),
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    if proc.returncode != 0:
+        sys.exit(f"the interpreter that ran the commands under {src} exited with code "
+                 f"{proc.returncode}:\n{proc.stderr.decode(errors='replace')}")
+
+
+def run_jobs() -> None:
+    """Run a JSON list of [out, name, argv] jobs, read from stdin, through
+    hallguard.cli.main, and write what each wrote to stdout and stderr, and its
+    exit code, to <name>.stdout, .stderr and .exit in out.
+
+    Each command gets a stdout and a stderr of its own with the encoding and
+    errors of the ones they replace, which are those a fresh CLI process has."""
+    from hallguard.cli import main
+
+    real = sys.stdout, sys.stderr
+    for out, name, argv in json.load(sys.stdin):
+        sys.stdout, sys.stderr = (io.TextIOWrapper(io.BytesIO(), encoding=s.encoding, errors=s.errors)
+                                  for s in real)
+        with warnings.catch_warnings():  # a warning shows once per command, as in a fresh process
+            try:
+                code = main(argv)
+            except Exception:
+                traceback.print_exc()
+                code = 1
+        captured, (sys.stdout, sys.stderr) = (sys.stdout, sys.stderr), real
+        # the two trees write to different directories; messages name them alike
+        for stream, suffix in zip(captured, ("stdout", "stderr")):
+            stream.flush()
+            Path(out, f"{name}.{suffix}").write_bytes(stream.buffer.getvalue().replace(out.encode(), b"{out}"))
+        Path(out, f"{name}.exit").write_text(f"{code}\n")
 
 
 def differing_records(a: Path, b: Path) -> list[str]:
@@ -486,15 +502,14 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         write_corpora(parent_src, args.seed, tmp / "inputs")
-        # the two trees run side by side, one CLI process each at a time
+        # the two trees run side by side, one child interpreter each
         with ThreadPoolExecutor(max_workers=2) as pool:
             list(pool.map(run_commands, (parent_src, change_src), [tmp / "inputs"] * 2,
                           (tmp / "parent", tmp / "change")))
         differing = differing_files(tmp / "parent", tmp / "change")
         n_files = sum(1 for p in (tmp / "parent").rglob("*") if p.is_file())
-        records = []
-        if any(name.startswith(STRESS + os.sep) for name in differing):
-            records = differing_records(tmp / "parent", tmp / "change")
+        stress_differs = any(name.startswith(STRESS + os.sep) for name in differing)
+        records = differing_records(tmp / "parent", tmp / "change") if stress_differs else []
 
     for name in differing:
         print(f"differs: {name}")

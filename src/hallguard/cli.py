@@ -125,7 +125,7 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze_markdown(signals: list, agg: dict) -> str:
-    from .pipeline import signal_value
+    from .pipeline import markdown_cell, signal_value
 
     lines = [
         "# Detection report",
@@ -145,7 +145,7 @@ def _analyze_markdown(signals: list, agg: dict) -> str:
         mismatches = signal_value(s, "fact_mismatches")
         cells.append("-" if flag is None else str(flag == 1.0))
         cells.append("-" if mismatches is None else str(int(mismatches)))
-        lines.append(f"| {s.record_id} | {' | '.join(cells)} |")
+        lines.append(f"| {markdown_cell(s.record_id)} | {' | '.join(cells)} |")
     lines.append("")
     return "\n".join(lines)
 

@@ -44,9 +44,8 @@ record two, and all of them share the record's one TokenDistribution.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -78,13 +77,20 @@ class MockSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # the types first, so that the range checks below compare numbers
+        for key in ("n_records", "samples_per_record", "vocab_size", "seed"):
+            value = getattr(self, key)
+            if type(value) is not int or value < 0:  # 2.0 and True are no counts
+                raise ValueError(f"{key} must be a nonnegative integer")
+        if not finite_number(self.true_temperature):
+            raise ValueError("true_temperature must be a finite number")
+        if not isinstance(self.inject_rates, Mapping) or not all(map(finite_number, self.inject_rates.values())):
+            raise ValueError("inject_rates must be an object of finite numbers")
         if self.n_records < 1:
             raise ValueError("n_records must be >= 1")
         if self.samples_per_record < 2:
             raise ValueError("samples_per_record must be >= 2 (consensus and semantic "
                              "entropy need multiple generations)")
-        if not finite_number(self.true_temperature):
-            raise ValueError("true_temperature must be a finite number")
         if not self.true_temperature > 0.0:
             raise ValueError("true_temperature must be positive")
         if self.vocab_size < 4:
@@ -243,7 +249,7 @@ def generate_fact_store(spec: MockSpec) -> FactStore:
 def mock_spec_from_json(obj) -> MockSpec:
     """Build a MockSpec from a decoded ``--spec`` file.
 
-    Fields are type-checked here and range-checked by MockSpec, so a bad spec
+    The JSON shape is checked here and every field by MockSpec, so a bad spec
     fails with a ConfigError naming the field, the way a bad config file does.
     """
     if not isinstance(obj, dict):
@@ -253,15 +259,7 @@ def mock_spec_from_json(obj) -> MockSpec:
         raise ConfigError(f"unknown mock spec fields: {sorted(unknown)}")
     if "n_records" not in obj:
         raise ConfigError("mock spec requires n_records")
-    for key in ("n_records", "samples_per_record", "vocab_size", "seed"):
-        if key in obj and (type(obj[key]) is not int or obj[key] < 0):
-            raise ConfigError(f"{key} must be a nonnegative integer")
-    if "true_temperature" in obj and not finite_number(obj["true_temperature"]):
-        raise ConfigError("true_temperature must be a finite number")
-    rates = obj.get("inject_rates", {})
-    if not isinstance(rates, dict) or not all(map(finite_number, rates.values())):
-        raise ConfigError("inject_rates must be an object of finite numbers")
     try:
-        return MockSpec(**{**obj, "inject_rates": dict(rates)})
+        return MockSpec(**obj)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -74,6 +74,8 @@ class RouterRule:
     recommended_mitigations: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):  # the ledger joins the names it fired
+            raise ValueError("name must be a string")
         if not isinstance(self.signal, str) or self.signal not in SIGNALS:
             raise ValueError(f"unknown signal {self.signal!r}")
         if self.comparator not in COMPARATORS:
@@ -425,6 +427,13 @@ def ledger_to_json(ledger: CycleLedger, fp) -> None:
     write_json(ledger, fp)
 
 
+def markdown_cell(text: str) -> str:
+    """text as one markdown table cell: each ``|`` escaped and each line break
+    (``\\r\\n``, ``\\r`` or ``\\n``) one space, so that no id or rule name can
+    end its cell or its row; every other character is kept."""
+    return text.replace("|", "\\|").replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
+
+
 def ledger_to_markdown(ledger: CycleLedger) -> str:
     s = ledger.summary
     lines = [
@@ -445,7 +454,8 @@ def ledger_to_markdown(ledger: CycleLedger) -> str:
         lines.append("| --- | --- | --- | --- |")
         for e in flagged:
             lines.append(
-                f"| {e.record_id} | {e.verdict.tier} | {', '.join(e.verdict.fired_rules)} | {e.outcome} |"
+                f"| {markdown_cell(e.record_id)} | {e.verdict.tier} | "
+                f"{markdown_cell(', '.join(e.verdict.fired_rules))} | {e.outcome} |"
             )
         lines.append("")
     return "\n".join(lines)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -85,6 +86,35 @@ def test_analyze_markdown_format(mock_paths, capsys):
     assert main(["analyze", "--input", str(corpus), "--format", "md"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("# Detection report")
+
+
+def test_markdown_cells_cannot_break_their_row(tmp_path, capsys):
+    """A ``|`` in a record id or a rule name is written ``\\|`` and a line
+    break one space, so each row of the analyze report (7 cells) and of the
+    ledger's routed records (4 cells) keeps its cells; other characters,
+    those of the compare script's escaped ids among them, are kept."""
+    cells = {"a|b": r"a\|b", "line\nbreak": "line break", "cr\r\nlf\rx": "cr lf x",
+             '"\\\u00e9\t\u2028id': '"\\\u00e9\t\u2028id'}
+    corpus, rules = tmp_path / "corpus.jsonl", tmp_path / "rules.json"
+    corpus.write_text("".join(json.dumps({"id": i, "prompt": "q", "samples": [{"text": "a"}, {"text": "a"}]}) + "\n"
+                              for i in cells))
+    rules.write_text(json.dumps([{"name": "x|y\nz", "signal": "consensus_support", "comparator": "<=",
+                                  "threshold": 1.0, "tier": "model"}]))
+
+    def rows(lines: list[str]) -> list[list[str]]:
+        return [[cell.strip(" ") for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+                for line in lines if line.startswith("|")]
+
+    assert main(["analyze", "--input", str(corpus), "--format", "md"]) == 0
+    analyze = rows(capsys.readouterr().out.split("\n"))
+    assert main(["pipeline", "--input", str(corpus), "--rules", str(rules), "--format", "md"]) == 0
+    ledger = capsys.readouterr().out.split("\n")
+    ledger = rows(ledger[ledger.index("## Routed records"):])
+    # a header and a rule row, then one row per record
+    assert [len(row) for row in analyze] == [7] * (len(cells) + 2)
+    assert [len(row) for row in ledger] == [4] * (len(cells) + 2)
+    assert [row[0] for row in analyze[2:]] == [row[0] for row in ledger[2:]] == list(cells.values())
+    assert [row[2] for row in ledger[2:]] == [r"x\|y z"] * len(cells)
 
 
 def test_analyze_empty_corpus_exits_2(tmp_path, capsys):

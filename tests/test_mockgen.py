@@ -230,6 +230,14 @@ def test_injected_entropy_separation_margins():
         {"n_records": 5, "inject_rates": {"weather": 0.1}},
         {"n_records": 5, "inject_rates": {"model": -0.1}},
         {"n_records": 5, "true_temperature": float("nan")},
+        # a count that is not an int, or is negative, and a rate that is no number
+        {"n_records": 2.5},
+        {"n_records": True},
+        {"n_records": 5, "samples_per_record": 2.0},
+        {"n_records": 5, "vocab_size": 6.0},
+        {"n_records": 5, "seed": -1},
+        {"n_records": 5, "inject_rates": {"model": "x"}},
+        {"n_records": 5, "inject_rates": [("model", 0.1)]},
     ],
 )
 def test_invalid_specs_rejected(kwargs):

@@ -306,6 +306,7 @@ def test_rules_and_config_reject_bad_values_at_construction():
     # a rule or config built in Python is checked as a file's is, so route
     # never meets an unknown signal and no NaN reaches a comparison
     for bad, message in (
+        (lambda: RouterRule(5, "h_s", ">", 0.1, "model"), "name must be a string"),
         (lambda: RouterRule("x", "external.h_s", ">", 0.5, "model"), "unknown signal 'external.h_s'"),
         (lambda: RouterRule("x", "h_s", "!=", 0.5, "model"), "comparator must be one of"),
         (lambda: RouterRule("x", "h_s", ">", math.nan, "model"), "threshold must be a finite number"),
