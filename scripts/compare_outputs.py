@@ -35,11 +35,12 @@ with a rules file whose second rule has a NaN threshold and tier "vendor",
 race with a config whose min_delta is -1 and cluster_threshold a string, and
 mockgen on a spec with n_records 0 and true_temperature 0.0.  calibrate (both
 kinds) runs on the empty, malformed and invalid corpora too, and mockgen on
-three more specs drawn from the workload's: one that injects every record
+four more specs drawn from the workload's: one that injects every record
 (model 0.3, context 0.3, data 0.4) at true_temperature 2.5 with vocab_size
-4, one with 2 samples per record, and one with vocab_size 11 at
+4, one with 2 samples per record, one with vocab_size 11 at
 true_temperature 0.7, past the length (8) at which numpy's row sums turn
-pairwise.
+pairwise, and one at true_temperature 5e-324, the smallest positive float,
+whose label draw takes the T -> 0 limit of the softmax.
 analyze also runs on five corpora of one record each, the first record with
 one fault (FAULTS), so that both trees must print the same message.  Last
 come the usage paths, most of which load no numpy: --help, no command,
@@ -142,7 +143,7 @@ for command in ("analyze", "pipeline", "factcheck"):
 for bad in ("empty", "malformed", "invalid"):
     for kind in ("temperature", "isotonic"):
         COMMANDS[f"calibrate-{kind}-{bad}"] = f"calibrate --input {{{bad}}} --kind {kind}"
-for spec in ("injected", "two_sample", "wide_vocab"):
+for spec in ("injected", "two_sample", "wide_vocab", "tiny_temperature"):
     COMMANDS[f"mockgen-{spec}"] = (f"mockgen --spec {{{spec}_spec}} --out {{out}}/mock-{spec}.jsonl "
                                    f"--store-out {{out}}/mock-{spec}-store.json")
 
@@ -171,11 +172,13 @@ STRESS_COMMANDS = {
 CONFIG = {"cluster_threshold": 0.9, "fact_rel_tol": 0.02, "fact_abs_tol": 6.0, "min_delta": 0.2}
 # mock specs beside the workload's own: every record injected, at
 # true_temperature 2.5 with the smallest vocabulary a spec admits, the
-# fewest samples a spec admits, and a vocabulary whose row sums are pairwise
+# fewest samples a spec admits, a vocabulary whose row sums are pairwise,
+# and the smallest positive temperature, where z / T overflows every row
 INJECTED_SPEC = {"inject_rates": {"model": 0.3, "context": 0.3, "data": 0.4},
                  "true_temperature": 2.5, "vocab_size": 4}
 TWO_SAMPLE_SPEC = {"samples_per_record": 2}
 WIDE_VOCAB_SPEC = {"vocab_size": 11, "true_temperature": 0.7}
+TINY_TEMPERATURE_SPEC = {"true_temperature": 5e-324}
 UNKNOWN_KEY = {"x_unknown": {"note": "carries no meaning", "n": [1, 2.5]}}
 ESCAPED_PREFIX = '"\\\u00e9\t\u2028'
 
@@ -371,6 +374,7 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
         (d / "injected-spec.json").write_text(json.dumps(dict(corpus.spec, **INJECTED_SPEC)))
         (d / "two-sample-spec.json").write_text(json.dumps(dict(corpus.spec, **TWO_SAMPLE_SPEC)))
         (d / "wide-vocab-spec.json").write_text(json.dumps(dict(corpus.spec, **WIDE_VOCAB_SPEC)))
+        (d / "tiny-temperature-spec.json").write_text(json.dumps(dict(corpus.spec, **TINY_TEMPERATURE_SPEC)))
         lines = corpus.corpus_bytes.splitlines(keepends=True)
         records = [json.loads(line) for line in lines]
         (d / "prompts.txt").write_text("\n".join(r["prompt"] for r in records) + "\n", encoding="utf-8")

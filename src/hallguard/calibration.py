@@ -96,25 +96,14 @@ def compute_ece(pairs, M: int = DEFAULT_ECE_BINS) -> EceResult:
     if not np.all((conf >= 0.0) & (conf <= 1.0)):  # NaN fails it too
         raise ValueError("confidences must lie in [0, 1]")
 
-    n = len(pairs)
     idx = np.minimum((conf * M).astype(int), M - 1)  # last bin closed on the right
-    counts, accs, confs = [], [], []
-    ece = 0.0
-    for m in range(M):
-        mask = idx == m
-        c = int(mask.sum())
-        counts.append(c)
-        if c == 0:
-            accs.append(0.0)
-            confs.append(0.0)
-            continue
-        acc = float(correct[mask].mean())
-        avg_conf = float(conf[mask].mean())
-        accs.append(acc)
-        confs.append(avg_conf)
-        ece += (c / n) * abs(acc - avg_conf)
+    counts = np.bincount(idx, minlength=M)
+    filled = counts > 0  # an empty bin reports 0 and adds 0
+    accs = np.divide(np.bincount(idx, correct, M), counts, out=np.zeros(M), where=filled)
+    confs = np.divide(np.bincount(idx, conf, M), counts, out=np.zeros(M), where=filled)
+    ece = float(np.dot(counts / len(pairs), np.abs(accs - confs)))
     edges = [m / M for m in range(M + 1)]
-    return EceResult(ece=ece, bin_table=BinTable(edges, counts, accs, confs))
+    return EceResult(ece=ece, bin_table=BinTable(edges, counts.tolist(), accs.tolist(), confs.tolist()))
 
 
 def _mean_nll(logits: np.ndarray, labels: np.ndarray, T: float) -> float:
@@ -176,14 +165,15 @@ def fit_temperature(logit_sets, true_labels) -> TemperatureModel:
 
 
 def mc_calibrated_mean(pass_logits, T: float) -> np.ndarray:
-    """Mean of per-pass temperature-scaled softmaxes over M stochastic passes."""
+    """Mean of per-pass temperature-scaled softmaxes over M stochastic passes,
+    from one apply_temperature call over the stacked passes, whose rows are
+    the per-pass softmaxes bit for bit."""
     if len(pass_logits) < 1:
         raise ValueError("at least one pass required")
     dims = {len(z) for z in pass_logits}
     if len(dims) != 1:
         raise ValueError("passes have mismatched dimensions")
-    stacked = np.stack([apply_temperature(z, T) for z in pass_logits])
-    return stacked.mean(axis=0)
+    return apply_temperature(np.stack(pass_logits), T).mean(axis=0)
 
 
 def fit_isotonic(pairs) -> IsotonicModel:

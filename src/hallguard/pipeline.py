@@ -3,9 +3,9 @@
 Detection computes every signal whose inputs a record actually carries;
 gaps become absent signals, never errors.  ``detect_records`` is the one
 loop over a corpus, which ``analyze`` and ``run_cycle`` read and ``detect``
-runs over one record: records are screened in blocks of 16, and at most 16
-records' distributions are held, so that one numpy pass scores a block's
-token entropies.  An ordered rule list routes each
+runs over one record: records are screened in blocks of ``BLOCK``, and at
+most ``BLOCK`` records' distributions are held, so that one numpy pass
+scores a block's token entropies.  An ordered rule list routes each
 signal bundle to a root-cause tier (model / context / data) with recommended
 mitigations.  The cycle itself never calls a model: mitigation is advisory,
 and validation compares against a re-generated record supplied in the corpus
@@ -318,21 +318,25 @@ def run_cycle(records: Iterable[GenerationRecord], config: PipelineConfig | None
 
     records may be any iterable, read once: detect_records screens the
     records as they arrive, and only their signals are kept.  A record whose id is
-    ``<base>.retry`` (with ``<base>`` anywhere in the corpus) is treated as
-    the post-mitigation re-generation of its base record: the base is
+    ``<base>.retry``, where ``<base>`` is a primary record of the corpus, is
+    treated as the post-mitigation re-generation of its base: the base is
     validated against it instead of being flagged for external mitigation.
-    The other records are routed in input order.
+    Every other record is a primary, decided in order of id length so that
+    a base is decided first: in ``a, a.retry, a.retry.retry`` the last is a
+    primary, since ``a.retry`` is a retry.  The primaries are routed in
+    input order, one ledger entry each.
     """
     config = config or PipelineConfig()
 
     by_id = {signals.record_id: signals for signals in detect_records(_unique_ids(records), config, store)}
-    retries, primaries = {}, []
-    for rid, signals in by_id.items():
+    retries, primary_ids = {}, set()
+    for rid in sorted(by_id, key=len):  # a base is decided before its retries
         base = rid[: -len(RETRY_SUFFIX)]
-        if rid.endswith(RETRY_SUFFIX) and base in by_id:
-            retries[base] = signals
+        if rid.endswith(RETRY_SUFFIX) and base in primary_ids:
+            retries[base] = by_id[rid]
         else:
-            primaries.append(signals)
+            primary_ids.add(rid)
+    primaries = [signals for rid, signals in by_id.items() if rid in primary_ids]
 
     entries: list[LedgerEntry] = []
     counts = dict.fromkeys(("pass", *FAILURE_CLASSES), 0)

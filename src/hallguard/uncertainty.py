@@ -61,31 +61,27 @@ def entropy_nats(probs) -> float:
 
 
 def apply_temperature(logits, T: float) -> np.ndarray:
-    """softmax(z / T) along the last axis, computed with max-subtraction for
-    stability.
+    """softmax(z / T) along the last axis, computed as
+    exp((z - max z) / T) / sum(exp((z - max z) / T)).
 
-    An (N, V) array is N softmaxes in one pass, each row equal bit for bit
-    to the call on that row alone: a row's max, exp and sum are those of the
-    1-D call (see the module docstring on row sums).  A row in which a finite
-    z / T overflows, as with a tiny T, is taken as softmax((z - max z) / T),
-    the same softmax shifted before the division so that nothing overflows
-    to NaN: for a tiny T that is the exact T -> 0 limit, one-hot on the
-    argmax with tied maxima sharing the mass equally.  Each row needs a
-    finite maximum: a NaN or +inf logit, or a row of only -inf, is a
-    ValueError, while a -inf logit beside finite ones gets probability 0.
+    Shifting by the row's maximum before dividing keeps every exponent at
+    or below 0, so nothing overflows to NaN for any T; as T -> 0 the result
+    reaches its limit, one-hot on the argmax with tied maxima sharing the
+    mass equally.  An (N, V) array is N softmaxes in one pass, each row
+    equal bit for bit to the call on that row alone: a row's max, exp and
+    sum are those of the 1-D call (see the module docstring on row sums).
+    Each row needs a finite maximum: a NaN or +inf logit, or a row of only
+    -inf, is a ValueError, while a -inf logit beside finite ones gets
+    probability 0.
     """
     if not 0.0 < T < np.inf:  # NaN fails it too
         raise ValueError("temperature must be positive and finite")
     z = np.asarray(logits, dtype=float)
-    if not np.isfinite(z.max(axis=-1)).all():
+    top = z.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
         raise ValueError("each row of logits needs a finite maximum")
-    with np.errstate(over="ignore"):
-        x = z / T
-        overflowed = (np.isinf(x) & np.isfinite(z)).any(axis=-1)
-        if overflowed.any():
-            x[overflowed] = (z[overflowed] - z[overflowed].max(axis=-1, keepdims=True)) / T
-    x = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(x)
+    with np.errstate(over="ignore"):  # (z - top) / T is -inf where a tiny T overflows it
+        e = np.exp((z - top) / T)
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -156,11 +152,16 @@ def sequence_entropy_profile(sample: Sample) -> EntropyReport:
 
 # Verbalized-confidence extraction. Logs produced by a confidence-eliciting
 # prompt are near-structured, so three fixed patterns cover them; anything
-# else is reported as "not stated" rather than guessed.
+# else is reported as "not stated" rather than guessed.  A number must not
+# go on past what the pattern reads: one followed by a digit, an exponent
+# ("1e-1") or a further decimal part ("0,85", "0.9.5") states nothing.  A
+# shorter match of the same digits ends before a digit or a decimal part
+# too, so backtracking finds no number there either ("12,5%" is not "1").
+_NUMBER = r"(-?[0-9]*\.?[0-9]+)(?![0-9]|[eE][+-]?[0-9]|[.,][0-9])"
 _CONF_PATTERNS = (
-    re.compile(r"confidence\s*[:=]\s*(-?[0-9]*\.?[0-9]+)\s*(%?)", re.IGNORECASE),
-    re.compile(r"confidence\b[^0-9]{0,40}?(-?[0-9]*\.?[0-9]+)\s*(%?)", re.IGNORECASE),
-    re.compile(r"\(\s*(-?[0-9]*\.?[0-9]+)\s*(%?)\s*\)\s*$"),
+    re.compile(r"confidence\s*[:=]\s*" + _NUMBER + r"\s*(%?)", re.IGNORECASE),
+    re.compile(r"confidence\b[^0-9]{0,40}?" + _NUMBER + r"\s*(%?)", re.IGNORECASE),
+    re.compile(r"\(\s*" + _NUMBER + r"\s*(%?)\s*\)\s*$"),
 )
 
 

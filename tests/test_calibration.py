@@ -67,6 +67,26 @@ def naive_pav(pairs):
     return scores, [fitted[s] for s in scores]
 
 
+def loop_ece(pairs, M):
+    """Per-bin loop oracle: (counts, accuracies, confidences, ece), with an
+    empty bin reported as 0 and adding nothing."""
+    n = len(pairs)
+    counts, accs, confs, ece = [], [], [], 0.0
+    for m in range(M):
+        members = [(c, y) for c, y in pairs if min(int(c * M), M - 1) == m]
+        counts.append(len(members))
+        if not members:
+            accs.append(0.0)
+            confs.append(0.0)
+            continue
+        acc = sum(1.0 for _, y in members if y) / len(members)
+        conf = sum(c for c, _ in members) / len(members)
+        accs.append(acc)
+        confs.append(conf)
+        ece += len(members) / n * abs(acc - conf)
+    return counts, accs, confs, ece
+
+
 def softmax(z):
     e = np.exp(np.asarray(z, float) - np.max(z))
     return e / e.sum()
@@ -131,6 +151,23 @@ def test_ece_bin_edges_partition_unit_interval():
 )
 def test_ece_stays_in_unit_interval(pairs, m):
     assert 0.0 <= compute_ece(pairs, M=m).ece <= 1.0
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(
+        st.tuples(st.floats(0, 1, allow_nan=False), st.booleans()), min_size=1, max_size=60
+    ),
+    st.integers(1, 40),
+)
+def test_ece_agrees_with_a_per_bin_loop(pairs, m):
+    counts, accs, confs, ece = loop_ece(pairs, m)
+    result = compute_ece(pairs, M=m)
+    table = result.bin_table
+    assert table.counts == counts
+    assert table.accuracies == pytest.approx(accs, rel=0, abs=1e-12)
+    assert table.confidences == pytest.approx(confs, rel=0, abs=1e-12)
+    assert result.ece == pytest.approx(ece, rel=0, abs=1e-12)
 
 
 # --- fit_temperature ---
@@ -241,10 +278,9 @@ def test_apply_temperature_sums_to_one(z, t):
 
 
 def _softmax_1d(z, t):
-    """apply_temperature's 1-D arithmetic for a finite z / t."""
-    x = np.asarray(z, dtype=float) / t
-    x = x - x.max()
-    e = np.exp(x)
+    """apply_temperature's 1-D arithmetic: shift by the maximum, then divide."""
+    z = np.asarray(z, dtype=float)
+    e = np.exp((z - z.max()) / t)
     return e / e.sum()
 
 
@@ -317,6 +353,17 @@ def test_mc_mean_matches_hand_average():
     passes = [rng.normal(size=5) for _ in range(3)]
     expected = np.mean([softmax(np.asarray(z) / 1.5) for z in passes], axis=0)
     assert mc_calibrated_mean(passes, 1.5) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("V", [1, 3, 8, 9, 17])
+def test_mc_mean_is_the_mean_of_the_per_pass_calls_bit_for_bit(V):
+    rng = np.random.default_rng(V)
+    for n_passes in (1, 2, 7):
+        passes = [rng.normal(0.0, 3.0, V) for _ in range(n_passes)]
+        for t in (0.05, 1.0, 1.5, 20.0, 1e-307):
+            expected = np.stack([apply_temperature(z, t) for z in passes]).mean(axis=0)
+            assert mc_calibrated_mean(passes, t).tobytes() == expected.tobytes()
+            assert mc_calibrated_mean([z.tolist() for z in passes], t).tobytes() == expected.tobytes()
 
 
 def test_mc_mean_rejects_mismatched_passes():

@@ -547,6 +547,20 @@ def test_cycle_keeps_a_retry_without_its_base_as_a_primary():
     assert ledger.summary["total"] == 2
 
 
+def test_cycle_keeps_a_retry_of_a_retry_as_a_primary():
+    fixed = make_record(answers=["alpha"] * 3, record_id="a.retry")
+    ledger = run_cycle([_noisy_record("a"), fixed, _noisy_record("a.retry.retry")])
+    assert [(e.record_id, e.action_taken) for e in ledger.entries] == [
+        ("a", "validated_retry"), ("a.retry.retry", "flagged_for_external_mitigation")]
+    assert ledger.summary["total"] == 2
+    # with no "x", "x.retry" is a primary and "x.retry.retry" its retry, as before
+    fixed = make_record(answers=["alpha"] * 3, record_id="x.retry.retry")
+    ledger = run_cycle([_noisy_record("x.retry"), fixed])
+    assert [(e.record_id, e.action_taken) for e in ledger.entries] == [("x.retry", "validated_retry")]
+    assert ledger.entries[0].verdict.validation.after.record_id == "x.retry"
+    assert ledger.summary["total"] == 1
+
+
 @pytest.mark.parametrize("ids", [["x", "x"], ["x", "y", "x"], ["x.retry", "x", "x.retry"]])
 def test_cycle_rejects_duplicate_ids_from_an_iterator(ids):
     with pytest.raises(ValueError, match="duplicate record ids"):

@@ -36,7 +36,7 @@ def test_compare_outputs_finds_a_tree_identical_to_itself():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.startswith("0 of 708 files differ"), proc.stdout
+    assert proc.stdout.startswith("0 of 723 files differ"), proc.stdout
 
 
 # the runner is checked against fresh processes on these commands of one workload
@@ -91,4 +91,4 @@ def test_compare_outputs_finds_a_changed_byte(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     *differs, count = proc.stdout.splitlines()
     assert sorted(differs) == [f"differs: {name}/analyze.md" for name in ("deep-s40", "retry-embed-s10", "wide-s5")]
-    assert count == f"{len(differs)} of 708 files differ (seed 3)"
+    assert count == f"{len(differs)} of 723 files differ (seed 3)"

@@ -196,6 +196,15 @@ def test_one_point_entropy_is_positive_zero():
         ("Confidence: -0.5", None),  # a negative statement is out of range too
         ("Confidence = -1", None),
         ("confidence: -20%", None),
+        # a number that goes on past the pattern states nothing
+        ("Confidence: 1e-1", None),
+        ("Confidence: 1E-2", None),
+        ("Confidence: 0,85", None),
+        ("Confidence: .5e1", None),
+        ("Confidence: 0.9.5", None),
+        ("Confidence: 12,5%", None),  # not read back to "1" or "12"
+        ("Confidence: 0.85.", 0.85),  # a full stop is no decimal part
+        ("Confidence: 0.85, sure", 0.85),
         ("", None),
     ],
 )
