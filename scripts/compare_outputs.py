@@ -57,8 +57,13 @@ exactly 0.35 carried by many samples each; records whose samples all
 share one text, or two texts that differ only in case or spacing; and
 records of token distributions of 1 to 11, 16 and 32 entries, with zero
 entries and one-hot rows, on samples with different numbers of positions
-and on samples with none.  The stress corpus spans several of the blocks
-in which detection screens records.
+and on samples with none.  Last come chains of re-generations, which the
+pipeline pairs by their ``.retry`` ids: a passing base with a noisy retry;
+a passing base, a noisy ``.retry`` and a clean ``.retry.retry``; a flagged
+base with a clean retry; a flagged base with a still-noisy retry; and a
+``.retry`` whose base is absent.  Noisy is four distinct answers on four
+samples, clean one answer on all four.  The stress corpus spans several of
+the blocks in which detection screens records.
 A command is a template of CLI arguments.  It names each input file by the
 file's stem, with "-" read as "_" (``{corpus}`` is corpus.jsonl and
 ``{escaped_store}`` escaped-store.json), and the directory its outputs go to
@@ -70,8 +75,8 @@ exception that escapes ``main`` is the command's traceback on stderr and exit
 code 1, as in a fresh process.
 Each command's output files, stdout, stderr and exit code are compared byte
 for byte.  Each file that differs is printed, then the id of each stress
-record whose analyze or pipeline entry differs, and the exit code is 1 when
-any file does.
+record whose analyze or pipeline entry differs, matched by id, or that only
+one tree has an entry for, and the exit code is 1 when any file does.
 """
 
 from __future__ import annotations
@@ -270,7 +275,8 @@ def _threshold_texts(a: int) -> tuple[str, str]:
 
 def stress_records(seed: int) -> list[dict]:
     """One seeded corpus of records whose clusterings turn on a tie, the
-    threshold, the embedder or many merges; each id names its kind."""
+    threshold, the embedder or many merges, and chains of re-generations;
+    each id names its kind."""
     rng = random.Random(seed)
     records = []
 
@@ -356,6 +362,15 @@ def stress_records(seed: int) -> list[dict]:
     samples[0]["token_dists"] = [dist([0.0] + [0.125] * 6 + [0.25])]
     samples[1]["token_dists"] = [dist([0.5, 0.5]), dist([1.0])]
     add("dists", samples)
+    # chains of re-generations, which the pipeline pairs by id (the module
+    # docstring lists them); no random draw, so the records before these keep
+    # their ids and bytes
+    clean = [_sample("steady", answer="steady") for _ in range(4)]
+    noisy = [_sample(t, answer=t) for t in ("alpha", "bravo", "charlie", "delta")]
+    for chain in ((clean, noisy), (clean, noisy, clean), (noisy, clean), (noisy, noisy), (None, noisy)):
+        base = f"retry-{len(records):03d}"
+        records += [{"id": base + ".retry" * depth, "prompt": "retry", "samples": samples}
+                    for depth, samples in enumerate(chain) if samples is not None]
     return records
 
 
@@ -475,15 +490,16 @@ def run_jobs() -> None:
 
 
 def differing_records(a: Path, b: Path) -> list[str]:
-    """The ids of the stress records whose analyze or pipeline entries differ."""
-    ids = []
+    """The ids of the stress records whose analyze or pipeline entries differ,
+    matched by record id, and of those that only one tree has an entry for."""
+    ids = set()
     for name, key in (("analyze.json", "records"), ("ledger.json", "entries")):
         paths = [tree / STRESS / name for tree in (a, b)]
         if not all(path.is_file() for path in paths):
             continue
-        entries = [json.loads(path.read_bytes())[key] for path in paths]
-        ids += [x["record_id"] for x, y in zip(*entries) if x != y]
-    return sorted(set(ids))
+        x, y = ({e["record_id"]: e for e in json.loads(path.read_bytes())[key]} for path in paths)
+        ids |= {rid for rid in x.keys() | y.keys() if x.get(rid) != y.get(rid)}
+    return sorted(ids)
 
 
 def differing_files(a: Path, b: Path) -> list[str]:

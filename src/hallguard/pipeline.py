@@ -317,52 +317,48 @@ def run_cycle(records: Iterable[GenerationRecord], config: PipelineConfig | None
     """Run detect -> route -> validate over a corpus and assemble the ledger.
 
     records may be any iterable, read once: detect_records screens the
-    records as they arrive, and only their signals are kept.  A record whose id is
-    ``<base>.retry``, where ``<base>`` is a primary record of the corpus, is
-    treated as the post-mitigation re-generation of its base: the base is
-    validated against it instead of being flagged for external mitigation.
-    Every other record is a primary, decided in order of id length so that
-    a base is decided first: in ``a, a.retry, a.retry.retry`` the last is a
-    primary, since ``a.retry`` is a retry.  The primaries are routed in
-    input order, one ledger entry each.
+    records as they arrive, and only their signals are kept.  The records are
+    then decided in order of id length, so that a base comes before its
+    retry, by one rule: a record whose id is ``<base>.retry``, where
+    ``<base>`` was routed to a tier, is the post-mitigation re-generation of
+    its base, and the base is validated against it instead of being flagged
+    for external mitigation; every other record is routed.  So in ``a,
+    a.retry, a.retry.retry`` with ``a`` flagged, ``a.retry`` validates ``a``
+    and ``a.retry.retry`` is routed; with ``a`` passing, ``a.retry`` is
+    routed, and ``a.retry.retry`` validates it if it is flagged.  Each routed
+    record has one ledger entry, in input order, and the summary counts the
+    entries.
     """
     config = config or PipelineConfig()
 
     by_id = {signals.record_id: signals for signals in detect_records(_unique_ids(records), config, store)}
-    retries, primary_ids = {}, set()
-    for rid in sorted(by_id, key=len):  # a base is decided before its retries
+    verdicts: dict[str, TierVerdict] = {}  # the routed records, a validated base with its validation
+    for rid in sorted(by_id, key=len):  # a base is decided before its retry
         base = rid[: -len(RETRY_SUFFIX)]
-        if rid.endswith(RETRY_SUFFIX) and base in primary_ids:
-            retries[base] = by_id[rid]
+        if rid.endswith(RETRY_SUFFIX) and base in verdicts and verdicts[base].tier is not None:
+            validation = validate(by_id[base], replace(by_id[rid], record_id=base), config)
+            verdicts[base] = replace(verdicts[base], validation=validation)
         else:
-            primary_ids.add(rid)
-    primaries = [signals for rid, signals in by_id.items() if rid in primary_ids]
+            verdicts[rid] = route(by_id[rid], config.rules)
 
     entries: list[LedgerEntry] = []
-    counts = dict.fromkeys(("pass", *FAILURE_CLASSES), 0)
-    residuals = 0
-    for signals in primaries:
-        rid = signals.record_id
-        verdict = route(signals, config.rules)
+    for rid, signals in by_id.items():
+        verdict = verdicts.get(rid)
+        if verdict is None:  # a retry, folded into its base
+            continue
         if verdict.tier is None:
             action, outcome = "none", "pass"
+        elif verdict.validation is None:
+            action, outcome = "flagged_for_external_mitigation", "pending"
         else:
-            retry = retries.get(rid)
-            if retry is None:
-                action, outcome = "flagged_for_external_mitigation", "pending"
-            else:
-                after = replace(retry, record_id=rid)
-                validation = validate(signals, after, config)
-                verdict = replace(verdict, validation=validation)
-                action = "validated_retry"
-                outcome = "improved" if validation.improved else "not_improved"
-                if not validation.improved:
-                    residuals += 1
-        counts[verdict.tier or "pass"] += 1
+            action = "validated_retry"
+            outcome = "improved" if verdict.validation.improved else "not_improved"
         entries.append(LedgerEntry(rid, signals, verdict, action, outcome))
 
-    total = len(primaries)
-    summary = {"total": total, **counts, "tiered": total - counts["pass"], "residuals": residuals}
+    tiers = [entry.verdict.tier or "pass" for entry in entries]
+    counts = {tier: tiers.count(tier) for tier in ("pass", *FAILURE_CLASSES)}
+    summary = {"total": len(entries), **counts, "tiered": len(entries) - counts["pass"],
+               "residuals": sum(entry.outcome == "not_improved" for entry in entries)}
     return CycleLedger(entries=entries, summary=summary)
 
 

@@ -255,7 +255,7 @@ class _Walk:
         if not probs:
             self.fault(f"{at}.probs", "must be nonempty")
         if len(labels) != len(probs):
-            self.fault(f"{at}.probs", "length differs from token_labels")
+            self.fault(f"{at}.probs", "length differs from labels")
         n_diags = len(self.diags)
         # floats in [0, 1] pass in C-level passes, the last one the sum (NaN for a NaN entry)
         if not (probs and all(map(float.__instancecheck__, probs)) and 0.0 <= min(probs) and max(probs) <= 1.0
@@ -265,9 +265,9 @@ class _Walk:
         if total is not None and not (1.0 - PROB_SUM_TOL <= total <= 1.0 + PROB_SUM_TOL):
             self.fault(f"{at}.probs", f"probs sum to {total:.6g}, expected 1")
         if not all(map(str.__instancecheck__, labels)):  # isinstance(label, str) in C
-            self.fault(f"{at}.token_labels", "token labels must be strings")
+            self.fault(f"{at}.labels", "token labels must be strings")
         elif len(set(labels)) != len(labels):
-            self.fault(f"{at}.token_labels", "token labels must be unique")
+            self.fault(f"{at}.labels", "token labels must be unique")
         return TokenDistribution(labels, probs)
 
     def claim(self, obj, at: str) -> Claim | None:

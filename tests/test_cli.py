@@ -798,9 +798,13 @@ def test_module_state_never_changes_an_output(tmp_path):
         ('{"text": "a", "answer": "a", "reasoning": ["r"]}, {"text": "b", "answer": "b"}',
          "samples[0].reasoning"),
         ('{"text": "a", "token_dists": [{"labels": [["x"], "y"], "probs": [0.5, 0.5]}]}, {"text": "b"}',
-         "samples[0].token_dists[0].token_labels"),
+         "samples[0].token_dists[0].labels"),
         ('{"text": "a", "token_dists": [{"labels": ["x", "y"], "probs": ["s", 1.0]}]}, {"text": "b"}',
          "samples[0].token_dists[0].probs[0]"),
+        ('{"text": "a", "token_dists": [{"labels": ["x", "x"], "probs": [0.5, 0.5]}]}, {"text": "b"}',
+         "samples[0].token_dists[0].labels: token labels must be unique"),
+        ('{"text": "a", "token_dists": [{"labels": ["x"], "probs": [0.5, 0.5]}]}, {"text": "b"}',
+         "samples[0].token_dists[0].probs: length differs from labels"),
         # closes the samples list to add a claim after it
         ('{"text": "a"}, {"text": "b"}], "reference_claims": [{"key": ["k"], "value": 1.0}',
          "reference_claims[0].key"),
@@ -814,7 +818,8 @@ def test_module_state_never_changes_an_output(tmp_path):
           for value in ("Infinity", "null", "true", "[1.0]", '{"a": 1}', "[" * 500 + "]" * 500)),
     ],
     ids=["nan-embedding", "embedding-lengths", "embedding-not-list", "nan-logprob",
-         "int-answer", "list-reasoning", "list-token-label", "string-prob", "list-claim-key",
+         "int-answer", "list-reasoning", "list-token-label", "string-prob", "repeated-token-label",
+         "token-label-count", "list-claim-key",
          "partial-embedding", "empty-embedding", "empty-token-dist", "infinite-claim-value", "null-claim-value",
          "bool-claim-value", "list-claim-value", "object-claim-value", "deep-list-claim-value"],
 )

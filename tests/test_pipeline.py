@@ -14,6 +14,7 @@ from hallguard.errors import CapabilityError, ConfigError
 from hallguard.grounding import ClaimVerdict, FactEntry, FactStore, check_claims
 from hallguard.pipeline import (
     BLOCK,
+    RETRY_SUFFIX,
     SIGNALS,
     CycleLedger,
     DetectionSignals,
@@ -559,6 +560,51 @@ def test_cycle_keeps_a_retry_of_a_retry_as_a_primary():
     assert [(e.record_id, e.action_taken) for e in ledger.entries] == [("x.retry", "validated_retry")]
     assert ledger.entries[0].verdict.validation.after.record_id == "x.retry"
     assert ledger.summary["total"] == 1
+
+
+def test_cycle_routes_a_retry_of_a_passing_base():
+    ledger = run_cycle([_clean_record("a"), _noisy_record("a.retry")])
+    assert [(e.record_id, e.action_taken) for e in ledger.entries] == [
+        ("a", "none"), ("a.retry", "flagged_for_external_mitigation")]
+    assert ledger.summary["total"] == 2
+
+
+def test_cycle_validates_a_flagged_retry_of_a_passing_base():
+    fixed = make_record(answers=["steady"] * 3, record_id="a.retry.retry")
+    ledger = run_cycle([_clean_record("a"), _noisy_record("a.retry"), fixed])
+    assert [(e.record_id, e.action_taken, e.outcome) for e in ledger.entries] == [
+        ("a", "none", "pass"), ("a.retry", "validated_retry", "improved")]
+    assert ledger.entries[1].verdict.validation.after.record_id == "a.retry"
+    assert ledger.summary["total"] == 2
+
+
+@st.composite
+def _chain_corpora(draw):
+    """Records drawn from the chains b, b.retry, b.retry.retry of a few
+    bases: any subset, in any order, each record clean or noisy."""
+    chains = [[f"b{i}" + RETRY_SUFFIX * depth for depth in range(3)] for i in range(draw(st.integers(1, 3)))]
+    ids = draw(st.permutations([rid for chain in chains for rid in chain]))
+    ids = ids[: draw(st.integers(0, len(ids)))]
+    return [(_noisy_record if draw(st.booleans()) else _clean_record)(rid) for rid in ids]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chain_corpora())
+def test_cycle_accounts_for_every_record_of_a_chain(records):
+    ledger = run_cycle(records)
+    ids = {r.id for r in records}
+    entry_ids = [e.record_id for e in ledger.entries]
+    retry_ids = [e.record_id + RETRY_SUFFIX for e in ledger.entries if e.action_taken == "validated_retry"]
+    assert sorted(entry_ids + retry_ids) == sorted(ids)
+    tiers = [e.verdict.tier or "pass" for e in ledger.entries]
+    assert ledger.summary == {
+        "total": len(tiers), **{t: tiers.count(t) for t in ("pass", "model", "context", "data")},
+        "tiered": len(tiers) - tiers.count("pass"),
+        "residuals": sum(e.outcome == "not_improved" for e in ledger.entries),
+    }
+    for e in ledger.entries:
+        if e.verdict.tier is not None and e.record_id + RETRY_SUFFIX in ids:
+            assert e.action_taken == "validated_retry"
 
 
 @pytest.mark.parametrize("ids", [["x", "x"], ["x", "y", "x"], ["x.retry", "x", "x.retry"]])

@@ -166,7 +166,7 @@ def test_validate_accepts_valid_record():
             lambda r: _with_sample(
                 r, token_dists=[TokenDistribution(["a", "a"], [0.5, 0.5])]
             ),
-            "token_labels",
+            "token_dists[0].labels",
         ),
         (
             lambda r: _with_sample(
@@ -233,7 +233,7 @@ def test_validate_accepts_valid_record():
         (lambda r: _with_sample(r, reasoning=b"r"), "reasoning"),
         (
             lambda r: _with_sample(r, token_dists=[TokenDistribution([["x"], "y"], [0.5, 0.5])]),
-            "token_dists[0].token_labels",
+            "samples[0].token_dists[0].labels",
         ),
         (
             lambda r: _with_sample(r, token_dists=[TokenDistribution(["x", "y"], ["s", 0.5])]),
@@ -269,10 +269,10 @@ def _with_sample(record, **fields):
     return GenerationRecord(**{**vars(record), "samples": [sample]})
 
 
-def test_duplicate_label_diagnostic_names_token_labels():
+def test_duplicate_label_diagnostic_names_labels():
     record = _with_sample(valid_record(), token_dists=[TokenDistribution(["x", "x"], [0.5, 0.5])])
     diags = validate_record(record)
-    assert any(d.path.endswith("token_labels") for d in diags)
+    assert any(d.path.endswith(".labels") for d in diags)
 
 
 # --- property: random corpora survive the JSONL round trip ---

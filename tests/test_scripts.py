@@ -1,6 +1,7 @@
 """Runs of the scripts: the demo scripts, which build on the mockgen and
 pipeline API, and compare_outputs.py with its one-interpreter runner."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -92,3 +93,22 @@ def test_compare_outputs_finds_a_changed_byte(tmp_path):
     *differs, count = proc.stdout.splitlines()
     assert sorted(differs) == [f"differs: {name}/analyze.md" for name in ("deep-s40", "retry-embed-s10", "wide-s5")]
     assert count == f"{len(differs)} of 723 files differ (seed 3)"
+
+
+def test_differing_records_matches_entries_by_id(tmp_path, monkeypatch):
+    """An entry that one tree inserts or drops names only itself, wherever it
+    stands, and so does a trailing entry that only one tree has."""
+    monkeypatch.setattr(sys, "path", [str(ROOT / "scripts"), *sys.path])
+    import compare_outputs as compare
+
+    def write(tree, records, entries):
+        d = tmp_path / tree / compare.STRESS
+        d.mkdir(parents=True)
+        (d / "analyze.json").write_text(json.dumps({"records": [{"record_id": r} for r in records]}))
+        (d / "ledger.json").write_text(json.dumps({"entries": [{"record_id": r, "outcome": "pass"}
+                                                               for r in entries]}))
+
+    write("a", ["x", "y", "z"], ["x", "y", "z"])
+    write("b", ["x", "y", "z"], ["x", "inserted", "y", "z", "extra"])
+    assert compare.differing_records(tmp_path / "a", tmp_path / "b") == ["extra", "inserted"]
+    assert compare.differing_records(tmp_path / "b", tmp_path / "a") == ["extra", "inserted"]
