@@ -57,13 +57,16 @@ exactly 0.35 carried by many samples each; records whose samples all
 share one text, or two texts that differ only in case or spacing; and
 records of token distributions of 1 to 11, 16 and 32 entries, with zero
 entries and one-hot rows, on samples with different numbers of positions
-and on samples with none.  Last come chains of re-generations, which the
+and on samples with none.  Then come chains of re-generations, which the
 pipeline pairs by their ``.retry`` ids: a passing base with a noisy retry;
 a passing base, a noisy ``.retry`` and a clean ``.retry.retry``; a flagged
 base with a clean retry; a flagged base with a still-noisy retry; and a
 ``.retry`` whose base is absent.  Noisy is four distinct answers on four
-samples, clean one answer on all four.  The stress corpus spans several of
-the blocks in which detection screens records.
+samples, clean one answer on all four.  Last come spellings of one number,
+alone and inside longer answers and reasonings ("revenue 1200 cost 950"
+against "revenue 1.2e3 cost 9.5e2"), "-0" against "0", "1_200" and
+Arabic-Indic digits, which clustering reads as one value.  The stress
+corpus spans several of the blocks in which detection screens records.
 A command is a template of CLI arguments.  It names each input file by the
 file's stem, with "-" read as "_" (``{corpus}`` is corpus.jsonl and
 ``{escaped_store}`` escaped-store.json), and the directory its outputs go to
@@ -247,6 +250,13 @@ COUNT_PAIRS = ((11, 17), (17, 22), (22, 34), (39, 39))
 # record, and pairs of texts that differ only in case or spacing
 ONE_TEXTS = ("1200", "Rates rose in Q3, as guided.", " \t ")
 TEXT_PAIRS = (("rates rose", "Rates ROSE"), ("rates rose", "  rates\trose \n"))
+# spellings of one number inside longer answers and alone: decimal and
+# exponent forms, -0 and 0, an underscore and Arabic-Indic digits, beside
+# "1,200" and "$1200", which state no number
+NUMBER_TEXTS = (("revenue 1200 cost 950", "revenue 1.2e3 cost 9.5e2", "Revenue 1200.00 cost 950.0",
+                 "revenue 1,200 cost 950"),
+                ("-0", "0", "-0.0", "+0"),
+                ("1200", "1_200", "\u0661\u0662\u0660\u0660", "$1200"))
 
 
 def _sample(text: str, answer: str | None = None, reasoning: str | None = None,
@@ -371,6 +381,10 @@ def stress_records(seed: int) -> list[dict]:
         base = f"retry-{len(records):03d}"
         records += [{"id": base + ".retry" * depth, "prompt": "retry", "samples": samples}
                     for depth, samples in enumerate(chain) if samples is not None]
+    # one number in several spellings, which clustering reads as one value;
+    # no random draw either
+    for texts in NUMBER_TEXTS:
+        add("number-text", [_sample(t, answer=t, reasoning=f"the filing states {t}") for t in texts])
     return records
 
 

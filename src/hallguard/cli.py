@@ -383,7 +383,13 @@ def entry() -> None:
     process exits right after main has flushed its outputs.  The ``atexit``
     callbacks run, but the interpreter's teardown (module clean-up and the
     last garbage collections) is skipped, so the ``__del__`` finalizers of
-    objects still alive never run and no command may rely on them."""
+    objects still alive never run and no command may rely on them.  numpy
+    runs on one BLAS thread unless OPENBLAS_NUM_THREADS is set."""
+    # OpenBLAS's worker threads spin for about 0.1 s after `import numpy`,
+    # taking CPU from the main thread, and the largest product a command
+    # computes is one record's k x d Gram matrix; main leaves the environment
+    # of its callers alone
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     atexit._run_exitfuncs()  # e.g. coverage's data file
     if sys.stderr is not None:  # after the callbacks, which may write there too

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .records import finite_number
+from .records import finite_number, number_value
 
 STATUS_MATCH = "match"
 STATUS_MISMATCH = "mismatch"
@@ -99,16 +99,6 @@ def fact_store_to_json(store: FactStore) -> dict:
     return out
 
 
-def _as_number(value) -> float | None:
-    """The finite number a claim or store value states, else None."""
-    if isinstance(value, str):
-        try:
-            value = float(value.strip())
-        except ValueError:
-            return None
-    return float(value) if finite_number(value) else None
-
-
 def _normalize_text(value) -> str:
     return " ".join(str(value).split()).lower()
 
@@ -118,9 +108,10 @@ def check_claims(claims, store: FactStore, rel_tol: float = 0.0, abs_tol: float 
 
     Numeric claims match when |claimed - ref| <= max(abs_tol, rel_tol * |ref|)
     and the units are equal (case-sensitive; absent matches absent); a string
-    stating a finite number counts as one.  Other claims ("nan" and "inf" too)
-    match on case-insensitive, whitespace-normalized equality.  Keys
-    missing from the store yield an "unknown" verdict.
+    stating a finite number (``records.number_value``) counts as one.  Other
+    claims ("nan" and "inf" too) match on case-insensitive,
+    whitespace-normalized equality.  Keys missing from the store yield an
+    "unknown" verdict.
     """
     if not (0.0 <= rel_tol < math.inf and 0.0 <= abs_tol < math.inf):  # NaN fails it too
         raise ValueError("tolerances must be finite and nonnegative")
@@ -130,8 +121,8 @@ def check_claims(claims, store: FactStore, rel_tol: float = 0.0, abs_tol: float 
         if entry is None:
             verdicts.append(ClaimVerdict(claim.key, claim.value, None, STATUS_UNKNOWN))
             continue
-        claimed_num = _as_number(claim.value)
-        ref_num = _as_number(entry.value)
+        claimed_num = number_value(claim.value)
+        ref_num = number_value(entry.value)
         if claimed_num is not None and ref_num is not None:
             ok = (
                 abs(claimed_num - ref_num) <= max(abs_tol, rel_tol * abs(ref_num))

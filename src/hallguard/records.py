@@ -138,6 +138,20 @@ def finite_number(value) -> bool:
     return _is_number(value) and abs(value) <= sys.float_info.max
 
 
+def number_value(value) -> float | None:
+    """The finite number that a claim value, a store value or a text token
+    states, else None.  A string states one when ``float`` reads it, with
+    surrounding whitespace stripped: "1200", "1200.0", "1.2e3", "1_200" and
+    "١٢٠٠" all state 1200.0, while "1,200", "$1200", "5%", "nan" and "inf"
+    state none."""
+    if isinstance(value, str):
+        try:
+            value = float(value.strip())
+        except ValueError:
+            return None
+    return float(value) if finite_number(value) else None
+
+
 def _is_probability(v) -> bool:
     return _is_number(v) and 0.0 <= v <= 1.0
 

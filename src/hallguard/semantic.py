@@ -52,9 +52,14 @@ the two spaces.  Consensus and the reasoning/answer decomposition always embed
 the answer and reasoning strings with ``default_embed``: the L2-normalised
 counts of a text's exact lowercase whitespace tokens, with no hashing, so two
 texts are at distance 0 only when their token multisets are equal (up to
-scale) and at distance 1 when they share no token.  Kuhn et al. (ICLR 2023,
-arXiv:2302.09664) cluster by bidirectional entailment, which needs model
-weights; exact tokens are this offline toolkit's stand-in for it.
+scale) and at distance 1 when they share no token.  A token that states a
+finite number is keyed by its value, by the rule that
+``grounding.check_claims`` reads claims with (``records.number_value``: what
+``float`` reads, so "1200", "1200.0", "1.2e3", "1_200" and "-0" are numbers
+and "1,200", "$1200" and "5%" are words), so "1200" and "1.2e3" are one
+token.  Kuhn et al. (ICLR 2023, arXiv:2302.09664) cluster by bidirectional
+entailment, which needs model weights; exact tokens are this offline
+toolkit's stand-in for it.
 
 String inputs go through ``cluster_texts``, which embeds each distinct string
 once and lays the strings out as rows over the sorted union of their tokens
@@ -74,16 +79,18 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapabilityError
-from .records import GenerationRecord
+from .records import GenerationRecord, number_value
 from .uncertainty import entropy_nats
 
 DEFAULT_CLUSTER_THRESHOLD = 0.35
+_DIGIT = re.compile(r"\d")
 
 
 @dataclass(frozen=True)
@@ -107,9 +114,14 @@ class SemanticEntropyResult:
 
 def default_embed(text: str) -> dict[str, float]:
     """Bag-of-words embedding: the counts of the lowercase whitespace tokens,
-    L2-normalized, as a map from token to weight.  Empty or whitespace-only
-    text maps to the empty map, the zero vector."""
-    counts = Counter(text.lower().split())
+    L2-normalized, as a map from token to weight.  A token that states a
+    finite number (``records.number_value``) is counted under the repr of its
+    value, so "1200", "1200.0" and "1.2e3" are one token and "-0" is "0".
+    Empty or whitespace-only text maps to the empty map, the zero vector."""
+    tokens = text.lower().split()
+    if _DIGIT.search(text):  # a token with no digit states no finite number
+        tokens = [token if (x := number_value(token)) is None else repr(x + 0.0) for token in tokens]
+    counts = Counter(tokens)
     norm = math.sqrt(sum(c * c for c in counts.values()))
     return {token: c / norm for token, c in counts.items()}
 

@@ -273,6 +273,29 @@ def test_entry_runs_atexit_callbacks_and_keeps_the_exit_code(tmp_path):
     assert (proc.returncode, proc.stderr) == (2, b"no records\natexit marker")
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_entry_runs_numpy_on_one_blas_thread_unless_the_user_sets_it(tmp_path, preset):
+    """OpenBLAS starts its worker threads when numpy is imported; the callback
+    reports the process's threads and the variable after analyze has run."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(write_records(generate_corpus(MockSpec(n_records=4, samples_per_record=3, seed=1))))
+    script = ("import atexit, os, sys\n"
+              "atexit.register(lambda: sys.stderr.write("
+              "f\"{len(os.listdir('/proc/self/task'))} {os.environ.get('OPENBLAS_NUM_THREADS')}\"))\n"
+              "sys.argv = ['hallguard', 'analyze', '--input', sys.argv[1], '--output', sys.argv[2]]\n"
+              "from hallguard.cli import entry\n"
+              "entry()\n")
+    env = {k: v for k, v in _block_buffered_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", script, str(corpus), str(tmp_path / "report.json")],
+                          capture_output=True, env=env)
+    threads, variable = proc.stderr.decode().split()
+    assert (proc.returncode, variable) == (0, preset or "1")
+    assert int(threads) <= (1 if preset is None else 2)  # OpenBLAS caps a preset at the CPU count
+
+
 def test_analyze_corrupt_corpus_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "r1"}\n')  # missing prompt/samples

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,10 @@ from hypothesis import strategies as st
 
 from hallguard import semantic
 from hallguard.errors import CapabilityError
+from hallguard.grounding import STATUS_MATCH, FactEntry, FactStore, check_claims
 from hallguard.mockgen import MockSpec, generate_corpus
 from hallguard.pipeline import detect
+from hallguard.records import Claim
 from hallguard.semantic import (
     ClusterAssignment,
     cluster_embeddings,
@@ -187,6 +193,56 @@ def test_embed_unit_norm():
 
 def test_embed_case_folds():
     assert np.array_equal(default_embed("Rate HIKE"), default_embed("rate hike"))
+
+
+# --- the number rule: a token that states a finite number is keyed by its value ---
+
+
+@pytest.mark.parametrize("texts", [["1200", "1200.0", "1.2e3", "1200.00"], ["-0", "0"],
+                                   ["rose 1200", "Rose 1.2E3"]])
+def test_spellings_of_one_number_form_one_cluster(texts):
+    assert cluster_texts(texts).cluster_masses == [1.0]
+
+
+def test_strings_that_state_no_number_stay_words():
+    assert [default_embed(t) for t in ("1,200", "$1200", "5%", "nan")] == [
+        {"1,200": 1.0}, {"$1200": 1.0}, {"5%": 1.0}, {"nan": 1.0}]
+    assert cluster_texts(["1,200", "$1200", "5%", "1200"]).cluster_masses == [0.25] * 4
+
+
+def test_numbers_are_counted_by_value():
+    assert default_embed("1200 1.2e3 ١٢٠٠ 1_200 -0 0.0 1e999") == {
+        "1200.0": 4 / math.sqrt(21), "0.0": 2 / math.sqrt(21), "1e999": 1 / math.sqrt(21)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_spellings_of_a_float_embed_alike(x):
+    texts = [f"revenue rose to {s} in q3" for s in (repr(x), f"{x:.17g}", f"{x:.17e}")]
+    assert default_embed(texts[0]) == default_embed(texts[1]) == default_embed(texts[2])
+
+
+# one token: no whitespace, which the letter, mark, number, punctuation and
+# symbol categories hold none of
+_WORDS = st.one_of(
+    st.sampled_from(["0", "-0", "+0.0", "1,200", "$1200", "5%", "1_200", "١٢٠٠", "nan", "-inf", "1e999", "Rates"]),
+    st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=6),
+)
+
+
+def _spellings(x: float):
+    spelled = st.sampled_from([repr(x), f"{x:.17g}", f"{x:.17E}", f"{x:.3g}", f"{x:_}", f"{x:,}"])
+    return st.tuples(st.one_of(spelled, _WORDS), st.one_of(spelled, _WORDS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.floats().flatmap(_spellings))
+def test_two_spellings_share_a_key_exactly_when_check_claims_matches_them(pair):
+    """Consensus, RACE and factcheck read a number by one rule."""
+    a, b = pair
+    store = FactStore({"k": FactEntry(b)})
+    matched = check_claims([Claim("k", a)], store)[0].status == STATUS_MATCH
+    assert (list(default_embed(a)) == list(default_embed(b))) == matched
 
 
 # --- cluster_embeddings ---
@@ -598,3 +654,31 @@ def test_scaling_stored_embeddings_by_a_power_of_two_keeps_h_s(k):
         assert scaled == h_s
         split += h_s > 0.0
     assert split > 10  # most records hold more than one cluster
+
+
+_BLAS_CHILD = """
+import hashlib, numpy as np
+from hallguard import semantic
+for k in (400, 1600):
+    rng = np.random.default_rng(k)
+    direction = rng.normal(size=64)
+    rows = direction + rng.normal(scale=0.5, size=(k, 64))
+    rows[k // 2:] *= -1.0  # half around the direction, half around its opposite
+    distances = semantic._distances(rows).tobytes()
+    owners = str(semantic.cluster_embeddings(rows, 0.35).cluster_of_sample).encode()
+    print(k, hashlib.sha256(distances).hexdigest(), hashlib.sha256(owners).hexdigest())
+"""
+
+
+def test_the_blas_thread_count_cannot_change_a_clustering():
+    """The Gram matrix is the one BLAS product; its bytes, and so every merge,
+    are the same on one BLAS thread as on two."""
+    src = str(Path(semantic.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD], capture_output=True, env=env, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 2
