@@ -15,17 +15,18 @@ per-tier counts and residual errors are the refinement artifact.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .consistency import RaceReport, race_metrics, self_consistency_consensus
-from .errors import CapabilityError, ConfigError
+from .consistency import RaceReport, consensus_of, race_absence, race_of, sample_answers
+from .errors import ConfigError
 from .grounding import STATUS_MISMATCH, ClaimVerdict, FactStore, check_claims
 from .records import FAILURE_CLASSES, GenerationRecord, finite_number, read_json_file, write_json
-from .semantic import DEFAULT_CLUSTER_THRESHOLD, semantic_entropy_of_record
+from .semantic import DEFAULT_CLUSTER_THRESHOLD, cluster_texts, sample_clustering, semantic_entropy
 from .uncertainty import parse_self_declared_confidence, sample_mean_entropies
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -219,14 +220,21 @@ def _with_h_p_means(scored_block: list[list], signals_block: list[dict]) -> Iter
 
 
 def _other_signals(record: GenerationRecord, config: PipelineConfig, store: FactStore | None) -> dict:
-    """The DetectionSignals fields of one record other than h_p_mean."""
+    """The DetectionSignals fields of one record other than h_p_mean.
+
+    The record's clustering plan: semantic entropy, consensus and the
+    reasoning/answer decomposition read the clusterings of up to three text
+    tuples (the texts, unless stored embeddings stand for them; the answers;
+    the reasonings), which often repeat one another, so each distinct tuple
+    is clustered once, and nothing outlives the record."""
+    threshold = config.cluster_threshold
+    cluster = functools.cache(cluster_texts)
+    answers = sample_answers(record)
     h_s = None
     consensus_support = None
     if len(record.samples) >= 2:
-        h_s = semantic_entropy_of_record(record, threshold=config.cluster_threshold).entropy
-        consensus_support = self_consistency_consensus(
-            record, threshold=config.cluster_threshold
-        ).support
+        h_s = semantic_entropy(sample_clustering(record, threshold, cluster))
+        consensus_support = consensus_of(answers, cluster(answers, threshold)).support
 
     confidences = []
     for sample in record.samples:
@@ -240,10 +248,9 @@ def _other_signals(record: GenerationRecord, config: PipelineConfig, store: Fact
         self_confidence = float(np.add.reduce(confidences, dtype=float)) / len(confidences)
 
     race = None
-    try:
-        race = race_metrics(record, cluster_threshold=config.cluster_threshold)
-    except CapabilityError:
-        pass
+    if race_absence(record) is None:  # then every sample has an answer, and answers holds them
+        race = race_of(cluster(tuple(s.reasoning for s in record.samples), threshold),
+                       cluster(answers, threshold))
 
     fact_verdicts = None
     if record.reference_claims and store is not None:

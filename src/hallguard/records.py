@@ -532,7 +532,7 @@ def _put(obj, nl: str, parts: list[str], write) -> None:
     parts.append(nl + brackets[1])
 
 
-@functools.lru_cache(maxsize=128)  # a report has a few dataclasses at a few depths
+@functools.cache  # a report has a few dataclasses at a few depths
 def _field_prefixes(kind: type, inner: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The member prefixes of a dataclass whose members are indented by
     inner: "{" or ",", inner, then each field name encoded and ": "; and

@@ -67,17 +67,16 @@ once and lays the strings out as rows over the sorted union of their tokens
 string with a nonzero embedding, the common case for answers, it builds no
 token matrix and calls no ``_cluster_rows``: the samples form one cluster
 (a blank string still gives one singleton cluster per sample, and a bad
-threshold still raises).  It remembers its last few results.  The memo
-mostly serves records that share an input tuple (355 of the 400 wide-s5
-benchmark records share one reasoning tuple), and less the repeats within
-one record, such as the texts and the answers of a mock record.
-``pipeline.detect_records`` screens records in blocks and holds only a
-block's distributions, but it clusters each record as it arrives.
+threshold still raises).  It keeps no state between calls: each call
+returns a fresh assignment.  Sharing clusterings is the caller's plan:
+``pipeline._other_signals`` clusters each distinct text tuple of one record
+once (the texts, the answers and the reasonings, which often repeat one
+another) and scores semantic entropy, consensus and the reasoning/answer
+decomposition from those assignments; nothing outlives the record.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from collections import Counter
@@ -214,31 +213,22 @@ def _merge(distinct: list[bytes], counts: list[int], threshold: float) -> list[i
     return owner.tolist()
 
 
-@functools.lru_cache(maxsize=8)
-def _cluster_texts(texts: tuple[str, ...], threshold: float) -> ClusterAssignment:
-    row = {text: r for r, text in enumerate(dict.fromkeys(texts))}
+def cluster_texts(texts, threshold: float = DEFAULT_CLUSTER_THRESHOLD) -> ClusterAssignment:
+    """cluster_embeddings over default_embed of each string, as rows over the
+    sorted tokens of all the strings.  Each distinct string is embedded once."""
+    row: dict[str, int] = {}  # each distinct string's row, in order of first use
+    of_sample = [row.setdefault(text, len(row)) for text in texts]
+    if not of_sample:
+        raise ValueError("at least one text required")
     weights = [default_embed(text) for text in row]
     if len(weights) == 1 and weights[0]:  # one nonzero row: one cluster, with no token matrix
         _check_threshold(threshold)
-        return ClusterAssignment([0] * len(texts), [1.0], [0])
+        return ClusterAssignment([0] * len(of_sample), [1.0], [0])
     column = {token: c for c, token in enumerate(sorted(set().union(*weights)))}
     rows = np.zeros((len(weights), len(column)))
     for r, w in enumerate(weights):
         rows[r, [column[token] for token in w]] = list(w.values())
-    return _cluster_rows(rows, [row[text] for text in texts], threshold)
-
-
-def cluster_texts(texts, threshold: float = DEFAULT_CLUSTER_THRESHOLD) -> ClusterAssignment:
-    """cluster_embeddings over default_embed of each string, as rows over the
-    sorted tokens of all the strings.  Each distinct string is embedded once,
-    and a repeat of one of the last few calls is not clustered again."""
-    texts = tuple(texts)
-    if not texts:
-        raise ValueError("at least one text required")
-    a = _cluster_texts(texts, threshold)
-    # a copy, so that no caller can change what the next one receives
-    return ClusterAssignment(list(a.cluster_of_sample), list(a.cluster_masses),
-                             list(a.representatives))
+    return _cluster_rows(rows, of_sample, threshold)
 
 
 def semantic_entropy(assignment: ClusterAssignment) -> float:
@@ -246,18 +236,21 @@ def semantic_entropy(assignment: ClusterAssignment) -> float:
     return entropy_nats(assignment.cluster_masses)
 
 
+def sample_clustering(record: GenerationRecord, threshold: float, cluster) -> ClusterAssignment:
+    """The clustering of record's samples that semantic entropy scores: of the
+    stored embeddings when every sample carries one, otherwise
+    cluster(texts, threshold) of the tuple of texts, where cluster is
+    cluster_texts or a memo of it."""
+    if all(s.embedding is not None for s in record.samples):
+        return cluster_embeddings([s.embedding for s in record.samples], threshold)
+    return cluster(tuple(s.text for s in record.samples), threshold)
+
+
 def semantic_entropy_of_record(record: GenerationRecord,
                                threshold: float = DEFAULT_CLUSTER_THRESHOLD) -> SemanticEntropyResult:
-    """Sample -> embed -> cluster -> estimate, over one record's responses.
-
-    Uses the stored embeddings when every sample carries one, otherwise
-    default_embed over the texts.
-    """
+    """Sample -> embed -> cluster -> estimate, over one record's responses
+    (sample_clustering)."""
     if len(record.samples) < 2:
         raise CapabilityError("semantic entropy requires multiple generations")
-    if all(s.embedding is not None for s in record.samples):
-        vectors = [np.asarray(s.embedding, dtype=float) for s in record.samples]
-        assignment = cluster_embeddings(vectors, threshold)
-    else:
-        assignment = cluster_texts([s.text for s in record.samples], threshold)
+    assignment = sample_clustering(record, threshold, cluster_texts)
     return SemanticEntropyResult(entropy=semantic_entropy(assignment), assignment=assignment)

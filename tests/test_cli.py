@@ -168,12 +168,12 @@ def test_analyze_missing_file_exits_1(mock_paths, tmp_path, capsys):
 def test_out_of_memory_is_one_line_and_exits_1(mock_paths, monkeypatch, capsys, command, error, line):
     """A record too large to cluster (its k x k distances) ends in one line,
     not a traceback; the failed allocation is simulated, never made."""
-    from hallguard import pipeline
+    from hallguard import semantic
 
     def allocate(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(pipeline, "semantic_entropy_of_record", allocate)
+    monkeypatch.setattr(semantic, "_distances", allocate)
     corpus, _, _ = mock_paths
     assert main([command, "--input", str(corpus)]) == 1
     assert capsys.readouterr().err == line
@@ -767,9 +767,8 @@ def test_repeated_runs_are_byte_identical(mock_paths, tmp_path):
 
 def test_module_state_never_changes_an_output(tmp_path):
     """Each command writes the same bytes whether it runs in this interpreter
-    before or after the others, which warm the module caches
-    (``semantic._cluster_texts``, ``records._field_prefixes``), or in a
-    fresh one."""
+    before or after the others, which warm the module caches (such as
+    ``records._field_prefixes``), or in a fresh one."""
     spec = MockSpec(n_records=30, samples_per_record=4, true_temperature=1.5,
                     inject_rates={"model": 0.2, "context": 0.2, "data": 0.2}, seed=11)
     records = generate_corpus(spec)

@@ -42,7 +42,7 @@ from hallguard.records import (
     iter_records,
     write_json,
 )
-from hallguard.semantic import semantic_entropy_of_record
+from hallguard.semantic import sample_clustering, semantic_entropy_of_record
 from hallguard.uncertainty import parse_self_declared_confidence, sample_mean_entropies
 
 from conftest import decoded, make_claim, make_dist, make_record
@@ -189,18 +189,25 @@ def _screened_records(draw):
     positions per sample and 12 samples per record (past 8 again), V from 1
     to 11, samples with no distributions and records of one sample.  A
     sample's positions cycle through a few distributions of its record, so
-    that an example stays small."""
+    that an example stays small.  Some records carry every reasoning and
+    answer, so that RACE is computed.  In some each answer is the sample's
+    text, and in some each reasoning is its answer, so that the record's
+    clusterings share input tuples."""
     dim = draw(st.none() | st.integers(1, 3))
     dists = draw(st.lists(_WEIGHTS.map(_dist), min_size=1, max_size=4))
+    words = (st.none() | _WORDS) if draw(st.booleans()) else _WORDS
+    answer_is_text, reasoning_is_answer = draw(st.booleans()), draw(st.booleans())
     samples = []
     for i in range(draw(st.integers(1, 12))):
         positions = draw(st.integers(0, 10))  # 0: no token_dists
+        text = draw(_WORDS | st.just("Confidence: 0.4"))
+        answer = text if answer_is_text else draw(words)
         samples.append(Sample(
-            text=draw(_WORDS | st.just("Confidence: 0.4")),
+            text=text,
             token_dists=[dists[(i + j) % len(dists)] for j in range(positions)] or None,
             embedding=None if dim is None else draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)),
-            reasoning=draw(st.none() | _WORDS),
-            answer=draw(st.none() | _WORDS),
+            reasoning=answer if reasoning_is_answer else draw(words),
+            answer=answer,
             self_confidence=draw(st.none() | st.floats(0.0, 1.0)),
         ))
     return GenerationRecord("r", "q?", samples, draw(st.none() | st.just([make_claim("rate", 4.25)])))
@@ -210,7 +217,9 @@ def _screened_records(draw):
 @given(records=st.lists(_screened_records(), min_size=1, max_size=5), n=st.integers(1, 3 * BLOCK))
 def test_detect_records_equals_the_record_by_record_loop(records, n):
     """Corpora of one to three BLOCKs, cycling through a few records, give
-    each record the signals it has on its own, bit for bit."""
+    each record the signals it has on its own, bit for bit: the signals that
+    the public estimators compute, each with its own clusterings, against
+    those of the per-record plan, which shares them."""
     corpus = [replace(records[i % len(records)], id=f"r{i}") for i in range(n)]
     config = PipelineConfig()
     want = _json_text([_detect_one_at_a_time(r, config, STORE) for r in corpus])
@@ -244,12 +253,12 @@ def test_a_corpus_raises_what_the_record_by_record_loop_raises(corpus, message):
 
 
 def test_a_record_that_fails_detect_raises_before_a_later_malformed_line(monkeypatch):
-    def failing(record, threshold):
+    def failing(record, threshold, cluster):
         if record.id == "bad":
             raise ValueError("bad record")
-        return semantic_entropy_of_record(record, threshold)
+        return sample_clustering(record, threshold, cluster)
 
-    monkeypatch.setattr("hallguard.pipeline.semantic_entropy_of_record", failing)
+    monkeypatch.setattr("hallguard.pipeline.sample_clustering", failing)
     good, bad = (json.dumps({"id": rid, "prompt": "q", "samples": [{"text": "a"}, {"text": "b"}]}) + "\n"
                  for rid in ("good", "bad"))
     cut = '{"id": "cut\n'

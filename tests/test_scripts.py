@@ -112,3 +112,30 @@ def test_differing_records_matches_entries_by_id(tmp_path, monkeypatch):
     write("b", ["x", "y", "z"], ["x", "inserted", "y", "z", "extra"])
     assert compare.differing_records(tmp_path / "a", tmp_path / "b") == ["extra", "inserted"]
     assert compare.differing_records(tmp_path / "b", tmp_path / "a") == ["extra", "inserted"]
+
+
+def test_code_lines_counts_neither_docstrings_nor_comments_nor_blank_lines(monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(ROOT / "scripts"), *sys.path])
+    from code_lines import code_lines
+
+    source = '''"""A module docstring
+over two lines."""
+
+import math  # a comment
+
+
+# a comment line
+class Box:
+    """One line."""
+
+    size = (1,
+            2)
+
+    def area(self):
+        """Two
+        lines."""
+        text = """a string that is
+        no docstring"""
+        return math.prod(self.size) or text
+'''
+    assert code_lines(source) == 8

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hallguard import semantic
+from hallguard import pipeline, semantic
 from hallguard.errors import CapabilityError
 from hallguard.grounding import STATUS_MATCH, FactEntry, FactStore, check_claims
 from hallguard.mockgen import MockSpec, generate_corpus
@@ -420,7 +420,6 @@ def test_cluster_texts_embeds_each_distinct_string_once(monkeypatch):
         return default_embed(text)
 
     monkeypatch.setattr(semantic, "default_embed", embed)
-    semantic._cluster_texts.cache_clear()
     texts = ["rates up", "rates up", "rates down", "rates up"]
     assert cluster_texts(texts) == cluster_embeddings(embedded(texts), semantic.DEFAULT_CLUSTER_THRESHOLD)
     assert seen == ["rates up", "rates down"]
@@ -455,7 +454,6 @@ def test_one_text_is_clustered_without_a_token_matrix(monkeypatch):
     monkeypatch.setattr(semantic, "default_embed", lambda text: embeds.append(text) or embed(text))
     monkeypatch.setattr(semantic, "_cluster_rows",
                         lambda *args: clusterings.append(args[1]) or cluster_rows(*args))
-    semantic._cluster_texts.cache_clear()
     one_cluster = ClusterAssignment([0, 0, 0], [1.0], [0])
     assert cluster_texts(["Rates rose"] * 3) == one_cluster
     assert (embeds, clusterings) == (["Rates rose"], [])
@@ -473,7 +471,6 @@ def test_answers_in_one_hash_bucket_stay_apart(kept, other):
     """Each pair shares a bucket of the old 256-bucket FNV-1a embedder, which
     clustered them as one answer."""
     assert fnv_bucket(kept.lower()) == fnv_bucket(other.lower())
-    semantic._cluster_texts.cache_clear()
     assignment = cluster_texts([kept, kept, other])
     assert assignment.cluster_masses == [2 / 3, 1 / 3]
     assert assignment.cluster_of_sample == [0, 0, 1]
@@ -519,18 +516,21 @@ def test_negative_or_nan_threshold_rejected(threshold):
             cluster_texts(texts, threshold)
 
 
-def test_detect_clusters_each_distinct_input_once():
+def test_detect_clusters_each_distinct_input_once(monkeypatch):
+    """Semantic entropy, consensus and the RACE answers share one input tuple
+    and the reasoning traces are the other, so a record takes two
+    clusterings; a second detect of it takes two more, since no clustering
+    outlives its record."""
     spec = MockSpec(n_records=1, samples_per_record=5, seed=3)
     record = generate_corpus(spec)[0]
     assert all(s.text == s.answer and s.reasoning != s.answer for s in record.samples)
-    semantic._cluster_texts.cache_clear()
+    clustered = []
+    monkeypatch.setattr(pipeline, "cluster_texts",
+                        lambda texts, threshold: clustered.append(texts) or cluster_texts(texts, threshold))
     signals = detect(record)
-    # semantic entropy, consensus and RACE answers share one input list; the
-    # reasoning traces are the other.  A list of one text is clustered with no
-    # _cluster_rows call, so the clusterings are counted as the memo's misses.
-    info = semantic._cluster_texts.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
-    assert signals.h_s is not None and signals.race is not None
+    assert len(clustered) == 2 and signals.h_s is not None and signals.race is not None
+    assert detect(record) == signals
+    assert len(clustered) == 4
 
 
 # --- order of the samples ---
