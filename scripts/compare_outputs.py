@@ -47,7 +47,8 @@ come the usage paths, most of which load no numpy: --help, no command,
 analyze with no --input, chunk with an overlap out of range, mockgen on a
 spec it rejects, and pipeline with an --output that ends in .md.
 Beside the benchmark corpora, the script builds one seeded stress corpus of
-its own (``stress_records``) and runs analyze (json) and pipeline on it.  Its
+its own (``stress_records``) with a fixed fact store, and runs analyze (json),
+pipeline, race and factcheck on it, factcheck against the store.  Its
 records make clustering turn on what the mock corpora never reach: texts over
 a small shared vocabulary, some at a distance within 1e-3 of the 0.35
 threshold and some at exactly 0.35; exact ties; answers that share a bucket
@@ -65,8 +66,15 @@ base with a clean retry; a flagged base with a still-noisy retry; and a
 samples, clean one answer on all four.  Last come spellings of one number,
 alone and inside longer answers and reasonings ("revenue 1200 cost 950"
 against "revenue 1.2e3 cost 9.5e2"), "-0" against "0", "1_200" and
-Arabic-Indic digits, which clustering reads as one value.  The stress
-corpus spans several of the blocks in which detection screens records.
+Arabic-Indic digits, which clustering reads as one value.  Then come
+records that race cannot decompose (one sample, and samples that lack a
+reasoning or an answer); confidences stated in each of the three patterns,
+one as a percentage, beside a negative statement, and a stored
+self_confidence next to a stated one; claims against the store, a string
+equal up to case and whitespace, a string that differs, a number in the
+wrong unit and a key the store lacks; and a base flagged for reasoning
+divergence whose ``.retry`` carries no reasoning.  The stress corpus spans
+several of the blocks in which detection screens records.
 A command is a template of CLI arguments.  It names each input file by the
 file's stem, with "-" read as "_" (``{corpus}`` is corpus.jsonl and
 ``{escaped_store}`` escaped-store.json), and the directory its outputs go to
@@ -78,8 +86,9 @@ exception that escapes ``main`` is the command's traceback on stderr and exit
 code 1, as in a fresh process.
 Each command's output files, stdout, stderr and exit code are compared byte
 for byte.  Each file that differs is printed, then the id of each stress
-record whose analyze or pipeline entry differs, matched by id, or that only
-one tree has an entry for, and the exit code is 1 when any file does.
+record whose analyze, pipeline, race or factcheck entry differs, matched by
+id, or that only one tree has an entry for, and the exit code is 1 when any
+file does.
 """
 
 from __future__ import annotations
@@ -174,6 +183,8 @@ STRESS = "stress"
 STRESS_COMMANDS = {
     "analyze-json": "analyze --input {corpus} --output {out}/analyze.json",
     "pipeline-file": "pipeline --input {corpus} --output {out}/ledger.json",
+    "race": "race --input {corpus} --output {out}/race.json",
+    "factcheck": "factcheck --input {corpus} --store {store} --output {out}/factcheck.json",
 }
 
 # every number off its default, so each reaches the outputs it can change
@@ -257,11 +268,23 @@ NUMBER_TEXTS = (("revenue 1200 cost 950", "revenue 1.2e3 cost 9.5e2", "Revenue 1
                  "revenue 1,200 cost 950"),
                 ("-0", "0", "-0.0", "+0"),
                 ("1200", "1_200", "\u0661\u0662\u0660\u0660", "$1200"))
+# stated confidences: each of the three patterns, one as a percentage, and a
+# negative statement, which states none
+CONFIDENCE_TEXTS = ("Confidence: 0.8", "my confidence in this is about 85%", "Rates rose in Q3 (0.6)",
+                    "Confidence: -0.3")
+# the stress fact store, and claims against it: a string equal up to case and
+# whitespace, a string that differs, a number in the wrong unit and a key
+# the store lacks
+STRESS_STORE = {"issuer": {"value": "Acme Holdings plc", "unit": None},
+                "rate": {"value": 5.0, "unit": "%", "as_of": "2024-06-30"}}
+STRESS_CLAIMS = ({"key": "issuer", "value": "  acme HOLDINGS\tplc "}, {"key": "issuer", "value": "Acme Group"},
+                 {"key": "rate", "value": 5.0, "unit": "bp"}, {"key": "outlook", "value": "stable"})
 
 
 def _sample(text: str, answer: str | None = None, reasoning: str | None = None,
-            embedding: list[float] | None = None) -> dict:
-    fields = (("answer", answer), ("reasoning", reasoning), ("embedding", embedding))
+            embedding: list[float] | None = None, self_confidence: float | None = None) -> dict:
+    fields = (("answer", answer), ("reasoning", reasoning), ("embedding", embedding),
+              ("self_confidence", self_confidence))
     return {"text": text, **{key: value for key, value in fields if value is not None}}
 
 
@@ -385,6 +408,23 @@ def stress_records(seed: int) -> list[dict]:
     # no random draw either
     for texts in NUMBER_TEXTS:
         add("number-text", [_sample(t, answer=t, reasoning=f"the filing states {t}") for t in texts])
+    # inputs that no kind above gives, none drawn at random either: records
+    # that race cannot decompose, stated confidences, claims for the stress
+    # store, and a base flagged for reasoning divergence whose retry carries
+    # no reasoning, so the signal it fired on is absent after
+    add("no-race", [_sample("alone", answer="alone", reasoning="one sample")])
+    add("no-race", [_sample("a", answer="a", reasoning="r"), _sample("a", answer="a"),
+                    _sample("a", reasoning="r")])
+    add("confidence", [_sample(t) for t in CONFIDENCE_TEXTS])
+    add("confidence", [_sample(CONFIDENCE_TEXTS[0], self_confidence=0.4), _sample(CONFIDENCE_TEXTS[2])])
+    records.append({"id": f"claims-{len(records):03d}", "prompt": "claims",
+                    "samples": [_sample("Acme", answer="Acme")] * 2, "reference_claims": list(STRESS_CLAIMS)})
+    base = f"divergence-{len(records):03d}"
+    reasonings = ("rates rose", "profit fell", "guidance q3", "rose rose fell")
+    records += [{"id": base, "prompt": "divergence",
+                 "samples": [_sample("steady", answer="steady", reasoning=r) for r in reasonings]},
+                {"id": base + ".retry", "prompt": "divergence",
+                 "samples": [_sample("steady", answer="steady")] * 4}]
     return records
 
 
@@ -433,6 +473,7 @@ def write_corpora(src: Path, seed: int, into: Path) -> None:
     d = into / STRESS
     d.mkdir()
     (d / "corpus.jsonl").write_text(jsonl(stress_records(seed)), encoding="utf-8")
+    (d / "store.json").write_text(json.dumps(STRESS_STORE))
 
 
 def jsonl(records) -> str:
@@ -504,10 +545,12 @@ def run_jobs() -> None:
 
 
 def differing_records(a: Path, b: Path) -> list[str]:
-    """The ids of the stress records whose analyze or pipeline entries differ,
-    matched by record id, and of those that only one tree has an entry for."""
+    """The ids of the stress records whose analyze, pipeline, race or
+    factcheck entries differ, matched by record id, and of those that only
+    one tree has an entry for."""
     ids = set()
-    for name, key in (("analyze.json", "records"), ("ledger.json", "entries")):
+    for name, key in (("analyze.json", "records"), ("ledger.json", "entries"), ("race.json", "records"),
+                      ("factcheck.json", "records")):
         paths = [tree / STRESS / name for tree in (a, b)]
         if not all(path.is_file() for path in paths):
             continue

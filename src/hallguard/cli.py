@@ -99,14 +99,14 @@ def _write_text(text: str, fp) -> None:
 
 
 def cmd_analyze(args) -> int:
-    from .pipeline import detect_records, signal_value
+    from .pipeline import SIGNALS, detect_records
     from .records import write_json
 
     with _read_inputs(args) as (cfg, records, store):
         signals = list(detect_records(records, cfg, store))
 
     def _present(signal_id):
-        return [v for v in (signal_value(s, signal_id) for s in signals) if v is not None]
+        return [v for v in map(SIGNALS[signal_id], signals) if v is not None]
 
     h_p = _present("h_p_mean")
     h_s = _present("h_s")
@@ -125,7 +125,7 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze_markdown(signals: list, agg: dict) -> str:
-    from .pipeline import markdown_cell, signal_value
+    from .pipeline import SIGNALS, markdown_cell
 
     lines = [
         "# Detection report",
@@ -140,9 +140,9 @@ def _analyze_markdown(signals: list, agg: dict) -> str:
         "| --- | --- | --- | --- | --- | --- | --- |",
     ]
     for s in signals:
-        cells = [_fmt(signal_value(s, k)) for k in ("h_p_mean", "h_s", "consensus_support", "self_confidence")]
-        flag = signal_value(s, "race_flag")
-        mismatches = signal_value(s, "fact_mismatches")
+        cells = [_fmt(SIGNALS[k](s)) for k in ("h_p_mean", "h_s", "consensus_support", "self_confidence")]
+        flag = SIGNALS["race_flag"](s)
+        mismatches = SIGNALS["fact_mismatches"](s)
         cells.append("-" if flag is None else str(flag == 1.0))
         cells.append("-" if mismatches is None else str(int(mismatches)))
         lines.append(f"| {markdown_cell(s.record_id)} | {' | '.join(cells)} |")

@@ -262,14 +262,8 @@ def _other_signals(record: GenerationRecord, config: PipelineConfig, store: Fact
             "self_confidence": self_confidence, "race": race, "fact_verdicts": fact_verdicts}
 
 
-def signal_value(signals: DetectionSignals, signal_id: str) -> float | None:
-    """Resolve one routable signal to a float; None when absent.  An id
-    missing from SIGNALS raises KeyError."""
-    return SIGNALS[signal_id](signals)
-
-
 def _fires(rule: RouterRule, signals: DetectionSignals) -> bool:
-    value = signal_value(signals, rule.signal)
+    value = SIGNALS[rule.signal](signals)
     return value is not None and _COMPARE[rule.comparator](value, rule.threshold)
 
 
@@ -309,8 +303,8 @@ def validate(before: DetectionSignals, after: DetectionSignals,
     for rule in config.rules:
         if not _fires(rule, before):
             continue
-        b = signal_value(before, rule.signal)
-        a = signal_value(after, rule.signal)
+        read = SIGNALS[rule.signal]
+        b, a = read(before), read(after)
         if a is None:
             verdicts.append(False)
             continue

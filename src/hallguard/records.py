@@ -21,7 +21,10 @@ A corpus is read one line at a time: ``iter_records`` decodes each line as
 it is reached and builds and checks its record in one walk, so a caller
 that keeps only what it computes from each record never holds the corpus.
 ``parse_records`` is the same reader collected into a list.  Either way the
-first bad line raises, with its line number.
+first bad line raises, with its line number, and a bad record's
+``RecordValidationError.diagnostics`` holds every fault it has.  A caller
+that holds a decoded object reads it as ``parse_records(json.dumps(obj))``.
+``write_records`` is the one encoder.
 
 ``read_json_file`` reads a config, rules or spec file and ``write_json``
 writes every JSON report, so a command that needs no more loads no numpy.
@@ -29,7 +32,6 @@ writes every JSON report, so a command that needs no more loads no numpy.
 
 from __future__ import annotations
 
-import copy
 import functools
 import io
 import json
@@ -163,7 +165,7 @@ class _Walk:
     its check keeps its JSON value in the record built, which is dropped.
     A record that passes shares obj's lists, which are not copied."""
 
-    def __init__(self, seen_ids=()):
+    def __init__(self, seen_ids):
         self.seen_ids = seen_ids
         self.rid = "<unknown>"
         self.diags: list[Diagnostic] = []
@@ -308,33 +310,8 @@ class _Walk:
         )
 
 
-def validate_record(record: GenerationRecord) -> list[Diagnostic]:
-    """Every invariant violation of one record, in field order: the walk that
-    reads a record, over ``record_to_json(record)``.  Empty means valid."""
-    walk = _Walk()
-    walk.record(record_to_json(record))
-    return walk.diags
-
-
 # ---------------------------------------------------------------------------
 # JSON conversion
-
-
-def record_from_json(obj) -> GenerationRecord:
-    """The record a decoded JSON object encodes, read in one walk over a copy
-    of it, so the caller keeps obj; raises with every diagnostic."""
-    return _Walk().read(copy.deepcopy(obj))
-
-
-def record_to_json(record: GenerationRecord) -> dict:
-    """Encode a record as a JSON-ready dict, omitting absent optional fields."""
-    out: dict = {"id": record.id, "prompt": record.prompt}
-    out["samples"] = [_sample_to_json(s) for s in record.samples]
-    if record.reference_claims is not None:
-        out["reference_claims"] = [_claim_to_json(c) for c in record.reference_claims]
-    if record.ground_truth is not None:
-        out["ground_truth"] = _gt_to_json(record.ground_truth)
-    return out
 
 
 def _sample_to_json(sample: Sample) -> dict:
@@ -422,8 +399,8 @@ def parse_records(stream) -> list[GenerationRecord]:
 
 
 def _record_line(record: GenerationRecord) -> str:
-    """json.dumps(record_to_json(record)) + "\\n", with each distinct Sample
-    object, told apart by identity, encoded once and spliced into the line."""
+    """The JSONL line of one record, with each distinct Sample object, told
+    apart by identity, encoded once and spliced into the line."""
     distinct = {id(sample): sample for sample in record.samples}
     encoded = {key: json.dumps(_sample_to_json(sample)) for key, sample in distinct.items()}
     head = json.dumps({"id": record.id, "prompt": record.prompt})[:-1]
@@ -440,9 +417,11 @@ def _record_line(record: GenerationRecord) -> str:
 def write_records(records: list[GenerationRecord]) -> bytes:
     """Serialize records to JSONL bytes; parse_records(write_records(x)) == x.
 
-    Each line is ``json.dumps(record_to_json(r)) + "\\n"``, but a Sample
-    object that a record holds more than once (mock corpora repeat theirs)
-    is encoded once per record."""
+    Each line is what ``json.dumps`` writes for the record as an object of
+    its fields in declaration order, each nested dataclass an object too,
+    ``token_labels`` under the key ``labels`` and every field that is None
+    left out, then "\\n".  A Sample object that a record holds more than
+    once (mock corpora repeat theirs) is encoded once per record."""
     return "".join(map(_record_line, records)).encode("utf-8")
 
 

@@ -46,9 +46,9 @@ every merge is taken, so they form one cluster without the merge loop.
 
 Embedding sources.  A sample's stored ``embedding`` embeds its ``text`` and
 feeds semantic entropy only.  A valid record carries an embedding on every
-sample or on none (``records.validate_record``), so semantic entropy clusters
-either the stored vectors or ``default_embed`` of every text, never a mix of
-the two spaces.  Consensus and the reasoning/answer decomposition always embed
+sample or on none (``records.iter_records`` checks it), so semantic entropy
+clusters either the stored vectors or ``default_embed`` of every text, never
+a mix of the two spaces.  Consensus and the reasoning/answer decomposition always embed
 the answer and reasoning strings with ``default_embed``: the L2-normalised
 counts of a text's exact lowercase whitespace tokens, with no hashing, so two
 texts are at distance 0 only when their token multisets are equal (up to

@@ -8,7 +8,7 @@ entry's own place of the sum, so one-hot inputs score exactly zero.
 scored: an entry that is NaN or outside [0, 1] raises ValueError, so no
 such input comes out as a number.
 
-Token entropy is scored many positions at a time.  ``token_entropies``
+Token entropy is scored many positions at a time.  ``_token_entropies``
 stacks the distributions of one length V into an (m, V) array and scores
 it in one kernel call; ``token_entropy`` (one position),
 ``sequence_entropy_profile`` and ``sample_mean_entropies`` all go through
@@ -86,13 +86,13 @@ def apply_temperature(logits, T: float) -> np.ndarray:
 
 
 def token_entropy(dist: TokenDistribution) -> float:
-    """Entropy of one next-token distribution, in nats, as token_entropies
+    """Entropy of one next-token distribution, in nats, as _token_entropies
     scores it.
 
     Zero-probability entries are permitted and contribute nothing; the result
     lies in [0, ln V] for a V-entry distribution.
     """
-    return float(token_entropies([dist])[0])
+    return float(_token_entropies([dist])[0])
 
 
 def _by_length(items) -> dict[int, list[int]]:
@@ -112,7 +112,7 @@ def row_entropies(p: np.ndarray) -> np.ndarray:
     return 0.0 - (p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=1)  # 0.0 - 0.0 is +0.0, not -0.0
 
 
-def token_entropies(dists: list[TokenDistribution]) -> np.ndarray:
+def _token_entropies(dists: list[TokenDistribution]) -> np.ndarray:
     """token_entropy of each distribution, with one numpy pass per distinct
     length; see the module docstring for why the values are exact.  An entry
     that is NaN or outside [0, 1] is a ValueError, as in row_entropies."""
@@ -127,8 +127,8 @@ def token_entropies(dists: list[TokenDistribution]) -> np.ndarray:
 
 def sample_mean_entropies(dist_lists: list[list[TokenDistribution]]) -> np.ndarray:
     """The mean token entropy of each nonempty list of distributions, equal to
-    np.mean of its token_entropy values, from one token_entropies call."""
-    h = token_entropies([d for dists in dist_lists for d in dists])
+    np.mean of its token_entropy values, from one _token_entropies call."""
+    h = _token_entropies([d for dists in dist_lists for d in dists])
     starts = list(accumulate(map(len, dist_lists), initial=0))
     means = np.empty(len(dist_lists))
     for k, lists in _by_length(dist_lists).items():
@@ -145,7 +145,7 @@ def sequence_entropy_profile(sample: Sample) -> EntropyReport:
     """
     if not sample.token_dists:
         raise CapabilityError("distribution-level data unavailable for this sample")
-    per = token_entropies(sample.token_dists)
+    per = _token_entropies(sample.token_dists)
     return EntropyReport(per_position=per.tolist(), mean=float(np.mean(per)),
                          max=float(np.max(per)))
 

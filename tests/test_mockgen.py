@@ -15,8 +15,8 @@ from hallguard.grounding import check_claims, fact_store_to_json
 from hallguard.mockgen import (CLEAN_ENTROPY_HI, CLEAN_ENTROPY_LO, MockSpec, generate_corpus,
                                generate_fact_store, mock_spec_from_json)
 from hallguard.pipeline import PipelineConfig, run_cycle
-from hallguard.records import validate_record, write_json, write_records
-from hallguard.uncertainty import apply_temperature, entropy_nats, token_entropies
+from hallguard.records import parse_records, write_json, write_records
+from hallguard.uncertainty import apply_temperature, entropy_nats, sequence_entropy_profile
 
 # seed -> bytes: sha256 of the written corpus and of the written fact store,
 # as `hallguard mockgen --out --store-out` writes them.  Together the specs
@@ -142,8 +142,7 @@ def test_generated_records_are_schema_valid():
     records = generate_corpus(
         MockSpec(n_records=25, seed=9, inject_rates={"model": 0.2, "context": 0.2, "data": 0.2})
     )
-    for rec in records:
-        assert validate_record(rec) == []
+    assert parse_records(write_records(records)) == records
 
 
 def test_temperature_recovery_from_corpus():
@@ -212,7 +211,7 @@ def test_injected_entropy_separation_margins():
     spec = MockSpec(n_records=120, samples_per_record=5,
                     inject_rates={"model": 0.3}, seed=55)
     for rec in generate_corpus(spec):
-        h = float(np.mean(token_entropies(rec.samples[0].token_dists)))
+        h = sequence_entropy_profile(rec.samples[0]).mean
         if rec.ground_truth.failure_class == "model":
             assert h >= 1.2
         else:

@@ -31,7 +31,6 @@ from hallguard.pipeline import (
     load_rules,
     route,
     run_cycle,
-    signal_value,
     validate,
 )
 from hallguard.records import (
@@ -292,7 +291,7 @@ def test_permuting_token_labels_with_their_probs_keeps_h_p_mean():
             h, rel=0.0, abs=1e-12)
 
 
-# --- signal_value / route ---
+# --- SIGNALS / route ---
 
 
 def test_signal_value_reads_every_routable_signal():
@@ -304,12 +303,12 @@ def test_signal_value_reads_every_routable_signal():
     verdicts = [ClaimVerdict("a", 1, 2, "mismatch"), ClaimVerdict("b", 1, 1, "match")] * 2
     signals = _signals(h_p_mean=0.5, h_s=0.4, consensus_support=0.8, self_confidence=0.7,
                        race=race, fact_verdicts=verdicts)
-    assert {k: signal_value(signals, k) for k in SIGNALS} == {
+    assert {k: read(signals) for k, read in SIGNALS.items()} == {
         "h_p_mean": 0.5, "h_s": 0.4, "consensus_support": 0.8, "self_confidence": 0.7,
         "race_flag": 1.0, "race_h_reasoning": 0.9, "race_mutual_information": 0.2,
         "fact_mismatches": 2.0,
     }
-    assert all(signal_value(_signals(), k) is None for k in SIGNALS)
+    assert all(read(_signals()) is None for read in SIGNALS.values())
 
 
 def test_rules_and_config_reject_bad_values_at_construction():

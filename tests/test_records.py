@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -18,9 +19,6 @@ from hallguard.records import (
     TokenDistribution,
     iter_records,
     parse_records,
-    record_from_json,
-    record_to_json,
-    validate_record,
     write_records,
 )
 
@@ -118,31 +116,30 @@ def test_write_single_record_is_one_line_with_newline():
     assert data.count(b"\n") == 1
 
 
+def _json_object(record):
+    """The JSON object of one record, as write_records writes it."""
+    return json.loads(write_records([record]))
+
+
+def _diagnostics(record):
+    """The diagnostics of the error that reading record's line raises."""
+    with pytest.raises(RecordValidationError) as exc:
+        parse_records(write_records([record]))
+    return exc.value.diagnostics
+
+
 def test_unknown_keys_are_ignored():
-    obj = record_to_json(valid_record())
-    tagged = json.loads(json.dumps(obj))
+    tagged = _json_object(valid_record())
     for part in (tagged, tagged["samples"][0], tagged["samples"][0]["token_dists"][0],
                  tagged["reference_claims"][0], tagged["ground_truth"]):
         part["trace_id"] = [17, {"nested": None}]
     line = json.dumps(tagged).encode()
-    assert parse_records(line) == [record_from_json(obj)] == [valid_record()]
+    assert parse_records(line) == [valid_record()]
     assert write_records(parse_records(line)) == write_records([valid_record()])
 
 
-def test_record_from_json_keeps_nothing_of_the_callers_object():
-    obj = json.loads(json.dumps(record_to_json(valid_record())))
-    record = record_from_json(obj)
-    sample = obj["samples"][0]
-    sample["token_dists"][0]["probs"][0] = 0.0
-    sample["token_dists"][0]["labels"].append("wait")
-    sample["token_logprobs"][0] = -9.0
-    sample["embedding"].clear()
-    obj["samples"].pop()
-    assert record == valid_record()
-
-
 def test_validate_accepts_valid_record():
-    assert validate_record(valid_record()) == []
+    assert parse_records(write_records([valid_record()])) == [valid_record()]
 
 
 @pytest.mark.parametrize(
@@ -230,7 +227,6 @@ def test_validate_accepts_valid_record():
         ),
         (lambda r: _with_sample(r, token_logprobs=[math.nan]), "token_logprobs[0]"),
         (lambda r: _with_sample(r, answer=4), "answer"),
-        (lambda r: _with_sample(r, reasoning=b"r"), "reasoning"),
         (
             lambda r: _with_sample(r, token_dists=[TokenDistribution([["x"], "y"], [0.5, 0.5])]),
             "samples[0].token_dists[0].labels",
@@ -258,8 +254,7 @@ def test_validate_accepts_valid_record():
     ],
 )
 def test_each_invariant_violation_is_detected(mutate, path_fragment):
-    broken = mutate(valid_record())
-    diags = validate_record(broken)
+    diags = _diagnostics(mutate(valid_record()))
     assert diags, "expected at least one diagnostic"
     assert any(path_fragment in d.path for d in diags)
 
@@ -271,8 +266,7 @@ def _with_sample(record, **fields):
 
 def test_duplicate_label_diagnostic_names_labels():
     record = _with_sample(valid_record(), token_dists=[TokenDistribution(["x", "x"], [0.5, 0.5])])
-    diags = validate_record(record)
-    assert any(d.path.endswith(".labels") for d in diags)
+    assert any(d.path.endswith(".labels") for d in _diagnostics(record))
 
 
 # --- property: random corpora survive the JSONL round trip ---
@@ -382,9 +376,6 @@ def test_every_faulty_sample_is_named_in_sample_order(n_samples, data):
     obj = {"id": "r1", "prompt": "q", "samples": samples}
     want = [f"samples[{i}]{faults[i][1]}" for i in sorted(bad)]
     with pytest.raises(RecordValidationError) as exc:
-        record_from_json(obj)
-    assert [d.path for d in exc.value.diagnostics] == want
-    with pytest.raises(RecordValidationError) as exc:
         parse_records(json.dumps(obj))
     assert [d.path for d in exc.value.diagnostics] == want
     assert str(exc.value).startswith(f"record 'r1': {want[0]}: ")
@@ -415,7 +406,7 @@ def test_duplicate_id_diagnostic_comes_first():
 ], ids=["sample-string", "probs-halved", "claim-without-value", "label-without-is-hallucinated",
         "dist-without-probs", "embedding-not-list", "claims-not-list", "samples-not-list", "id-not-string"])
 def test_whole_object_and_shape_messages(mutate, message):
-    obj = record_to_json(valid_record())
+    obj = _json_object(valid_record())
     mutate(obj)
     with pytest.raises(RecordValidationError) as exc:
         parse_records(json.dumps(obj))
@@ -430,11 +421,11 @@ def test_a_record_that_is_not_an_object_is_one_diagnostic():
 
 
 def test_each_list_of_numbers_names_its_first_bad_entry():
-    obj = record_to_json(valid_record())
+    obj = _json_object(valid_record())
     obj["samples"][0]["token_logprobs"] = [-0.1, 0.5, 0.7]
     obj["samples"][0]["token_dists"][0]["probs"] = [0.6, "s", -1]
     with pytest.raises(RecordValidationError) as exc:
-        record_from_json(obj)
+        parse_records(json.dumps(obj))
     assert [d.path for d in exc.value.diagnostics] == [
         "samples[0].token_dists[0].probs[1]", "samples[0].token_logprobs[1]"]
 
@@ -446,10 +437,10 @@ def test_each_list_of_numbers_names_its_first_bad_entry():
     (lambda r: r["ground_truth"].__setitem__("correct_answer", ["hold"]), "ground_truth.correct_answer"),
 ], ids=["object-unit", "number-unit", "number-correct-answer", "list-correct-answer"])
 def test_unit_and_correct_answer_must_be_strings(mutate, path):
-    obj = record_to_json(valid_record())
+    obj = _json_object(valid_record())
     mutate(obj)
     with pytest.raises(RecordValidationError) as exc:
-        record_from_json(obj)
+        parse_records(json.dumps(obj))
     assert [(d.path, d.reason) for d in exc.value.diagnostics] == [(path, "must be a string")]
 
 
@@ -458,7 +449,7 @@ def test_readme_corpus_example_is_a_valid_record():
     section = readme.split("\n## Corpus format\n", 1)[1]
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
     [record] = list(iter_records([example.replace("\n", " ") + "\n"]))
-    assert record_to_json(record) == json.loads(example)
+    assert _json_object(record) == json.loads(example)
 
 
 # --- write_records encodes each distinct sample object once ---
@@ -466,9 +457,21 @@ def test_readme_corpus_example_is_a_valid_record():
 _ESCAPED = ['plain', 'quote " inside', 'back\\slash', 'tab\there', 'line\u2028sep', 'café 漢']
 
 
+def _reference_object(value):
+    """value as a JSON-ready object, built apart from the package's encoder:
+    each dataclass an object of its fields that are not None, in field order,
+    with token_labels under the key labels."""
+    if dataclasses.is_dataclass(value):
+        return {"labels" if f.name == "token_labels" else f.name: _reference_object(getattr(value, f.name))
+                for f in dataclasses.fields(value) if getattr(value, f.name) is not None}
+    if isinstance(value, list):
+        return [_reference_object(item) for item in value]
+    return value
+
+
 def _one_liner(records):
     """The reference encoder: one json.dumps per record."""
-    return "".join(json.dumps(record_to_json(r)) + "\n" for r in records).encode("utf-8")
+    return "".join(json.dumps(_reference_object(r)) + "\n" for r in records).encode("utf-8")
 
 
 def _seeded_corpus(seed):

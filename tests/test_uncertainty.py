@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hallguard.calibration import apply_temperature
 from hallguard.errors import CapabilityError
 from hallguard.pipeline import detect
-from hallguard.records import GenerationRecord, Sample, validate_record
+from hallguard.records import GenerationRecord, Sample, parse_records, write_records
 from hallguard.uncertainty import (
+    _token_entropies,
     entropy_nats,
     parse_self_declared_confidence,
     sequence_entropy_profile,
-    token_entropies,
     token_entropy,
 )
 
@@ -97,7 +97,7 @@ def test_profile_without_distributions_is_capability_error():
         sequence_entropy_profile(Sample(text="api output only"))
 
 
-# --- token_entropies against the per-position loop it replaces ---
+# --- _token_entropies against the per-position loop it replaces ---
 
 
 def reference_profile(sample):
@@ -139,10 +139,10 @@ def test_batched_entropy_equals_per_position_loop():
     rng = np.random.default_rng(11)
     for i in range(200):
         record = _random_record(rng, i)
-        assert validate_record(record) == []
+        assert parse_records(write_records([record])) == [record]
         assert detect(record).h_p_mean == reference_h_p_mean(record)
         dists = [d for s in record.samples for d in s.token_dists or []]
-        assert token_entropies(dists).tolist() == [entropy_nats(d.probs) for d in dists]
+        assert _token_entropies(dists).tolist() == [entropy_nats(d.probs) for d in dists]
         for sample in record.samples:
             if sample.token_dists:
                 report = sequence_entropy_profile(sample)
@@ -159,7 +159,7 @@ def test_batched_entropy_keeps_rows_with_zero_entries_exact():
             weights = rng.random(v)
             weights[int(rng.integers(v))] = 0.0
             dists.append(make_dist((weights / weights.sum()).tolist()))
-        assert token_entropies(dists).tolist() == [entropy_nats(d.probs) for d in dists]
+        assert _token_entropies(dists).tolist() == [entropy_nats(d.probs) for d in dists]
 
 
 def test_zero_entry_is_scored_in_its_place():
@@ -167,12 +167,12 @@ def test_zero_entry_is_scored_in_its_place():
     # sums in numpy's unrolled pairwise order, with the zero term in place
     probs = [0.0] + [0.125] * 6 + [0.25]
     assert entropy_nats(probs) == 1.9061547465398494
-    assert token_entropies([make_dist(probs)]).tolist() == [1.9061547465398494]
+    assert _token_entropies([make_dist(probs)]).tolist() == [1.9061547465398494]
 
 
 def test_batched_entropy_of_an_empty_distribution_is_domain_error():
     with pytest.raises(ValueError):
-        token_entropies([make_dist([0.5, 0.5]), make_dist([])])
+        _token_entropies([make_dist([0.5, 0.5]), make_dist([])])
 
 
 def test_one_point_entropy_is_positive_zero():
@@ -229,10 +229,10 @@ def test_cooling_never_decreases_entropy(probs, temperature):
                                    [1.5], [0.3, 0.7, -1e-300]])
 def test_entries_outside_the_unit_interval_are_domain_errors(probs):
     """NaN, a negative entry or one above 1 is no probability: neither
-    entropy_nats nor token_entropies turns it into a number."""
+    entropy_nats nor _token_entropies turns it into a number."""
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         entropy_nats(probs)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        token_entropies([make_dist(probs)])
+        _token_entropies([make_dist(probs)])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         token_entropy(make_dist(probs))
